@@ -7,20 +7,19 @@ verifies conservation dynamically and cross-checks every closed form against
 brute-force oracles.
 """
 
-from .autodiff import (EvalRequest, EvalResult, HyperDual, Jet2, evaluate,
-                       mixed_xy_hessian, x_gradient, xy_jet2, y_jet2)
-from .dynamics import (GeodesicTrajectory, RapcsakReport, SprayEval,
-                       geodesic_rhs, integrate_geodesic, path_distance,
-                       rapcsak_residual, resample_by_arclength,
-                       spray_coefficients, trajectory_energy)
+from .autodiff import HyperDual, Jet2, xy_jet2, y_jet2
+from .dynamics import (GeodesicTrajectory, RapcsakReport, geodesic_rhs,
+                       integrate_geodesic, path_distance, rapcsak_residual,
+                       resample_by_arclength, spray_coefficients,
+                       trajectory_energy)
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
                      DomainError, FinvarError, IntegratorStall,
                      NonReversibleBackward, OracleConditioning,
                      OracleScopeExceeded, SignMismatch, SingularMetric)
-from .integrals import (FirstIntegralVector, HTensor, build_H,
+from .integrals import (FirstIntegralVector, PairJets, build_H,
                         charpoly_coefficients, f1_closed_form,
                         first_integrals, fn1_closed_form, integrals_along,
-                        mu, painleve_I0, sarlet_K, tm_I1)
+                        mu, pair_jets, painleve_I0, sarlet_K, tm_I1)
 from .metrics import (AngularRankReport, FinslerMetric, MetricJet,
                       ProjectivePair, TangentPoint, angular_rank_check,
                       catalog_metric, metric_jet)
@@ -32,19 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularRankReport", "ConfigError", "DegenerateAngularMetric",
-    "DegenerateVelocity", "DomainError", "EvalRequest", "EvalResult",
-    "FinslerMetric", "FinvarError", "FirstIntegralVector",
-    "GeodesicTrajectory", "HTensor", "HyperDual", "IntegratorStall", "Jet2",
-    "MetricJet", "NonReversibleBackward", "OracleConditioning",
-    "OracleConfig", "OracleScopeExceeded", "ProjectivePair", "RapcsakReport",
-    "SignMismatch", "SingularMetric", "SprayEval", "TangentPoint",
-    "angular_rank_check", "build_H", "catalog_metric",
+    "DegenerateVelocity", "DomainError", "FinslerMetric", "FinvarError",
+    "FirstIntegralVector", "GeodesicTrajectory", "HyperDual",
+    "IntegratorStall", "Jet2", "MetricJet", "NonReversibleBackward",
+    "OracleConditioning", "OracleConfig", "OracleScopeExceeded", "PairJets",
+    "ProjectivePair", "RapcsakReport", "SignMismatch", "SingularMetric",
+    "TangentPoint", "angular_rank_check", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",
-    "christoffel_oracle", "delta_alpha_combinatorial", "evaluate",
-    "f1_closed_form", "fd_derivative", "first_integrals", "fn1_closed_form",
-    "geodesic_rhs", "integrals_along", "integrate_geodesic", "metric_jet",
-    "mixed_xy_hessian", "mu", "painleve_I0", "path_distance",
-    "rapcsak_residual", "resample_by_arclength", "sarlet_K",
-    "spray_coefficients", "tm_I1", "trajectory_energy", "x_gradient",
-    "xy_jet2", "y_jet2",
+    "christoffel_oracle", "delta_alpha_combinatorial", "f1_closed_form",
+    "fd_derivative", "first_integrals", "fn1_closed_form", "geodesic_rhs",
+    "integrals_along", "integrate_geodesic", "metric_jet", "mu",
+    "painleve_I0", "pair_jets", "path_distance", "rapcsak_residual",
+    "resample_by_arclength", "sarlet_K", "spray_coefficients", "tm_I1",
+    "trajectory_energy", "xy_jet2", "y_jet2",
 ]

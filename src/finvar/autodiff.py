@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVelocity
+from .errors import DegenerateVelocity
 
 # Square-root arguments below this floor correspond to a metric value under
 # ~1e-13; differentiating through them yields NaN-contaminated jets, so the
@@ -183,39 +183,6 @@ class Jet2:
     hess: np.ndarray
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    """Selects which derivative blocks of F(x, y) an evaluation must produce."""
-
-    value: bool = True
-    y_grad: bool = False
-    y_hess: bool = False
-    x_grad: bool = False
-    xy_hess: bool = False
-
-    def __post_init__(self):
-        if not (self.value or self.y_grad or self.y_hess
-                or self.x_grad or self.xy_hess):
-            raise ConfigError("evaluation request selects no derivatives")
-
-    @property
-    def needs_x(self) -> bool:
-        return self.x_grad or self.xy_hess
-
-    @property
-    def needs_y(self) -> bool:
-        return self.y_grad or self.y_hess
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    y_grad: np.ndarray | None = None
-    y_hess: np.ndarray | None = None
-    x_grad: np.ndarray | None = None
-    xy_hess: np.ndarray | None = None
-
-
 def _check_velocity(y) -> None:
     if not any(float(c) != 0.0 for c in y):
         raise DegenerateVelocity("velocity is exactly zero")
@@ -241,46 +208,3 @@ def xy_jet2(f, x, y) -> Jet2:
     xs = seed_variables(x, 2 * n, offset=0)
     ys = seed_variables(y, 2 * n, offset=n)
     return _as_jet(f(xs, ys), 2 * n)
-
-
-def x_gradient(f, x, y) -> np.ndarray:
-    """Gradient of ``f(., y)`` in the base-point variables."""
-    _check_velocity(y)
-    n = len(x)
-    jet = _as_jet(f(seed_variables(x, n), [float(c) for c in y]), n)
-    return jet.grad
-
-
-def mixed_xy_hessian(f, x, y) -> np.ndarray:
-    """Matrix of d^2 f / dy^i dx^j (row: velocity index, column: base index).
-
-    Extracted as the off-diagonal block of one joint (2n)-variable pass, so
-    the field is evaluated through a single code path.
-    """
-    n = len(x)
-    jet = xy_jet2(f, x, y)
-    return jet.hess[n:, :n].copy()
-
-
-def evaluate(f, x, y, request: EvalRequest) -> EvalResult:
-    """Evaluate ``f`` with the cheapest seeding that covers the request."""
-    n = len(x)
-    if request.needs_x:
-        jet = xy_jet2(f, x, y)
-        return EvalResult(
-            value=jet.value,
-            y_grad=jet.grad[n:].copy() if request.y_grad else None,
-            y_hess=jet.hess[n:, n:].copy() if request.y_hess else None,
-            x_grad=jet.grad[:n].copy() if request.x_grad else None,
-            xy_hess=jet.hess[n:, :n].copy() if request.xy_hess else None,
-        )
-    if request.needs_y:
-        jet = y_jet2(f, x, y)
-        return EvalResult(
-            value=jet.value,
-            y_grad=jet.grad.copy() if request.y_grad else None,
-            y_hess=jet.hess.copy() if request.y_hess else None,
-        )
-    _check_velocity(y)
-    return EvalResult(value=float(f([float(c) for c in x],
-                                    [float(c) for c in y])))

@@ -21,8 +21,7 @@ from .dynamics import integrate_geodesic, rapcsak_residual, trajectory_energy
 from .errors import ConfigError, FinvarError, OracleScopeExceeded
 from .integrals import (build_H, charpoly_coefficients, f1_closed_form,
                         first_integrals, fn1_closed_form, integrals_along,
-                        mu, painleve_I0, sarlet_K, tm_I1)
-from .metrics import metric_jet
+                        mu, pair_jets, painleve_I0, sarlet_K, tm_I1)
 from .oracle import charpoly_by_interpolation, delta_alpha_combinatorial
 
 # Default pass thresholds per command; --tolerance overrides the main one.
@@ -75,16 +74,16 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
              "ri1_rel_err": 0.0, "q0_abs": 0.0}
     n = pair.dim
     for idx, p in enumerate(_points(cfg, "evaluate", cfg.samples.count)):
-        jet = metric_jet(pair.base, p)
-        jet_t = metric_jet(pair.comparison, p)
-        H = build_H(pair, p).H
-        fiv = first_integrals(pair, p)
-        m = mu(pair, p)
-        i0 = painleve_I0(pair, p)
-        i1 = tm_I1(pair, p)
+        jets = pair_jets(pair, p)
+        jet, jet_t = jets.base, jets.comparison
+        H = build_H(jets)
+        fiv = first_integrals(jets)
+        m = mu(jets)
+        i0 = painleve_I0(jets)
+        i1 = tm_I1(jets)
         checks = {
-            "f1_rel_err": _rel_err(fiv.f[0], f1_closed_form(pair, p)),
-            "fn1_rel_err": _rel_err(fiv.f[n - 2], fn1_closed_form(pair, p)),
+            "f1_rel_err": _rel_err(fiv.f[0], f1_closed_form(jets)),
+            "fn1_rel_err": _rel_err(fiv.f[n - 2], fn1_closed_form(jets)),
             "ri0_rel_err": _rel_err(jet.F ** 2 / fiv.f[0] ** (2.0 / (n + 1)),
                                     i0),
             "ri1_rel_err": _rel_err(fiv.f[n - 2] * jet_t.F ** 3 * m ** 3
@@ -99,7 +98,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
             "F": jet.F, "F_comparison": jet_t.F,
             "g": jet.g, "h": jet.h, "H": H,
             "f": fiv.f, "delta": fiv.delta,
-            "mu": m, "I0": i0, "I1": i1, "K": sarlet_K(pair, p),
+            "mu": m, "I0": i0, "I1": i1, "K": sarlet_K(jets),
             "checks": checks,
         })
     fn1_tol = min(tol, FN1_TOL) if cfg.tolerance is None else tol
@@ -127,9 +126,12 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     trajectories = []
     all_pass = True
     for idx, p0 in enumerate(_points(cfg, "geodesic", cfg.samples.trajectories)):
+        # The integrator keeps the base metric's domain; the comparison
+        # metric's may end sooner, as a ball does for straight lines.
         traj = integrate_geodesic(
             pair.base, p0, integ.t_end, method=integ.method,
-            step=integ.step, rtol=integ.rtol, atol=integ.atol)
+            step=integ.step, rtol=integ.rtol,
+            atol=integ.atol).within(pair.comparison.domain)
         f_vals = integrals_along(pair, traj)
         energy = trajectory_energy(pair.base, traj)
         drift = np.abs(f_vals - f_vals[0]).max(axis=0)
@@ -200,35 +202,36 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     tol = cfg.tolerance
     interp_tol = tol if tol is not None else ORACLE_INTERP_TOL
     comb_tol = tol if tol is not None else ORACLE_COMB_TOL
-    points = _points(cfg, "oracle", cfg.samples.count)
+    point_jets = [pair_jets(pair, p)
+                  for p in _points(cfg, "oracle", cfg.samples.count)]
     n = pair.dim
     checks = []
     all_pass = True
 
     worst = 0.0
-    for p in points:
-        H = build_H(pair, p).H
+    for jets in point_jets:
+        H = build_H(jets)
         a = charpoly_coefficients(H)
         b = charpoly_by_interpolation(H)
         worst = max(worst, float(np.abs(a - b).max()
                                  / max(1.0, np.abs(a).max())))
     ok = worst <= interp_tol
     all_pass = all_pass and ok
-    checks.append({"name": "charpoly_interpolation", "cases": len(points),
+    checks.append({"name": "charpoly_interpolation", "cases": len(point_jets),
                    "max_rel_err": worst, "tolerance": interp_tol,
                    "status": "pass" if ok else "fail"})
 
     for alpha in range(1, n + 1):
         try:
             worst = 0.0
-            for p in points:
-                delta = delta_alpha_combinatorial(pair, p, alpha)
-                fiv = first_integrals(pair, p)
+            for jets in point_jets:
+                delta = delta_alpha_combinatorial(jets, alpha)
+                fiv = first_integrals(jets)
                 worst = max(worst, _rel_err(delta, fiv.delta[alpha - 1]))
             ok = worst <= comb_tol
             all_pass = all_pass and ok
             checks.append({"name": "delta_combinatorial", "alpha": alpha,
-                           "cases": len(points), "max_rel_err": worst,
+                           "cases": len(point_jets), "max_rel_err": worst,
                            "tolerance": comb_tol,
                            "status": "pass" if ok else "fail"})
         except OracleScopeExceeded as exc:

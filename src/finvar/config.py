@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,18 @@ _SAMPLE_KEYS = {"count", "trajectories", "box", "velocity_scale"}
 _INTEGRATOR_KEYS = {"method", "rtol", "atol", "step", "t_end"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_number(value, where: str) -> None:
+    """A JSON number that is finite; values keep their type, so reports
+    echo them as written."""
+    if not ((_is_int(value) or isinstance(value, float))
+            and math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SampleSettings:
     """Random sampling: uniform box for base points (rejection-sampled
@@ -31,10 +44,17 @@ class SampleSettings:
     velocity_scale: float | None = None
 
     def __post_init__(self):
-        if self.count < 1 or self.trajectories < 1:
-            raise ConfigError("sample counts must be >= 1")
+        for name in ("count", "trajectories"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(
+                    f"samples.{name} must be an integer >= 1, got {value!r}")
+        _check_number(self.box[0], "samples.box[0]")
+        _check_number(self.box[1], "samples.box[1]")
         if not self.box[0] < self.box[1]:
             raise ConfigError(f"box {self.box} is empty")
+        if self.velocity_scale is not None:
+            _check_number(self.velocity_scale, "samples.velocity_scale")
 
 
 @dataclass(frozen=True)
@@ -44,6 +64,10 @@ class IntegratorSettings:
     atol: float = 1e-10
     step: float = 1e-3
     t_end: float = 1.0
+
+    def __post_init__(self):
+        for name in ("rtol", "atol", "step", "t_end"):
+            _check_number(getattr(self, name), f"integrator.{name}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +83,13 @@ class RunConfig:
     fmt: str = "json"
     out: str | None = None
     points: tuple = ()
+
+    def __post_init__(self):
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.tolerance is not None:
+            _check_number(self.tolerance, "tolerance")
 
     def build_pair(self) -> ProjectivePair:
         return ProjectivePair(base=catalog_metric(self.base),
@@ -98,13 +129,16 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(pair, dict) or "base" not in pair or "comparison" not in pair:
         raise ConfigError("config field 'pair' needs 'base' and 'comparison' "
                           "metric descriptors")
+    for key in ("samples", "integrator"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"config field '{key}' must be a JSON object")
     sample_kwargs = dict(raw.get("samples", {}))
     _check_keys(sample_kwargs, _SAMPLE_KEYS, "config field 'samples'")
     if "box" in sample_kwargs:
         box = sample_kwargs["box"]
         if not (isinstance(box, (list, tuple)) and len(box) == 2):
             raise ConfigError(f"samples.box must be [lo, hi], got {box!r}")
-        sample_kwargs["box"] = (float(box[0]), float(box[1]))
+        sample_kwargs["box"] = tuple(box)
     integ_kwargs = dict(raw.get("integrator", {}))
     _check_keys(integ_kwargs, _INTEGRATOR_KEYS, "config field 'integrator'")
     points = raw.get("points", [])
@@ -120,7 +154,7 @@ def load_config(path: str) -> RunConfig:
         samples=SampleSettings(**sample_kwargs),
         integrator=IntegratorSettings(**integ_kwargs),
         tolerance=raw.get("tolerance"),
-        seed=int(raw.get("seed", DEFAULT_SEED)),
+        seed=raw.get("seed", DEFAULT_SEED),
         fmt=fmt,
         out=raw.get("out"),
         points=tuple(points),

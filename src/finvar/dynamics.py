@@ -15,7 +15,8 @@ first-integral drift tolerance, hence the tight default tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,31 +30,29 @@ from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
 H_MIN = 1e-12
 
 
-@dataclass(frozen=True)
-class SprayEval:
-    """Spray coefficients G^i at one tangent point."""
-
-    G: np.ndarray
-
-
 def _spray_vector(jet: MetricJet, y: np.ndarray) -> np.ndarray:
     return 0.25 * (jet.g_inv @ (jet.F2_yx @ y - jet.F2_x))
 
 
-def spray_coefficients(metric: FinslerMetric, p: TangentPoint) -> SprayEval:
+def _flow(jet: MetricJet, y: np.ndarray) -> np.ndarray:
+    return np.concatenate((y, -2.0 * _spray_vector(jet, y)))
+
+
+def spray_coefficients(metric: FinslerMetric, p: TangentPoint) -> np.ndarray:
     """G^i of ``metric`` at ``p``; 2+-homogeneous in the velocity."""
-    return SprayEval(G=_spray_vector(metric_jet(metric, p), p.y))
+    return _spray_vector(metric_jet(metric, p), p.y)
 
 
 def geodesic_rhs(metric: FinslerMetric, p: TangentPoint) -> np.ndarray:
     """Concatenated (x', y') = (y, -2G) at ``p``."""
-    return np.concatenate((p.y, -2.0 * _spray_vector(metric_jet(metric, p), p.y)))
+    return _flow(metric_jet(metric, p), p.y)
 
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
     """Accepted integration samples of one geodesic.
 
+    ``jets`` holds the jet of the integrated ``metric`` at each sample.
     ``domain_exit`` is set when the trajectory was truncated at the last
     fully in-domain accepted step instead of reaching the requested time.
     """
@@ -63,6 +62,8 @@ class GeodesicTrajectory:
     ys: np.ndarray
     step_size: float | None
     integrator_name: str
+    metric: FinslerMetric = field(repr=False)
+    jets: tuple[MetricJet, ...] = field(repr=False)
     domain_exit: bool = False
     n_accepted: int = 0
     n_rejected: int = 0
@@ -71,6 +72,9 @@ class GeodesicTrajectory:
         dt = np.diff(self.times)
         if dt.size and not np.all(dt > 0):
             raise ConfigError("trajectory times must be strictly increasing")
+        if len(self.jets) != len(self.times):
+            raise ConfigError(f"{len(self.jets)} jets for {len(self.times)} "
+                              f"trajectory samples")
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -83,14 +87,33 @@ class GeodesicTrajectory:
     def t_final(self) -> float:
         return float(self.times[-1])
 
+    def within(self, domain: Callable[[np.ndarray], bool]
+               ) -> "GeodesicTrajectory":
+        """The samples before the first base point outside ``domain``, with
+        ``domain_exit`` set; the trajectory itself when no sample is outside.
+
+        The first sample is always kept. The step counters still describe
+        the whole integration.
+        """
+        for k in range(1, len(self)):
+            if not domain(self.xs[k]):
+                return replace(self, times=self.times[:k], xs=self.xs[:k],
+                               ys=self.ys[:k], jets=self.jets[:k],
+                               domain_exit=True)
+        return self
+
+
+def _state_jet(metric: FinslerMetric, z: np.ndarray) -> MetricJet:
+    """Jet of ``metric`` at the state z = (x, y)."""
+    n = metric.dim
+    return _jet_arrays(metric, z[:n], z[n:])
+
 
 def _make_rhs(metric: FinslerMetric):
     n = metric.dim
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        x, y = z[:n], z[n:]
-        jet = _jet_arrays(metric, x, y)
-        return np.concatenate((y, -2.0 * _spray_vector(jet, y)))
+        return _flow(_state_jet(metric, z), z[n:])
 
     return rhs
 
@@ -114,8 +137,8 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _rkf45_step(rhs, z, h):
-    k = [rhs(z)]
+def _rkf45_step(rhs, z, k1, h):
+    k = [k1]
     for s in range(1, 6):
         zs = z + h * sum(a * ks for a, ks in zip(_RKF_A[s], k))
         k.append(rhs(zs))
@@ -160,28 +183,37 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
     else:
         raise ConfigError(f"unknown integrator '{method}'")
-    times, zs, domain_exit, n_acc, n_rej, h_used = out
+    times, zs, jets, domain_exit, n_acc, n_rej, h_used = out
     times = np.asarray(times)
     zs = np.asarray(zs)
     n = metric.dim
     if t_end < 0:  # store with increasing times
         times = times[::-1].copy()
         zs = zs[::-1].copy()
+        jets = jets[::-1]
     return GeodesicTrajectory(
         times=times, xs=zs[:, :n].copy(), ys=zs[:, n:].copy(),
-        step_size=h_used, integrator_name=method, domain_exit=domain_exit,
+        step_size=h_used, integrator_name=method, metric=metric,
+        jets=tuple(jets), domain_exit=domain_exit,
         n_accepted=n_acc, n_rejected=n_rej)
 
 
+# Both integrators evaluate the jet once at each accepted state, the final
+# one included: it gives the first stage of the next step, also when that
+# step is rejected and retried, and it travels with the trajectory so that
+# integrals along it need not evaluate the base metric again.
+
+
 def _integrate_rk4(metric, rhs, z0, t_end, step):
+    n = metric.dim
     n_steps = max(1, math.ceil(abs(t_end) / step))
     h = t_end / n_steps
-    times, zs = [0.0], [z0]
+    times, zs, jets = [0.0], [z0], [_state_jet(metric, z0)]
     z = z0
     domain_exit = False
     for k in range(n_steps):
+        k1 = _flow(jets[-1], z[n:])
         try:
-            k1 = rhs(z)
             k2 = rhs(z + 0.5 * h * k1)
             k3 = rhs(z + 0.5 * h * k2)
             k4 = rhs(z + h * k3)
@@ -195,14 +227,16 @@ def _integrate_rk4(metric, rhs, z0, t_end, step):
         z = z_new
         times.append((k + 1) * h)
         zs.append(z)
-    return times, zs, domain_exit, len(times) - 1, 0, abs(h)
+        jets.append(_state_jet(metric, z))
+    return times, zs, jets, domain_exit, len(times) - 1, 0, abs(h)
 
 
 def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
+    n = metric.dim
     sign = 1.0 if t_end > 0 else -1.0
     h = sign * abs(t_end) / 100.0
     t, z = 0.0, z0
-    times, zs = [0.0], [z0]
+    times, zs, jets = [0.0], [z0], [_state_jet(metric, z0)]
     n_acc = n_rej = 0
     domain_exit = False
     boundary_pressure = False
@@ -210,7 +244,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         if sign * (t + h) > sign * t_end:
             h = t_end - t
         try:
-            z_new, err = _rkf45_step(rhs, z, h)
+            z_new, err = _rkf45_step(rhs, z, _flow(jets[-1], z[n:]), h)
             failed = not np.all(np.isfinite(z_new))
         except DomainError:
             failed = True
@@ -236,6 +270,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
             z = z_new
             times.append(t)
             zs.append(z)
+            jets.append(_state_jet(metric, z))
             n_acc += 1
             boundary_pressure = False
         else:
@@ -245,7 +280,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         if abs(h) < H_MIN:
             raise IntegratorStall(
                 f"step size fell below {H_MIN:.0e} at t={t:.6g}")
-    return times, zs, domain_exit, n_acc, n_rej, None
+    return times, zs, jets, domain_exit, n_acc, n_rej, None
 
 
 def trajectory_energy(metric: FinslerMetric, traj: GeodesicTrajectory) -> np.ndarray:

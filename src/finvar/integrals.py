@@ -39,15 +39,26 @@ Q0_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class HTensor:
-    """The rank-(n-1) tensor whose characteristic polynomial carries the
-    first integrals."""
+class PairJets:
+    """Both metric jets of a pair at one tangent point, with its velocity.
 
-    H: np.ndarray
+    H, the f_alpha and every closed form below are functions of these two
+    jets alone, so a caller computes them once per point and shares them.
+    """
+
+    base: MetricJet
+    comparison: MetricJet
+    y: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.H.shape[0]
+        return self.y.shape[0]
+
+
+def pair_jets(pair: ProjectivePair, p: TangentPoint) -> PairJets:
+    """The jets of the base and of the comparison metric at ``p``."""
+    return PairJets(base=metric_jet(pair.base, p),
+                    comparison=metric_jet(pair.comparison, p), y=p.y)
 
 
 @dataclass(frozen=True)
@@ -68,14 +79,11 @@ class FirstIntegralVector:
         return self.f.shape[0]
 
 
-def _jets(pair: ProjectivePair, p: TangentPoint) -> tuple[MetricJet, MetricJet]:
-    return metric_jet(pair.base, p), metric_jet(pair.comparison, p)
-
-
-def build_H(pair: ProjectivePair, p: TangentPoint) -> HTensor:
-    """Assemble H = (F/F~) g^{-1} h~ at ``p``."""
-    jet, jet_t = _jets(pair, p)
-    return HTensor(H=(jet.F / jet_t.F) * (jet.g_inv @ jet_t.h))
+def build_H(jets: PairJets) -> np.ndarray:
+    """H = (F/F~) g^{-1} h~, the rank-(n-1) tensor whose characteristic
+    polynomial carries the first integrals."""
+    jet, jet_t = jets.base, jets.comparison
+    return (jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
 
 
 def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
@@ -102,14 +110,14 @@ def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def first_integrals(pair: ProjectivePair, p: TangentPoint) -> FirstIntegralVector:
-    """First integrals f_1..f_n at ``p`` and their delta counterparts.
+def first_integrals(jets: PairJets) -> FirstIntegralVector:
+    """First integrals f_1..f_n at the point and their delta counterparts.
 
     The constant term of the characteristic polynomial is computed and
     checked against ~0 rather than assumed; a violation is reported as a
     degenerate angular metric since it means H lost its kernel.
     """
-    jet, jet_t = _jets(pair, p)
+    jet, jet_t = jets.base, jets.comparison
     H = (jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
     coeffs = charpoly_coefficients(H)
     h_norm = float(np.linalg.norm(H))
@@ -121,16 +129,15 @@ def first_integrals(pair: ProjectivePair, p: TangentPoint) -> FirstIntegralVecto
     return FirstIntegralVector(f=f, delta=f * jet.det_g)
 
 
-def f1_closed_form(pair: ProjectivePair, p: TangentPoint) -> float:
+def f1_closed_form(jets: PairJets) -> float:
     """f_1 = (F/F~)^(n+1) det g~ / det g, bypassing the polynomial."""
-    jet, jet_t = _jets(pair, p)
-    n = pair.dim
-    return (jet.F / jet_t.F) ** (n + 1) * jet_t.det_g / jet.det_g
+    jet, jet_t = jets.base, jets.comparison
+    return (jet.F / jet_t.F) ** (jets.dim + 1) * jet_t.det_g / jet.det_g
 
 
-def fn1_closed_form(pair: ProjectivePair, p: TangentPoint) -> float:
+def fn1_closed_form(jets: PairJets) -> float:
     """f_{n-1} = Tr H = (F/F~) g^{ij} h~_{ij}."""
-    jet, jet_t = _jets(pair, p)
+    jet, jet_t = jets.base, jets.comparison
     return (jet.F / jet_t.F) * float(np.trace(jet.g_inv @ jet_t.h))
 
 
@@ -143,41 +150,51 @@ def _volume_ratio(det_g: float, det_g_t: float, n: int) -> float:
     return (abs(det_g) / abs(det_g_t)) ** (1.0 / (n + 1))
 
 
-def mu(pair: ProjectivePair, p: TangentPoint) -> float:
+def mu(jets: PairJets) -> float:
     """Volume-density ratio mu = (det g / det g~)^(1/(n+1))."""
-    jet, jet_t = _jets(pair, p)
-    return _volume_ratio(jet.det_g, jet_t.det_g, pair.dim)
+    return _volume_ratio(jets.base.det_g, jets.comparison.det_g, jets.dim)
 
 
-def painleve_I0(pair: ProjectivePair, p: TangentPoint) -> float:
+def painleve_I0(jets: PairJets) -> float:
     """Painleve-type integral I_0 = mu^2 F~^2 (equals F^2 / f_1^(2/(n+1)))."""
-    jet, jet_t = _jets(pair, p)
-    return _volume_ratio(jet.det_g, jet_t.det_g, pair.dim) ** 2 * jet_t.F ** 2
+    jet, jet_t = jets.base, jets.comparison
+    return _volume_ratio(jet.det_g, jet_t.det_g, jets.dim) ** 2 * jet_t.F ** 2
 
 
-def tm_I1(pair: ProjectivePair, p: TangentPoint) -> float:
+def tm_I1(jets: PairJets) -> float:
     """Quadratic-type integral I_1 = mu^3 g^{ij}(g~_{ij} g~_{kl} -
     g~_{ik} g~_{jl}) y^k y^l (equals f_{n-1} F~^3 mu^3 / F)."""
-    jet, jet_t = _jets(pair, p)
-    m3 = _volume_ratio(jet.det_g, jet_t.det_g, pair.dim) ** 3
-    gty = jet_t.g @ p.y
-    return m3 * (float(np.trace(jet.g_inv @ jet_t.g)) * float(p.y @ gty)
+    jet, jet_t, y = jets.base, jets.comparison, jets.y
+    m3 = _volume_ratio(jet.det_g, jet_t.det_g, jets.dim) ** 3
+    gty = jet_t.g @ y
+    return m3 * (float(np.trace(jet.g_inv @ jet_t.g)) * float(y @ gty)
                  - float(gty @ jet.g_inv @ gty))
 
 
-def sarlet_K(pair: ProjectivePair, p: TangentPoint) -> np.ndarray:
+def sarlet_K(jets: PairJets) -> np.ndarray:
     """Special conformal Killing tensor K = (det g~/det g)^(1/(n+1)) g~^{-1} g.
 
     Only the tensor itself is exposed; the scalar integral it generates
     carries the same information as I_0.
     """
-    jet, jet_t = _jets(pair, p)
+    jet, jet_t = jets.base, jets.comparison
+    # The raw inverse of g~: the jet's g_inv is symmetrised and differs from
+    # it in the last bits.
     gt_inv, _ = linalg.inverse(jet_t.g)
-    scale = 1.0 / _volume_ratio(jet.det_g, jet_t.det_g, pair.dim)
+    scale = 1.0 / _volume_ratio(jet.det_g, jet_t.det_g, jets.dim)
     return scale * (gt_inv @ jet.g)
 
 
 def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarray:
-    """f_1..f_n evaluated at every trajectory sample, shape (n_samples, n)."""
-    return np.array([first_integrals(pair, TangentPoint(x, y)).f
-                     for x, y in zip(traj.xs, traj.ys)])
+    """f_1..f_n evaluated at every trajectory sample, shape (n_samples, n).
+
+    Along a geodesic of the pair's base metric, the base jets the
+    integrator evaluated at each sample are reused, and only the comparison
+    metric is evaluated here; along any other metric's geodesics both are.
+    """
+    if traj.metric is not pair.base:
+        return np.array([first_integrals(pair_jets(pair, p)).f
+                         for p in traj.states])
+    return np.array([
+        first_integrals(PairJets(jet, metric_jet(pair.comparison, p), p.y)).f
+        for jet, p in zip(traj.jets, traj.states)])

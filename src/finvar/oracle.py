@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, OracleConditioning,
                      OracleScopeExceeded)
-from .metrics import ProjectivePair, TangentPoint, metric_jet
+from .integrals import PairJets
 
 FD_STEP_MIN = 1e-8
 FD_STEP_MAX = 1e-3
@@ -91,8 +91,7 @@ def _perm_sign(perm: tuple) -> int:
     return sign
 
 
-def delta_alpha_combinatorial(pair: ProjectivePair, p: TangentPoint,
-                              alpha: int,
+def delta_alpha_combinatorial(jets: PairJets, alpha: int,
                               config: OracleConfig = OracleConfig()) -> float:
     """delta_alpha by direct enumeration of the permutation-pair sum.
 
@@ -106,15 +105,14 @@ def delta_alpha_combinatorial(pair: ProjectivePair, p: TangentPoint,
 
     and must match f_alpha det g from the production path.
     """
-    n = pair.dim
+    n = jets.dim
     if n > config.permutation_cutoff:
         raise OracleScopeExceeded(
             f"combinatorial sum limited to n <= {config.permutation_cutoff}, "
             f"got n = {n}")
     if not 1 <= alpha <= n:
         raise ConfigError(f"alpha must lie in 1..{n}, got {alpha}")
-    jet = metric_jet(pair.base, p)
-    jet_t = metric_jet(pair.comparison, p)
+    jet, jet_t = jets.base, jets.comparison
     h, h_t, b = jet.h, jet_t.h, jet.F_y
     perms = [(perm, _perm_sign(perm))
              for perm in itertools.permutations(range(n))]

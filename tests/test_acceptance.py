@@ -12,8 +12,8 @@ import pytest
 
 from finvar import (ProjectivePair, TangentPoint, build_H, catalog_metric,
                     charpoly_coefficients, f1_closed_form, first_integrals,
-                    fn1_closed_form, integrals_along, integrate_geodesic,
-                    metric_jet, mu, painleve_I0, rapcsak_residual, tm_I1,
+                    fn1_closed_form, integrals_along, integrate_geodesic, mu,
+                    pair_jets, painleve_I0, rapcsak_residual, tm_I1,
                     trajectory_energy)
 from finvar.config import sample_tangent_points
 from finvar.oracle import charpoly_by_interpolation, delta_alpha_combinatorial
@@ -144,7 +144,7 @@ def test_criterion_3_scaled_pair_closed_form():
                 for a in range(1, n + 1)])
             pts = sample_tangent_points(pair, 50, rng)
             for p in pts:
-                f = first_integrals(pair, p).f
+                f = first_integrals(pair_jets(pair, p)).f
                 worst = max(worst, np.abs(f - expect).max())
     _report("criterion 3 (scaled pair binomial coefficients)",
             worst <= 1e-10, f"worst absolute error {worst:.3e} vs 1e-10")
@@ -160,21 +160,21 @@ def test_criterion_4_closed_form_cross_checks():
     for n in (2, 3, 4):
         for pair in _cross_check_pairs(n):
             for p in sample_tangent_points(pair, 100, rng):
-                jet = metric_jet(pair.base, p)
-                jet_t = metric_jet(pair.comparison, p)
-                fiv = first_integrals(pair, p)
-                m = mu(pair, p)
-                f1c = f1_closed_form(pair, p)
+                jets = pair_jets(pair, p)
+                jet, jet_t = jets.base, jets.comparison
+                fiv = first_integrals(jets)
+                m = mu(jets)
+                f1c = f1_closed_form(jets)
                 worst["f1"] = max(worst["f1"],
                                   abs(fiv.f[0] - f1c) / abs(f1c))
-                fn1c = fn1_closed_form(pair, p)
+                fn1c = fn1_closed_form(jets)
                 worst["fn1"] = max(worst["fn1"],
                                    abs(fiv.f[n - 2] - fn1c) / abs(fn1c))
-                i0 = painleve_I0(pair, p)
+                i0 = painleve_I0(jets)
                 worst["ri0"] = max(worst["ri0"],
                                    abs(jet.F ** 2 / fiv.f[0] ** (2 / (n + 1))
                                        - i0) / abs(i0))
-                i1 = tm_I1(pair, p)
+                i1 = tm_I1(jets)
                 lhs = fiv.f[n - 2] * jet_t.F ** 3 * m ** 3 / jet.F
                 worst["ri1"] = max(worst["ri1"], abs(lhs - i1) / abs(i1))
     ok = (worst["f1"] <= 1e-9 and worst["fn1"] <= 1e-12
@@ -199,9 +199,10 @@ def test_criterion_5_oracle_equivalence():
         for base_kind, comp_kind in PASSING:
             pair = _pair(base_kind, comp_kind, n)
             for p in sample_tangent_points(pair, 50, rng):
-                fiv = first_integrals(pair, p)
+                jets = pair_jets(pair, p)
+                fiv = first_integrals(jets)
                 for alpha in range(1, n + 1):
-                    delta = delta_alpha_combinatorial(pair, p, alpha)
+                    delta = delta_alpha_combinatorial(jets, alpha)
                     worst_comb = max(
                         worst_comb,
                         abs(delta - fiv.delta[alpha - 1])
@@ -220,12 +221,13 @@ def test_criterion_6_structural_invariants():
         for base_kind, comp_kind in PASSING:
             pair = _pair(base_kind, comp_kind, n)
             for p in sample_tangent_points(pair, 25, rng):
-                jet = metric_jet(pair.base, p)
+                jets = pair_jets(pair, p)
+                jet = jets.base
                 yn = np.linalg.norm(p.y)
                 worst["hy"] = max(worst["hy"],
                                   np.abs(jet.h @ p.y).max()
                                   / (np.abs(jet.h).max() * yn))
-                H = build_H(pair, p).H
+                H = build_H(jets)
                 worst["Hy"] = max(worst["Hy"],
                                   np.abs(H @ p.y).max()
                                   / (np.abs(H).max() * yn))
@@ -235,11 +237,11 @@ def test_criterion_6_structural_invariants():
                 coeffs = charpoly_coefficients(H)
                 worst["q0"] = max(worst["q0"],
                                   abs(coeffs[0]) / np.linalg.norm(H) ** n)
-                fiv = first_integrals(pair, p)
+                fiv = first_integrals(jets)
                 worst["fn"] = max(worst["fn"], abs(fiv.f[-1] - 1.0))
                 for lam in (0.5, 2.0):
                     f2 = first_integrals(
-                        pair, TangentPoint(p.x, lam * p.y)).f
+                        pair_jets(pair, TangentPoint(p.x, lam * p.y))).f
                     worst["homog"] = max(worst["homog"],
                                          np.abs(f2 - fiv.f).max()
                                          / np.abs(fiv.f).max())

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar import (ConfigError, DegenerateVelocity, DomainError, EvalRequest,
-                    evaluate, mixed_xy_hessian, x_gradient, y_jet2)
+from finvar import DegenerateVelocity, DomainError, y_jet2
 from finvar.autodiff import HyperDual, seed_variables, xy_jet2
 from finvar.oracle import fd_derivative
 
@@ -38,31 +37,39 @@ def test_funk_jet_matches_finite_differences():
     assert np.abs(jet.hess - fd_hess).max() / np.abs(fd_hess).max() < 1e-6
 
 
+# In the joint jet of a field in dimension 2, grad[:2] is the x-gradient
+# and hess[2:, :2] the mixed Hessian d^2 F / dy^i dx^j.
+
+
 def test_x_gradient_euclid_vanishes():
-    assert np.abs(x_gradient(EUCLID, [0.2, 0.5], [1.0, 2.0])).max() == 0.0
+    gx = xy_jet2(EUCLID, [0.2, 0.5], [1.0, 2.0]).grad[:2]
+    assert np.abs(gx).max() == 0.0
 
 
 def test_x_gradient_klein_vanishes_at_origin():
     # the formula is even in x, so the x-gradient is odd and zero at x = 0
-    assert np.abs(x_gradient(KLEIN, [0.0, 0.0], [1.3, -0.4])).max() < 1e-9
+    gx = xy_jet2(KLEIN, [0.0, 0.0], [1.3, -0.4]).grad[:2]
+    assert np.abs(gx).max() < 1e-9
 
 
 def test_x_gradient_curved_riemannian_hand_value():
     # F = sqrt(y1^2 + (1 + x1^2) y2^2); at x=(1,0), y=(0,1): dF/dx1 = 1/sqrt(2)
-    gx = x_gradient(CURVED, [1.0, 0.0], [0.0, 1.0])
+    gx = xy_jet2(CURVED, [1.0, 0.0], [0.0, 1.0]).grad[:2]
     assert gx[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-13)
     assert gx[1] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_mixed_hessian_trivial_cases():
-    assert np.abs(mixed_xy_hessian(EUCLID, [0.3, 0.1], [1.0, 2.0])).max() == 0.0
+    mixed = xy_jet2(EUCLID, [0.3, 0.1], [1.0, 2.0]).hess[2:, :2]
+    assert np.abs(mixed).max() == 0.0
     # derivative of x1 -> x1^2 vanishes at the origin
-    assert np.abs(mixed_xy_hessian(CURVED, [0.0, 0.0], [1.0, 1.0])).max() < 1e-14
+    mixed = xy_jet2(CURVED, [0.0, 0.0], [1.0, 1.0]).hess[2:, :2]
+    assert np.abs(mixed).max() < 1e-14
 
 
 def test_mixed_hessian_funk_matches_finite_differences():
     x, y = [0.2, 0.1], [1.0, 1.0]
-    mixed = mixed_xy_hessian(FUNK, x, y)
+    mixed = xy_jet2(FUNK, x, y).hess[2:, :2]
     fd = fd_derivative(FUNK, x, y, "xy_hess")
     assert np.abs(mixed - fd).max() / np.abs(fd).max() < 1e-6
 
@@ -164,19 +171,12 @@ def test_domain_violation_raises():
         y_jet2(KLEIN, [1.5, 0.0], [1.0, 0.0])
 
 
-def test_eval_request_dispatch():
-    with pytest.raises(ConfigError):
-        EvalRequest(value=False)
-    res = evaluate(FUNK, [0.1, 0.2], [1.0, -0.5],
-                   EvalRequest(y_grad=True, y_hess=True))
-    assert res.x_grad is None and res.xy_hess is None
-    full = evaluate(FUNK, [0.1, 0.2], [1.0, -0.5],
-                    EvalRequest(y_grad=True, y_hess=True, x_grad=True,
-                                xy_hess=True))
-    joint = xy_jet2(FUNK, [0.1, 0.2], [1.0, -0.5])
-    assert np.allclose(full.y_grad, res.y_grad, rtol=0, atol=1e-15)
-    assert np.allclose(full.y_hess, res.y_hess, rtol=0, atol=1e-15)
-    assert np.allclose(full.x_grad, joint.grad[:2], rtol=0, atol=0)
-    assert np.allclose(full.xy_hess, joint.hess[2:, :2], rtol=0, atol=0)
-    value_only = evaluate(FUNK, [0.1, 0.2], [1.0, -0.5], EvalRequest())
-    assert value_only.value == pytest.approx(full.value, rel=1e-15)
+def test_velocity_jet_matches_joint_jet_blocks():
+    # seeding only y must reproduce the y blocks of the joint (x, y) pass,
+    # and a plain float evaluation its value
+    x, y = [0.1, 0.2], [1.0, -0.5]
+    velocity = y_jet2(FUNK, x, y)
+    joint = xy_jet2(FUNK, x, y)
+    assert np.allclose(joint.grad[2:], velocity.grad, rtol=0, atol=1e-15)
+    assert np.allclose(joint.hess[2:, 2:], velocity.hess, rtol=0, atol=1e-15)
+    assert float(FUNK(x, y)) == pytest.approx(joint.value, rel=1e-15)

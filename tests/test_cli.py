@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from finvar.cli import main
@@ -118,6 +119,25 @@ class TestGeodesic:
         for traj in json.loads(out)["trajectories"]:
             assert max(traj["max_abs_drift"]) <= 1e-10
 
+    @pytest.mark.parametrize("comparison", ["klein", "funk"])
+    def test_euclidean_base_truncated_at_ball_boundary(self, tmp_path,
+                                                       capsys, comparison):
+        # straight lines leave the comparison metric's unit ball long
+        # before t_end; each trajectory stops at its last sample inside
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": comparison, "dim": 2},
+        }, samples={"trajectories": 3, "velocity_scale": 1.0},
+            integrator={"t_end": 3.0})
+        code, out, _ = run(capsys, "geodesic", "--config", cfg)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "pass"
+        for traj in report["trajectories"]:
+            assert traj["domain_exit"] is True
+            assert traj["t_final"] < 3.0
+            assert np.linalg.norm(traj["series"]["x"], axis=1).max() < 1.0
+
     def test_out_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out_path = tmp_path / "report.json"
@@ -216,6 +236,23 @@ class TestCliContract:
         code, _, err = run(capsys, "evaluate", "--config", str(path))
         assert code == 2
         assert "line" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("evaluate", {"seed": "abc"}),
+        ("evaluate", {"seed": -1}),
+        ("evaluate", {"samples": {"count": "5"}}),
+        ("evaluate", {"samples": {"box": ["a", 0.3]}}),
+        ("evaluate", {"samples": 5}),
+        ("geodesic", {"integrator": {"rtol": "x"}}),
+        ("evaluate", {"tolerance": "loose"}),
+    ], ids=["seed", "negative_seed", "count", "box", "samples", "rtol",
+            "tolerance"])
+    def test_malformed_value_types(self, tmp_path, capsys, command,
+                                   overrides):
+        cfg = write_config(tmp_path, **overrides)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "evaluate", "--config",

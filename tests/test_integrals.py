@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from finvar import (ConfigError, ProjectivePair, SignMismatch, TangentPoint,
                     build_H, charpoly_coefficients, f1_closed_form,
                     first_integrals, fn1_closed_form, integrals_along,
-                    integrate_geodesic, metric_jet, mu, painleve_I0,
+                    integrate_geodesic, mu, pair_jets, painleve_I0,
                     sarlet_K, tm_I1)
 from finvar.integrals import _volume_ratio
 from finvar.oracle import charpoly_by_interpolation
@@ -27,8 +27,9 @@ class TestHTensor:
     def test_scaled_pair_closed_form(self):
         pair = scaled_pair("klein", 3, 2.0)
         p = TangentPoint([0.1, -0.2, 0.05], [0.3, 0.7, -0.4])
-        H = build_H(pair, p).H
-        jet = metric_jet(pair.base, p)
+        jets = pair_jets(pair, p)
+        H = build_H(jets)
+        jet = jets.base
         expect = 2.0 * (np.eye(3) - np.outer(p.y / jet.F, jet.F_y))
         assert np.abs(H - expect).max() <= 1e-12 * np.abs(expect).max()
         eigs = np.sort(np.linalg.eigvals(H).real)
@@ -37,7 +38,7 @@ class TestHTensor:
     def test_euclid_klein_at_origin(self):
         pair = make_pair("euclidean", "klein", 2)
         p = TangentPoint([0.0, 0.0], [0.6, 0.8])
-        H = build_H(pair, p).H
+        H = build_H(pair_jets(pair, p))
         yhat = p.y / np.linalg.norm(p.y)
         assert np.abs(H - (np.eye(2) - np.outer(yhat, yhat))).max() < 1e-14
 
@@ -45,11 +46,11 @@ class TestHTensor:
     def test_kernel_and_homogeneity(self, kinds):
         pair = make_pair(*kinds, 3)
         for p in sample_points(pair, 25, seed=61):
-            H = build_H(pair, p).H
+            H = build_H(pair_jets(pair, p))
             assert np.abs(H @ p.y).max() \
                 <= 1e-10 * np.abs(H).max() * np.linalg.norm(p.y)
             for lam in (0.5, 2.0):
-                H2 = build_H(pair, TangentPoint(p.x, lam * p.y)).H
+                H2 = build_H(pair_jets(pair, TangentPoint(p.x, lam * p.y)))
                 assert np.abs(H2 - H).max() <= 1e-10 * np.abs(H).max()
 
 
@@ -92,25 +93,26 @@ class TestFirstIntegrals:
     def test_scaled_pair_binomial_values(self):
         pair = scaled_pair("euclidean", 3, 2.0)
         p = TangentPoint([0.3, 0.3, 0.3], [1.0, -2.0, 0.5])
-        fiv = first_integrals(pair, p)
+        jets = pair_jets(pair, p)
+        fiv = first_integrals(jets)
         assert fiv.f == pytest.approx([4.0, 4.0, 1.0], abs=1e-12)
-        assert fiv.delta == pytest.approx(fiv.f * metric_jet(pair.base, p).det_g,
-                                          rel=1e-12)
+        assert fiv.delta == pytest.approx(fiv.f * jets.base.det_g, rel=1e-12)
 
     @pytest.mark.parametrize("kinds", PASSING_KINDS, ids=lambda k: "-".join(k))
     def test_f_n_is_one(self, kinds):
         pair = make_pair(*kinds, 2)
         for p in sample_points(pair, 10, seed=71):
-            assert first_integrals(pair, p).f[-1] == pytest.approx(1.0,
-                                                                   abs=1e-12)
+            assert first_integrals(pair_jets(pair, p)).f[-1] == \
+                pytest.approx(1.0, abs=1e-12)
 
     def test_f1_equals_interpolation_and_closed_form(self):
         pair = make_pair("euclidean", "klein", 2)
         p = TangentPoint([0.1, 0.2], [1.0, 0.0])
-        fiv = first_integrals(pair, p)
-        interp = charpoly_by_interpolation(build_H(pair, p).H)
+        jets = pair_jets(pair, p)
+        fiv = first_integrals(jets)
+        interp = charpoly_by_interpolation(build_H(jets))
         assert fiv.f[0] == pytest.approx(interp[1], rel=1e-9)
-        jet, jet_t = metric_jet(pair.base, p), metric_jet(pair.comparison, p)
+        jet, jet_t = jets.base, jets.comparison
         closed = (jet.F / jet_t.F) ** 3 * jet_t.det_g / jet.det_g
         assert fiv.f[0] == pytest.approx(closed, rel=1e-9)
 
@@ -118,15 +120,16 @@ class TestFirstIntegrals:
     def test_zero_homogeneity(self, lam):
         pair = make_pair("euclidean", "funk", 3)
         for p in sample_points(pair, 15, seed=73):
-            a = first_integrals(pair, p).f
-            b = first_integrals(pair, TangentPoint(p.x, lam * p.y)).f
+            a = first_integrals(pair_jets(pair, p)).f
+            q = TangentPoint(p.x, lam * p.y)
+            b = first_integrals(pair_jets(pair, q)).f
             assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
     def test_constant_term_small_at_random_points(self):
         for kinds in PASSING_KINDS:
             pair = make_pair(*kinds, 3)
             for p in sample_points(pair, 15, seed=79):
-                H = build_H(pair, p).H
+                H = build_H(pair_jets(pair, p))
                 q0 = charpoly_coefficients(H)[0]
                 assert abs(q0) <= 1e-10 * np.linalg.norm(H) ** 3
 
@@ -136,50 +139,57 @@ class TestClosedForms:
     def test_f1_scaled(self, n, c):
         pair = scaled_pair("euclidean", n, c)
         p = TangentPoint([0.1] * n, [1.0] + [0.25] * (n - 1))
-        assert f1_closed_form(pair, p) == pytest.approx(c ** (n - 1), rel=1e-12)
-        assert first_integrals(pair, p).f[0] == pytest.approx(
-            f1_closed_form(pair, p), rel=1e-9)
+        jets = pair_jets(pair, p)
+        assert f1_closed_form(jets) == pytest.approx(c ** (n - 1), rel=1e-12)
+        assert first_integrals(jets).f[0] == pytest.approx(
+            f1_closed_form(jets), rel=1e-9)
 
     def test_f1_identity_pair(self):
         pair = make_pair("funk", "funk", 2)
         p = TangentPoint([0.2, -0.1], [0.5, 1.0])
-        assert f1_closed_form(pair, p) == pytest.approx(1.0, rel=1e-13)
+        assert f1_closed_form(pair_jets(pair, p)) == \
+            pytest.approx(1.0, rel=1e-13)
 
     def test_f1_euclid_funk_random(self):
         pair = make_pair("euclidean", "funk", 2)
         for p in sample_points(pair, 40, seed=83):
-            fiv = first_integrals(pair, p)
-            assert abs(fiv.f[0] - f1_closed_form(pair, p)) \
+            jets = pair_jets(pair, p)
+            fiv = first_integrals(jets)
+            assert abs(fiv.f[0] - f1_closed_form(jets)) \
                 <= 1e-9 * abs(fiv.f[0])
 
     @pytest.mark.parametrize("n,c", [(2, 2.0), (3, 0.5), (4, 3.0)])
     def test_fn1_scaled(self, n, c):
         pair = scaled_pair("klein", n, c)
         p = TangentPoint([0.1] * n, [1.0] + [-0.3] * (n - 1))
-        assert fn1_closed_form(pair, p) == pytest.approx(c * (n - 1), rel=1e-12)
+        assert fn1_closed_form(pair_jets(pair, p)) == \
+            pytest.approx(c * (n - 1), rel=1e-12)
 
     def test_fn1_identity_pair(self):
         pair = make_pair("klein", "klein", 3)
         p = TangentPoint([0.1, 0.0, 0.2], [1.0, 0.5, -0.5])
-        assert fn1_closed_form(pair, p) == pytest.approx(2.0, rel=1e-13)
+        assert fn1_closed_form(pair_jets(pair, p)) == \
+            pytest.approx(2.0, rel=1e-13)
 
     def test_fn1_matches_charpoly_trace_term(self):
         pair = make_pair("euclidean", "klein", 3)
         for p in sample_points(pair, 30, seed=89):
-            fiv = first_integrals(pair, p)
-            assert abs(fiv.f[1] - fn1_closed_form(pair, p)) \
+            jets = pair_jets(pair, p)
+            fiv = first_integrals(jets)
+            assert abs(fiv.f[1] - fn1_closed_form(jets)) \
                 <= 1e-12 * abs(fiv.f[1])
 
     def test_mu_values(self):
         pair = make_pair("funk", "funk", 2)
         p = TangentPoint([0.2, 0.1], [1.0, 0.0])
-        assert mu(pair, p) == pytest.approx(1.0, rel=1e-13)
+        assert mu(pair_jets(pair, p)) == pytest.approx(1.0, rel=1e-13)
         pair = scaled_pair("euclidean", 3, 2.0)
         p = TangentPoint([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        assert mu(pair, p) == pytest.approx(2.0 ** (-6.0 / 4.0), rel=1e-13)
+        assert mu(pair_jets(pair, p)) == \
+            pytest.approx(2.0 ** (-6.0 / 4.0), rel=1e-13)
         pair = make_pair("euclidean", "klein", 2)
         p = TangentPoint([0.0, 0.0], [0.3, 0.4])
-        assert mu(pair, p) == pytest.approx(1.0, rel=1e-13)
+        assert mu(pair_jets(pair, p)) == pytest.approx(1.0, rel=1e-13)
 
     def test_volume_ratio_sign_guard(self):
         with pytest.raises(SignMismatch):
@@ -196,21 +206,22 @@ class TestClosedForms:
             lambda x: True)
         pair = ProjectivePair(make_metric("euclidean", 2), indefinite)
         with pytest.raises(SignMismatch):
-            mu(pair, TangentPoint([0.0, 0.0], [1.0, 0.1]))
+            mu(pair_jets(pair, TangentPoint([0.0, 0.0], [1.0, 0.1])))
 
     def test_painleve_identity_pair(self):
         pair = make_pair("klein", "klein", 2)
         p = TangentPoint([0.3, 0.1], [0.7, -0.2])
-        F = metric_jet(pair.base, p).F
-        assert painleve_I0(pair, p) == pytest.approx(F ** 2, rel=1e-12)
+        jets = pair_jets(pair, p)
+        assert painleve_I0(jets) == pytest.approx(jets.base.F ** 2, rel=1e-12)
 
     def test_painleve_scaled_via_identity(self):
         # n=2, c=2: f_1 = 2, so I_0 = F^2 / 2^(2/3); both routes must agree
         pair = scaled_pair("euclidean", 2, 2.0)
         p = TangentPoint([0.1, 0.4], [0.8, -0.6])
-        F = metric_jet(pair.base, p).F
-        i0 = painleve_I0(pair, p)
-        f1 = first_integrals(pair, p).f[0]
+        jets = pair_jets(pair, p)
+        F = jets.base.F
+        i0 = painleve_I0(jets)
+        f1 = first_integrals(jets).f[0]
         assert f1 == pytest.approx(2.0, abs=1e-12)
         assert i0 == pytest.approx(F ** 2 / f1 ** (2.0 / 3.0), rel=1e-12)
         assert i0 == pytest.approx(F ** 2 * 2.0 ** (-2.0 / 3.0), rel=1e-12)
@@ -219,9 +230,10 @@ class TestClosedForms:
     def test_ri0_identity_random_points(self, kinds):
         pair = make_pair(*kinds, 3)
         for p in sample_points(pair, 25, seed=97):
-            F = metric_jet(pair.base, p).F
-            f1 = first_integrals(pair, p).f[0]
-            i0 = painleve_I0(pair, p)
+            jets = pair_jets(pair, p)
+            F = jets.base.F
+            f1 = first_integrals(jets).f[0]
+            i0 = painleve_I0(jets)
             assert abs(F ** 2 / f1 ** (2.0 / 4.0) - i0) <= 1e-9 * abs(i0)
 
     def test_painleve_conserved_for_flat_constant_pair(self):
@@ -233,7 +245,7 @@ class TestClosedForms:
         pair = ProjectivePair(base, comp)
         traj = integrate_geodesic(base, TangentPoint([0.0, 0.0], [0.4, 0.3]),
                                   1.0)
-        vals = [painleve_I0(pair, TangentPoint(x, y))
+        vals = [painleve_I0(pair_jets(pair, TangentPoint(x, y)))
                 for x, y in zip(traj.xs, traj.ys)]
         assert np.abs(np.array(vals) - vals[0]).max() <= 1e-10 * abs(vals[0])
 
@@ -241,38 +253,41 @@ class TestClosedForms:
         for n in (2, 3):
             pair = make_pair("klein", "klein", n)
             p = TangentPoint([0.1] * n, [1.0] + [0.2] * (n - 1))
-            F = metric_jet(pair.base, p).F
-            assert tm_I1(pair, p) == pytest.approx((n - 1) * F ** 2, rel=1e-12)
+            jets = pair_jets(pair, p)
+            assert tm_I1(jets) == pytest.approx((n - 1) * jets.base.F ** 2,
+                                                rel=1e-12)
 
     def test_tm_i1_scaled_identity(self):
         pair = scaled_pair("funk", 2, 2.0)
         p = TangentPoint([0.1, -0.3], [0.9, 0.4])
-        jet, jet_t = metric_jet(pair.base, p), metric_jet(pair.comparison, p)
-        lhs = (first_integrals(pair, p).f[0] * jet_t.F ** 3
-               * mu(pair, p) ** 3 / jet.F)
-        assert tm_I1(pair, p) == pytest.approx(lhs, rel=1e-12)
+        jets = pair_jets(pair, p)
+        jet, jet_t = jets.base, jets.comparison
+        lhs = (first_integrals(jets).f[0] * jet_t.F ** 3
+               * mu(jets) ** 3 / jet.F)
+        assert tm_I1(jets) == pytest.approx(lhs, rel=1e-12)
 
     @pytest.mark.parametrize("kinds", PASSING_KINDS, ids=lambda k: "-".join(k))
     def test_ri1_identity_random_points(self, kinds):
         pair = make_pair(*kinds, 3)
         for p in sample_points(pair, 25, seed=101):
-            jet, jet_t = metric_jet(pair.base, p), metric_jet(pair.comparison, p)
-            fiv = first_integrals(pair, p)
-            lhs = fiv.f[1] * jet_t.F ** 3 * mu(pair, p) ** 3 / jet.F
-            i1 = tm_I1(pair, p)
+            jets = pair_jets(pair, p)
+            jet, jet_t = jets.base, jets.comparison
+            fiv = first_integrals(jets)
+            lhs = fiv.f[1] * jet_t.F ** 3 * mu(jets) ** 3 / jet.F
+            i1 = tm_I1(jets)
             assert abs(lhs - i1) <= 1e-9 * abs(i1)
 
     def test_sarlet_tensor(self):
         pair = make_pair("funk", "funk", 2)
         p = TangentPoint([0.2, 0.0], [1.0, 0.5])
-        assert np.abs(sarlet_K(pair, p) - np.eye(2)).max() < 1e-12
+        assert np.abs(sarlet_K(pair_jets(pair, p)) - np.eye(2)).max() < 1e-12
         pair = scaled_pair("euclidean", 3, 2.0)
         p = TangentPoint([0.0, 0.0, 0.0], [1.0, 0.0, 1.0])
         expect = 2.0 ** (-2.0 / 4.0) * np.eye(3)
-        assert np.abs(sarlet_K(pair, p) - expect).max() < 1e-12
+        assert np.abs(sarlet_K(pair_jets(pair, p)) - expect).max() < 1e-12
         pair = make_pair("euclidean", "klein", 2)
         p = TangentPoint([0.0, 0.0], [0.3, 0.4])
-        assert np.abs(sarlet_K(pair, p) - np.eye(2)).max() < 1e-12
+        assert np.abs(sarlet_K(pair_jets(pair, p)) - np.eye(2)).max() < 1e-12
 
 
 class Test2DProportionality:
@@ -280,8 +295,9 @@ class Test2DProportionality:
     def test_angular_metrics_proportional(self, kinds):
         pair = make_pair(*kinds, 2)
         for p in sample_points(pair, 20, seed=103):
-            jet, jet_t = metric_jet(pair.base, p), metric_jet(pair.comparison, p)
-            f1 = first_integrals(pair, p).f[0]
+            jets = pair_jets(pair, p)
+            jet, jet_t = jets.base, jets.comparison
+            f1 = first_integrals(jets).f[0]
             lhs = jet_t.h / jet_t.F
             rhs = f1 * jet.h / jet.F
             assert np.abs(lhs - rhs).max() <= 1e-9 * np.abs(jet.h / jet.F).max()

@@ -7,7 +7,7 @@ from finvar import (ConfigError, DomainError, OracleConditioning,
                     OracleConfig, OracleScopeExceeded, TangentPoint,
                     charpoly_by_interpolation, charpoly_coefficients,
                     christoffel_oracle, delta_alpha_combinatorial,
-                    fd_derivative, first_integrals, metric_jet,
+                    fd_derivative, first_integrals, metric_jet, pair_jets,
                     spray_coefficients)
 from finvar.metrics import FinslerMetric
 
@@ -28,7 +28,7 @@ class TestInterpolationCharpoly:
         pair = make_pair("euclidean", "klein", 2)
         from finvar import build_H
         for p in sample_points(pair, 20, seed=113):
-            H = build_H(pair, p).H
+            H = build_H(pair_jets(pair, p))
             a = charpoly_coefficients(H)
             b = charpoly_by_interpolation(H)
             assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max())
@@ -60,23 +60,23 @@ class TestCombinatorialDelta:
         p = TangentPoint([0.1, 0.2], [1.0, 0.0])
         jet = metric_jet(pair.base, p)
         jet_t = metric_jet(pair.comparison, p)
-        delta1 = delta_alpha_combinatorial(pair, p, 1)
+        delta1 = delta_alpha_combinatorial(pair_jets(pair, p), 1)
         expect = (jet.F / jet_t.F) ** 3 * jet_t.det_g
         assert delta1 == pytest.approx(expect, rel=1e-8)
 
     def test_n2_alpha2_is_det_g(self):
         pair = make_pair("euclidean", "funk", 2)
         p = TangentPoint([0.15, -0.2], [0.3, 1.0])
-        delta2 = delta_alpha_combinatorial(pair, p, 2)
+        delta2 = delta_alpha_combinatorial(pair_jets(pair, p), 2)
         assert delta2 == pytest.approx(metric_jet(pair.base, p).det_g,
                                        rel=1e-10)
 
     def test_n3_matches_charpoly_path(self):
         pair = make_pair("euclidean", "klein", 3)
         for p in sample_points(pair, 10, seed=131):
-            fiv = first_integrals(pair, p)
+            fiv = first_integrals(pair_jets(pair, p))
             for alpha in (1, 2, 3):
-                delta = delta_alpha_combinatorial(pair, p, alpha)
+                delta = delta_alpha_combinatorial(pair_jets(pair, p), alpha)
                 assert abs(delta - fiv.delta[alpha - 1]) \
                     <= 1e-8 * max(1.0, abs(fiv.delta[alpha - 1]))
 
@@ -84,13 +84,13 @@ class TestCombinatorialDelta:
         pair = make_pair("euclidean", "klein", 4)
         p = TangentPoint([0.1, 0.0, 0.0, 0.1], [1.0, 0.0, 0.5, 0.0])
         with pytest.raises(OracleScopeExceeded):
-            delta_alpha_combinatorial(pair, p, 1)
+            delta_alpha_combinatorial(pair_jets(pair, p), 1)
 
     def test_alpha_range_guard(self):
         pair = make_pair("euclidean", "klein", 2)
         p = TangentPoint([0.0, 0.1], [1.0, 0.0])
         with pytest.raises(ConfigError):
-            delta_alpha_combinatorial(pair, p, 0)
+            delta_alpha_combinatorial(pair_jets(pair, p), 0)
 
     def test_coordinate_relabeling_leaves_f_alpha_unchanged(self):
         # conjugate the whole construction by a coordinate permutation; the
@@ -109,12 +109,12 @@ class TestCombinatorialDelta:
         pair_p = ProjectivePair(relabel(pair.base), relabel(pair.comparison))
         inv = np.argsort(perm)
         for p in sample_points(pair, 5, seed=137):
-            f = first_integrals(pair, p).f
+            f = first_integrals(pair_jets(pair, p)).f
             p_relabeled = TangentPoint(p.x[inv], p.y[inv])
-            f_p = first_integrals(pair_p, p_relabeled).f
+            f_p = first_integrals(pair_jets(pair_p, p_relabeled)).f
             assert np.abs(f - f_p).max() <= 1e-10 * max(1.0, np.abs(f).max())
-            d = delta_alpha_combinatorial(pair, p, 1)
-            d_p = delta_alpha_combinatorial(pair_p, p_relabeled, 1)
+            d = delta_alpha_combinatorial(pair_jets(pair, p), 1)
+            d_p = delta_alpha_combinatorial(pair_jets(pair_p, p_relabeled), 1)
             assert d == pytest.approx(d_p, rel=1e-10)
 
 
@@ -183,7 +183,7 @@ class TestChristoffel:
         p = TangentPoint([0.7, -0.2, 0.3], [0.5, 1.0, -0.8])
         gamma = christoffel_oracle(m.matrix_field, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
-        G = spray_coefficients(m, p).G
+        G = spray_coefficients(m, p)
         assert np.abs(G - G_ref).max() <= 1e-6 * max(1.0, np.abs(G_ref).max())
 
     def test_non_positive_definite_rejected(self):
