@@ -7,7 +7,7 @@ verifies conservation dynamically and cross-checks every closed form against
 brute-force oracles.
 """
 
-from .autodiff import HyperDual, Jet2, xy_jet2, y_jet2
+from .autodiff import HyperDual, Jet2, xy_jet2
 from .dynamics import (GeodesicTrajectory, RapcsakReport, geodesic_rhs,
                        integrate_geodesic, path_distance, rapcsak_residual,
                        resample_by_arclength, spray_coefficients,
@@ -15,7 +15,7 @@ from .dynamics import (GeodesicTrajectory, RapcsakReport, geodesic_rhs,
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
                      DomainError, FinvarError, IntegratorStall,
                      NonReversibleBackward, OracleConditioning,
-                     OracleScopeExceeded, SignMismatch, SingularMetric)
+                     OracleScopeExceeded, SingularMetric)
 from .integrals import (FirstIntegralVector, PairJets, build_H,
                         charpoly_coefficients, f1_closed_form,
                         first_integrals, fn1_closed_form, integrals_along,
@@ -35,7 +35,7 @@ __all__ = [
     "FirstIntegralVector", "GeodesicTrajectory", "HyperDual",
     "IntegratorStall", "Jet2", "MetricJet", "NonReversibleBackward",
     "OracleConditioning", "OracleConfig", "OracleScopeExceeded", "PairJets",
-    "ProjectivePair", "RapcsakReport", "SignMismatch", "SingularMetric",
+    "ProjectivePair", "RapcsakReport", "SingularMetric",
     "TangentPoint", "angular_rank_check", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",
     "christoffel_oracle", "delta_alpha_combinatorial", "f1_closed_form",
@@ -43,5 +43,5 @@ __all__ = [
     "integrals_along", "integrate_geodesic", "metric_jet", "mu",
     "painleve_I0", "pair_jets", "path_distance", "rapcsak_residual",
     "resample_by_arclength", "sarlet_K", "spray_coefficients", "tm_I1",
-    "trajectory_energy", "xy_jet2", "y_jet2",
+    "trajectory_energy", "xy_jet2",
 ]

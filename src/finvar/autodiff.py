@@ -194,13 +194,6 @@ def _as_jet(res, m: int) -> Jet2:
     return Jet2(float(res), np.zeros(m), np.zeros((m, m)))
 
 
-def y_jet2(f, x, y) -> Jet2:
-    """Value, gradient, and Hessian of ``f(x, .)`` in the velocity variables."""
-    _check_velocity(y)
-    n = len(y)
-    return _as_jet(f([float(c) for c in x], seed_variables(y, n)), n)
-
-
 def xy_jet2(f, x, y) -> Jet2:
     """One joint pass over (x, y): variables 0..n-1 are x, n..2n-1 are y."""
     _check_velocity(y)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dynamics import INTEGRATORS
 from .errors import ConfigError
-from .metrics import ProjectivePair, TangentPoint, catalog_metric
+from .metrics import (ProjectivePair, TangentPoint, catalog_metric,
+                      finite_number, finite_vector)
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 12345
@@ -28,9 +29,16 @@ def _is_int(value) -> bool:
 def _check_number(value, where: str) -> None:
     """A JSON number that is finite; values keep their type, so reports
     echo them as written."""
-    if not ((_is_int(value) or isinstance(value, float))
-            and math.isfinite(value)):
+    if not finite_number(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _check_point(pt, where: str) -> None:
+    """An explicit tangent point: finite numeric x and y of equal length."""
+    if not isinstance(pt, dict) or "x" not in pt or "y" not in pt:
+        raise ConfigError(f"{where} must be an object with 'x' and 'y'")
+    x = finite_vector(pt["x"], f"{where}.x")
+    finite_vector(pt["y"], f"{where}.y", len(x))
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,9 @@ class IntegratorSettings:
     t_end: float = 1.0
 
     def __post_init__(self):
+        if self.method not in INTEGRATORS:
+            raise ConfigError(f"integrator.method must be one of "
+                              f"{list(INTEGRATORS)}, got {self.method!r}")
         for name in ("rtol", "atol", "step", "t_end"):
             _check_number(getattr(self, name), f"integrator.{name}")
 
@@ -90,6 +101,10 @@ class RunConfig:
                 f"seed must be an integer >= 0, got {self.seed!r}")
         if self.tolerance is not None:
             _check_number(self.tolerance, "tolerance")
+        for i, pt in enumerate(self.points):
+            _check_point(pt, f"points[{i}]")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a file path, got {self.out!r}")
 
     def build_pair(self) -> ProjectivePair:
         return ProjectivePair(base=catalog_metric(self.base),
@@ -142,9 +157,9 @@ def load_config(path: str) -> RunConfig:
     integ_kwargs = dict(raw.get("integrator", {}))
     _check_keys(integ_kwargs, _INTEGRATOR_KEYS, "config field 'integrator'")
     points = raw.get("points", [])
-    for i, pt in enumerate(points):
-        if not isinstance(pt, dict) or "x" not in pt or "y" not in pt:
-            raise ConfigError(f"points[{i}] must be an object with 'x' and 'y'")
+    if not isinstance(points, list):
+        raise ConfigError(f"config field 'points' must be a list, got "
+                          f"{points!r}")
     fmt = raw.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")

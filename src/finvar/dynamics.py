@@ -29,6 +29,9 @@ from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
 # Step size floor for the adaptive integrator.
 H_MIN = 1e-12
 
+# Names accepted by integrate_geodesic's ``method``.
+INTEGRATORS = ("rk4", "rkf45")
+
 
 def _spray_vector(jet: MetricJet, y: np.ndarray) -> np.ndarray:
     return 0.25 * (jet.g_inv @ (jet.F2_yx @ y - jet.F2_x))

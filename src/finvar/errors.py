@@ -18,7 +18,8 @@ class DegenerateVelocity(FinvarError):
 
 
 class SingularMetric(FinvarError):
-    """Metric tensor g is numerically singular at the evaluation point."""
+    """Metric tensor g is not numerically positive definite at the evaluation
+    point: singular or indefinite (strong convexity fails)."""
 
 
 class DegenerateAngularMetric(FinvarError):
@@ -31,10 +32,6 @@ class IntegratorStall(FinvarError):
 
 class NonReversibleBackward(FinvarError):
     """Backward-time integration requested for a non-reversible metric."""
-
-
-class SignMismatch(FinvarError):
-    """det g and det g~ have opposite signs; the volume ratio is undefined as a real."""
 
 
 class OracleConditioning(FinvarError):

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .dynamics import GeodesicTrajectory
-from .errors import ConfigError, DegenerateAngularMetric, SignMismatch
+from .errors import ConfigError, DegenerateAngularMetric
 from .metrics import MetricJet, ProjectivePair, TangentPoint, metric_jet
 
 # |constant term| of det(H + Lambda I) must stay under this multiple of
@@ -142,12 +141,9 @@ def fn1_closed_form(jets: PairJets) -> float:
 
 
 def _volume_ratio(det_g: float, det_g_t: float, n: int) -> float:
-    """(det g / det g~)^(1/(n+1)), guarded against sign disagreement."""
-    if det_g * det_g_t <= 0.0:
-        raise SignMismatch(
-            f"det g = {det_g:.3e} and det g~ = {det_g_t:.3e} have opposite "
-            f"signs; volume ratio undefined as a real")
-    return (abs(det_g) / abs(det_g_t)) ** (1.0 / (n + 1))
+    """(det g / det g~)^(1/(n+1)); both determinants are positive because
+    every jet certifies that its metric is strongly convex."""
+    return (det_g / det_g_t) ** (1.0 / (n + 1))
 
 
 def mu(jets: PairJets) -> float:
@@ -178,11 +174,8 @@ def sarlet_K(jets: PairJets) -> np.ndarray:
     carries the same information as I_0.
     """
     jet, jet_t = jets.base, jets.comparison
-    # The raw inverse of g~: the jet's g_inv is symmetrised and differs from
-    # it in the last bits.
-    gt_inv, _ = linalg.inverse(jet_t.g)
     scale = 1.0 / _volume_ratio(jet.det_g, jet_t.det_g, jets.dim)
-    return scale * (gt_inv @ jet.g)
+    return scale * (jet_t.g_inv @ jet.g)
 
 
 def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarray:

@@ -1,9 +1,16 @@
-"""Dense LU factorization with partial pivoting for small matrices.
+"""Inverse and determinant of a metric tensor from its Cholesky factor.
 
-The matrices in this package are at most 8x8, so a plain Doolittle scheme is
-both adequate and easy to audit. numpy's LAPACK-backed routines are reserved
-for the independent oracle paths; keeping the production solve separate means
-the two never share a code path.
+A Finsler metric is strongly convex at a point exactly when its fundamental
+tensor g is positive definite there, and that is exactly when g = L L^T has
+a Cholesky factor with positive diagonal. So one factorization gives g^{-1}
+and det g and certifies convexity at the same time: an indefinite or
+singular g raises :class:`SingularMetric` here, before any quantity that
+assumes convexity (the volume ratio mu, the first integrals) is formed.
+
+The oracles in :mod:`finvar.oracle` stay independent of this path because
+they use different algorithms, not a different library: the characteristic
+polynomial by interpolating det(M + lambda I) against the Faddeev-LeVerrier
+recursion, and the spray from Christoffel symbols against the AD spray.
 """
 
 from __future__ import annotations
@@ -12,64 +19,31 @@ import numpy as np
 
 from .errors import SingularMetric
 
-# Pivot smaller than this fraction of the largest pivot counts as singular.
+# Squared pivot smaller than this fraction of the largest counts as singular.
 PIVOT_RTOL = 1e-12
 
 
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factor ``a`` as P A = L U with partial pivoting.
-
-    Returns the packed LU matrix (unit lower triangle implicit), the row
-    permutation, and the permutation parity (+1/-1). Raises
-    :class:`SingularMetric` when the pivot ratio falls below ``PIVOT_RTOL``.
-    """
-    lu = np.array(a, dtype=float)
-    n = lu.shape[0]
-    if lu.shape != (n, n):
-        raise SingularMetric(f"expected a square matrix, got shape {lu.shape}")
-    perm = np.arange(n)
-    parity = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            parity = -parity
-        piv = lu[k, k]
-        if piv == 0.0:
-            raise SingularMetric("exactly zero pivot in LU factorization")
-        lu[k + 1:, k] /= piv
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    diag = np.abs(np.diagonal(lu))
-    if diag.min() < PIVOT_RTOL * diag.max():
-        raise SingularMetric(
-            f"pivot ratio {diag.min() / diag.max():.3e} below {PIVOT_RTOL:.0e}")
-    return lu, perm, parity
-
-
-def lu_det(lu: np.ndarray, parity: int) -> float:
-    return parity * float(np.prod(np.diagonal(lu)))
-
-
-def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b (or A X = B columnwise) from a prior factorization."""
-    x = np.array(b[perm], dtype=float)
-    n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lu, perm, _ = lu_factor(a)
-    return lu_solve(lu, perm, b)
-
-
 def inverse(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and determinant of ``a`` from one factorization."""
-    lu, perm, parity = lu_factor(a)
-    inv = lu_solve(lu, perm, np.eye(a.shape[0]))
-    return inv, lu_det(lu, parity)
+    """Inverse and determinant of the symmetric matrix ``a``.
+
+    Raises :class:`SingularMetric` unless ``a`` is numerically positive
+    definite: its entries must be finite, the Cholesky factorization must
+    succeed and the squared pivots diag(L)^2 must stay above ``PIVOT_RTOL``
+    times the largest.
+    """
+    # numpy's Cholesky passes NaN through and factors inf without complaint
+    if not np.isfinite(a).all():
+        raise SingularMetric(
+            f"non-finite entries in {np.asarray(a).tolist()}")
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"not positive definite: {exc}") from exc
+    piv = np.diagonal(L) ** 2
+    if piv.min() < PIVOT_RTOL * piv.max():
+        raise SingularMetric(
+            f"pivot ratio {piv.min() / piv.max():.3e} below {PIVOT_RTOL:.0e}")
+    L_inv = np.linalg.inv(L)
+    # numpy forms X^T X as a symmetric rank-k update, so g^{-1} comes out
+    # exactly symmetric
+    return L_inv.T @ L_inv, float(np.prod(piv))

@@ -33,6 +33,7 @@ Named 1-form choices for ``randers``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,6 +47,24 @@ from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
 # Points closer to a domain boundary than this margin are rejected to avoid
 # catastrophic cancellation in terms like 1 - |x|^2.
 EPS_DOM = 1e-9
+
+
+def finite_number(value) -> bool:
+    """A JSON number (an int or a float, not a bool) that is finite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def finite_vector(values, where: str, n: int | None = None) -> list[float]:
+    """``values`` as floats, when it is a list of finite numbers (of length
+    ``n`` if given); :class:`ConfigError` otherwise."""
+    if not (isinstance(values, (list, tuple))
+            and all(finite_number(v) for v in values)):
+        raise ConfigError(
+            f"{where} must be a list of finite numbers, got {values!r}")
+    if n is not None and len(values) != n:
+        raise ConfigError(f"{where} needs {n} entries, got {len(values)}")
+    return [float(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -176,7 +195,6 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray) -> MetricJe
     h = F * F_yy
     g = h + np.outer(F_y, F_y)
     g_inv, det_g = linalg.inverse(g)
-    g_inv = 0.5 * (g_inv + g_inv.T)
     return MetricJet(
         F=F,
         F_y=F_y.copy(),
@@ -256,9 +274,7 @@ def _quadratic_form(a_rows, ys):
 
 def _matrix_field(name: str, params, n: int) -> Callable:
     if name == "const_diag":
-        if params is None or len(params) != n:
-            raise ConfigError(f"const_diag needs {n} diagonal entries")
-        diag = [float(v) for v in params]
+        diag = finite_vector(params, "const_diag params", n)
         if any(v <= 0.0 for v in diag):
             raise ConfigError("const_diag entries must be positive")
         rows = [[diag[i] if i == j else 0.0 for j in range(n)]
@@ -284,11 +300,12 @@ def _matrix_field(name: str, params, n: int) -> Callable:
 
 def _beta_field(beta_desc: dict, n: int) -> tuple[Callable, bool]:
     """Covector field and whether it is closed (exact)."""
+    if not isinstance(beta_desc, dict):
+        raise ConfigError(f"randers beta must be an object, got {beta_desc!r}")
     if "potential" in beta_desc:
         pot = beta_desc["potential"]
-        params = [float(v) for v in beta_desc.get("params", [])]
-        if len(params) != n:
-            raise ConfigError(f"potential '{pot}' needs {n} coefficients")
+        params = finite_vector(beta_desc.get("params", []),
+                               f"potential '{pot}' params", n)
         if pot == "linear":
             return (lambda xs: list(params)), True
         if pot == "quadratic":
@@ -381,8 +398,9 @@ def catalog_metric(desc: dict) -> FinslerMetric:
                              beta_closed=closed)
     if kind == "scaled":
         factor = desc.get("factor")
-        if not isinstance(factor, (int, float)) or factor <= 0:
-            raise ConfigError(f"scaled needs factor > 0, got {factor!r}")
+        if not (finite_number(factor) and factor > 0):
+            raise ConfigError(
+                f"scaled needs a finite factor > 0, got {factor!r}")
         base = catalog_metric(desc.get("base", {}))
         c = float(factor)
 

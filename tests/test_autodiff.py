@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar import DegenerateVelocity, DomainError, y_jet2
-from finvar.autodiff import HyperDual, seed_variables, xy_jet2
+from finvar import DegenerateVelocity, DomainError
+from finvar.autodiff import HyperDual, Jet2, seed_variables, xy_jet2
 from finvar.oracle import fd_derivative
 
 from conftest import catalog_metrics, make_metric, sample_points
@@ -17,20 +17,28 @@ KLEIN = make_metric("klein", 2)
 CURVED = make_metric("curved", 2)
 
 
+def velocity_jet(f, x, y) -> Jet2:
+    """The velocity blocks grad[n:] and hess[n:, n:] of the joint jet."""
+    n = len(y)
+    jet = xy_jet2(f, x, y)
+    return Jet2(jet.value, jet.grad[n:], jet.hess[n:, n:])
+
+
 def test_euclid_value_and_gradient():
-    jet = y_jet2(EUCLID, [7.0, -3.0], [3.0, 4.0])
+    jet = velocity_jet(EUCLID, [7.0, -3.0], [3.0, 4.0])
     assert jet.value == pytest.approx(5.0, abs=1e-14)
     assert jet.grad == pytest.approx([0.6, 0.8], abs=1e-14)
 
 
 def test_hessian_of_squared_euclid_is_2I():
-    jet = y_jet2(lambda xs, ys: EUCLID(xs, ys) ** 2, [0.0, 0.0], [3.0, 4.0])
+    jet = velocity_jet(lambda xs, ys: EUCLID(xs, ys) ** 2, [0.0, 0.0],
+                       [3.0, 4.0])
     assert np.abs(jet.hess - 2.0 * np.eye(2)).max() < 1e-12
 
 
 def test_funk_jet_matches_finite_differences():
     x, y = [0.1, 0.0], [1.0, 0.0]
-    jet = y_jet2(FUNK, x, y)
+    jet = velocity_jet(FUNK, x, y)
     fd_grad = fd_derivative(FUNK, x, y, "y_grad")
     fd_hess = fd_derivative(FUNK, x, y, "y_hess")
     assert np.abs(jet.grad - fd_grad).max() / np.abs(fd_grad).max() < 1e-6
@@ -81,7 +89,7 @@ def test_catalog_hessian_matches_fd_on_random_points(metric):
     pts = sample_points(ProjectivePair(metric, metric), 100, seed=11)
     worst = 0.0
     for p in pts:
-        jet = y_jet2(metric, p.x, p.y)
+        jet = velocity_jet(metric, p.x, p.y)
         fd = fd_derivative(metric, p.x, p.y, "y_hess")
         worst = max(worst, np.abs(jet.hess - fd).max() / np.abs(fd).max())
     assert worst < 1e-6
@@ -92,8 +100,8 @@ def test_catalog_hessian_matches_fd_on_random_points(metric):
 def test_chain_rule_square_assembly(metric):
     from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 25, seed=5):
-        jet = y_jet2(metric, p.x, p.y)
-        jet2 = y_jet2(lambda xs, ys: metric(xs, ys) ** 2, p.x, p.y)
+        jet = velocity_jet(metric, p.x, p.y)
+        jet2 = velocity_jet(lambda xs, ys: metric(xs, ys) ** 2, p.x, p.y)
         grad_ref = 2.0 * jet.value * jet.grad
         hess_ref = 2.0 * np.outer(jet.grad, jet.grad) + 2.0 * jet.value * jet.hess
         assert np.abs(jet2.grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
@@ -105,8 +113,8 @@ def test_chain_rule_square_assembly(metric):
 def test_positive_homogeneity_of_value(metric, lam):
     from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 10, seed=3):
-        f1 = y_jet2(metric, p.x, p.y).value
-        f2 = y_jet2(metric, p.x, lam * p.y).value
+        f1 = velocity_jet(metric, p.x, p.y).value
+        f2 = velocity_jet(metric, p.x, lam * p.y).value
         assert abs(f2 - lam * f1) <= 1e-12 * abs(lam * f1)
 
 
@@ -119,8 +127,8 @@ def test_klein_jet_scaling_laws(y1, x1, y2, lam):
     # F 1-homogeneous: gradient is 0-homogeneous, Hessian is (-1)-homogeneous
     x = [x1, 0.1]
     y = [y1, y2 if abs(y2) > 1e-3 else 1.0]
-    a = y_jet2(KLEIN, x, y)
-    b = y_jet2(KLEIN, x, [lam * v for v in y])
+    a = velocity_jet(KLEIN, x, y)
+    b = velocity_jet(KLEIN, x, [lam * v for v in y])
     assert b.value == pytest.approx(lam * a.value, rel=1e-11)
     assert b.grad == pytest.approx(a.grad, rel=1e-10, abs=1e-12)
     assert b.hess * lam == pytest.approx(a.hess, rel=1e-9, abs=1e-11)
@@ -137,8 +145,8 @@ def test_affine_composition_applies_jacobian_rule():
         return FUNK(xs, zs)
 
     x, y = [0.1, 0.2], [0.8, -0.3]
-    inner = y_jet2(FUNK, x, A @ y + b)
-    outer = y_jet2(composed, x, y)
+    inner = velocity_jet(FUNK, x, A @ y + b)
+    outer = velocity_jet(composed, x, y)
     assert outer.value == pytest.approx(inner.value, rel=1e-14)
     assert np.abs(outer.grad - A.T @ inner.grad).max() < 1e-13
     assert np.abs(outer.hess - A.T @ inner.hess @ A).max() < 1e-13
@@ -161,21 +169,21 @@ def test_hyperdual_hessian_is_symmetric_bitwise():
 
 def test_degenerate_velocity_raises():
     with pytest.raises(DegenerateVelocity):
-        y_jet2(EUCLID, [0.0, 0.0], [0.0, 0.0])
+        velocity_jet(EUCLID, [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(DegenerateVelocity):
         HyperDual.constant(1e-30, 2).sqrt()
 
 
 def test_domain_violation_raises():
     with pytest.raises(DomainError):
-        y_jet2(KLEIN, [1.5, 0.0], [1.0, 0.0])
+        velocity_jet(KLEIN, [1.5, 0.0], [1.0, 0.0])
 
 
 def test_velocity_jet_matches_joint_jet_blocks():
-    # seeding only y must reproduce the y blocks of the joint (x, y) pass,
-    # and a plain float evaluation its value
+    # seeding only y, with a float base point, must reproduce the y blocks
+    # of the joint (x, y) pass, and a plain float evaluation its value
     x, y = [0.1, 0.2], [1.0, -0.5]
-    velocity = y_jet2(FUNK, x, y)
+    velocity = FUNK(x, seed_variables(y, 2))
     joint = xy_jet2(FUNK, x, y)
     assert np.allclose(joint.grad[2:], velocity.grad, rtol=0, atol=1e-15)
     assert np.allclose(joint.hess[2:, 2:], velocity.hess, rtol=0, atol=1e-15)

@@ -1,11 +1,19 @@
 """End-to-end CLI runs: reports, formats, determinism, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finvar.cli import main
+
+NAN = float("nan")
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -245,8 +253,44 @@ class TestCliContract:
         ("evaluate", {"samples": 5}),
         ("geodesic", {"integrator": {"rtol": "x"}}),
         ("evaluate", {"tolerance": "loose"}),
+        ("evaluate", {"points": [{"x": ["a", 0.1], "y": [1.0, 0.0]}]}),
+        ("evaluate", {"points": [{"x": [NAN, 0.1], "y": [1.0, 0.0]}]}),
+        ("geodesic", {"points": [{"x": [NAN, 0.1], "y": [1.0, 0.0]}]}),
+        ("evaluate", {"pair": {
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "riemannian", "dim": 2,
+                           "field": "const_diag", "params": ["a", 1]}}}),
+        ("evaluate", {"pair": {
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "riemannian", "dim": 2,
+                           "field": "const_diag", "params": [NAN, 1]}}}),
+        ("evaluate", {"pair": {
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "randers", "dim": 2,
+                           "beta": {"potential": "linear",
+                                    "params": ["q", 0]}}}}),
+        ("evaluate", {"pair": {
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "randers", "dim": 2,
+                           "beta": {"potential": "linear",
+                                    "params": [NAN, 0]}}}}),
+        ("evaluate", {"pair": {
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "scaled", "factor": NAN,
+                           "base": {"kind": "klein", "dim": 2}}}}),
+        ("evaluate", {"pair": {
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "scaled", "factor": float("inf"),
+                           "base": {"kind": "klein", "dim": 2}}}}),
+        ("evaluate", {"integrator": {"method": "euler"}}),
+        ("verify", {"integrator": {"method": "euler"}}),
+        ("evaluate", {"out": True}),
     ], ids=["seed", "negative_seed", "count", "box", "samples", "rtol",
-            "tolerance"])
+            "tolerance", "point_string", "point_nan_evaluate",
+            "point_nan_geodesic", "const_diag_string",
+            "const_diag_nan", "randers_beta_string", "randers_beta_nan",
+            "scaled_factor_nan", "scaled_factor_inf", "method_evaluate",
+            "method_verify", "out"])
     def test_malformed_value_types(self, tmp_path, capsys, command,
                                    overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -267,6 +311,29 @@ class TestCliContract:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_non_convex_point_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every catalog metric is strongly convex in its domain, so the
+        # catalog is patched to hand out a pseudo-metric with indefinite g
+        import finvar.config
+        from finvar.autodiff import gsqrt
+        from finvar.metrics import FinslerMetric
+        indefinite = FinslerMetric(
+            "indefinite", 2,
+            lambda xs, ys: gsqrt(ys[0] * ys[0] - 0.5 * ys[1] * ys[1]),
+            lambda x: True)
+        catalog = finvar.config.catalog_metric
+        monkeypatch.setattr(
+            finvar.config, "catalog_metric",
+            lambda desc: (indefinite if desc["kind"] == "indefinite"
+                          else catalog(desc)))
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "indefinite"},
+        }, points=[{"x": [0.0, 0.0], "y": [1.0, 0.1]}])
+        code, out, err = run(capsys, "evaluate", "--config", cfg)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "SingularMetric"
+
     def test_tolerance_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, pair={
             "base": {"kind": "euclidean", "dim": 2},
@@ -276,3 +343,89 @@ class TestCliContract:
         code, out, _ = run(capsys, "verify", "--config", cfg,
                            "--tolerance", "1e-30")
         assert code == 1
+
+
+# -- config fuzz -------------------------------------------------------------
+
+# Small valid configs whose leaves the fuzz replaces one at a time; count <= 3
+# keeps each run to a few jets.
+FUZZ_BASES = [
+    {
+        "schema_version": 1,
+        "pair": {"base": {"kind": "euclidean", "dim": 2},
+                 "comparison": {"kind": "klein", "dim": 2}},
+        "samples": {"count": 3, "trajectories": 1, "box": [-0.3, 0.3],
+                    "velocity_scale": 1.0},
+        "integrator": {"method": "rkf45", "rtol": 1e-10, "atol": 1e-10,
+                       "step": 1e-3, "t_end": 0.5},
+        "tolerance": 1e-9,
+        "seed": 3,
+        "format": "json",
+    },
+    {
+        "schema_version": 1,
+        "pair": {"base": {"kind": "riemannian", "dim": 2,
+                          "field": "const_diag", "params": [1.0, 2.0]},
+                 "comparison": {"kind": "randers", "dim": 2,
+                                "alpha_field": "const_diag",
+                                "alpha_params": [1.0, 2.0],
+                                "beta": {"potential": "linear",
+                                         "params": [0.1, 0.0]}}},
+        "samples": {"count": 2},
+        "points": [{"x": [0.1, -0.2], "y": [1.0, 0.5]}],
+    },
+    {
+        "schema_version": 1,
+        "pair": {"base": {"kind": "funk", "dim": 2},
+                 "comparison": {"kind": "scaled", "factor": 2.0,
+                                "base": {"kind": "funk", "dim": 2}}},
+        "samples": {"count": 2},
+    },
+]
+
+FUZZ_VALUES = ["x", float("nan"), float("inf"), True, None, [0.5]]
+
+
+def _fuzz_paths(node, path=()):
+    """Every value below the top level that is not an object."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        if not isinstance(child, dict):
+            yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+FUZZ_CASES = [(i, p) for i, base in enumerate(FUZZ_BASES)
+              for p in _fuzz_paths(base)]
+
+
+@given(st.sampled_from(FUZZ_CASES), st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=60, deadline=None)
+def test_config_fuzz_keeps_exit_code_contract(case, value):
+    index, path = case
+    cfg = copy.deepcopy(FUZZ_BASES[index])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = f"{tmp}/cfg.json"
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        for command in ("evaluate", "verify"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, "--config", cfg_path])
+            assert code in (0, 1, 2, 3)
+            lines = err.getvalue().splitlines()
+            assert len(lines) <= 1
+            if lines:
+                assert isinstance(json.loads(lines[0]), dict)
+            if code == 1:
+                assert json.loads(out.getvalue())["verdict"] == "fail"

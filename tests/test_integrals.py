@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar import (ConfigError, ProjectivePair, SignMismatch, TangentPoint,
+from finvar import (ConfigError, ProjectivePair, SingularMetric, TangentPoint,
                     build_H, charpoly_coefficients, f1_closed_form,
                     first_integrals, fn1_closed_form, integrals_along,
                     integrate_geodesic, mu, pair_jets, painleve_I0,
                     sarlet_K, tm_I1)
-from finvar.integrals import _volume_ratio
 from finvar.oracle import charpoly_by_interpolation
 
 from conftest import (PASSING_KINDS, catalog_metric, make_metric, make_pair,
@@ -191,13 +190,9 @@ class TestClosedForms:
         p = TangentPoint([0.0, 0.0], [0.3, 0.4])
         assert mu(pair_jets(pair, p)) == pytest.approx(1.0, rel=1e-13)
 
-    def test_volume_ratio_sign_guard(self):
-        with pytest.raises(SignMismatch):
-            _volume_ratio(1.0, -2.0, 2)
-
-    def test_mu_sign_mismatch_for_indefinite_comparison(self):
-        # a pseudo-metric whose tensor is indefinite where evaluated;
-        # documents the boundary of validity of the volume ratio
+    def test_indefinite_comparison_is_singular(self):
+        # a pseudo-metric whose tensor is indefinite where evaluated: the
+        # volume ratio is undefined there, and the jet refuses the point
         from finvar.autodiff import gsqrt
         from finvar.metrics import FinslerMetric
         indefinite = FinslerMetric(
@@ -205,8 +200,8 @@ class TestClosedForms:
             lambda xs, ys: gsqrt(ys[0] * ys[0] - 0.5 * ys[1] * ys[1]),
             lambda x: True)
         pair = ProjectivePair(make_metric("euclidean", 2), indefinite)
-        with pytest.raises(SignMismatch):
-            mu(pair_jets(pair, TangentPoint([0.0, 0.0], [1.0, 0.1])))
+        with pytest.raises(SingularMetric):
+            pair_jets(pair, TangentPoint([0.0, 0.0], [1.0, 0.1]))
 
     def test_painleve_identity_pair(self):
         pair = make_pair("klein", "klein", 2)
