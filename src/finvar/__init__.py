@@ -14,8 +14,8 @@ from .dynamics import (GeodesicTrajectory, RapcsakReport, geodesic_rhs,
                        trajectory_energy)
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
                      DomainError, FinvarError, IntegratorStall,
-                     NonReversibleBackward, OracleConditioning,
-                     OracleScopeExceeded, SingularMetric)
+                     NonFiniteResult, NonReversibleBackward,
+                     OracleConditioning, OracleScopeExceeded, SingularMetric)
 from .integrals import (FirstIntegralVector, PairJets, build_H,
                         charpoly_coefficients, f1_closed_form,
                         first_integrals, fn1_closed_form, integrals_along,
@@ -33,8 +33,9 @@ __all__ = [
     "AngularRankReport", "ConfigError", "DegenerateAngularMetric",
     "DegenerateVelocity", "DomainError", "FinslerMetric", "FinvarError",
     "FirstIntegralVector", "GeodesicTrajectory", "HyperDual",
-    "IntegratorStall", "Jet2", "MetricJet", "NonReversibleBackward",
-    "OracleConditioning", "OracleConfig", "OracleScopeExceeded", "PairJets",
+    "IntegratorStall", "Jet2", "MetricJet", "NonFiniteResult",
+    "NonReversibleBackward", "OracleConditioning", "OracleConfig",
+    "OracleScopeExceeded", "PairJets",
     "ProjectivePair", "RapcsakReport", "SingularMetric",
     "TangentPoint", "angular_rank_check", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import INTEGRATORS
-from .errors import ConfigError
+from .errors import ConfigError, FinvarError
 from .metrics import (ProjectivePair, TangentPoint, catalog_metric,
                       finite_number, finite_vector)
 
@@ -111,9 +111,15 @@ class RunConfig:
                               comparison=catalog_metric(self.comparison))
 
     def explicit_points(self) -> list[TangentPoint]:
-        return [TangentPoint(np.asarray(pt["x"], dtype=float),
-                             np.asarray(pt["y"], dtype=float))
-                for pt in self.points]
+        points = []
+        for i, pt in enumerate(self.points):
+            try:
+                points.append(TangentPoint(np.asarray(pt["x"], dtype=float),
+                                           np.asarray(pt["y"], dtype=float)))
+            except FinvarError as exc:
+                exc.point = i
+                raise
+        return points
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:

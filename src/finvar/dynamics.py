@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import xy_jet2
+from .autodiff import check_lanes, xy_jet2
 from .errors import (ConfigError, DomainError, IntegratorStall,
-                     NonReversibleBackward)
+                     NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
                       TangentPoint, _jet_arrays, metric_jet)
 
@@ -329,17 +329,27 @@ def rapcsak_residual(pair: ProjectivePair,
     """
     if not samples:
         raise ConfigError("rapcsak_residual needs at least one sample")
-    rows = []
     n = pair.dim
-    for p in samples:
-        base_jet = metric_jet(pair.base, p)
+    base_jets = metric_jet(pair.base, samples)
+    cjet = xy_jet2(pair.comparison, np.array([p.x for p in samples]),
+                   np.array([p.y for p in samples]))
+    # the raw jet enters the residual directly: an overflow there, or in
+    # the residual norm, must not pass for a large residual
+    check_lanes(np.isfinite(cjet.value) & np.isfinite(cjet.grad).all(axis=1)
+                & np.isfinite(cjet.hess).all(axis=(1, 2)),
+                lambda i: NonFiniteResult("value or derivatives not finite",
+                                          metric=pair.comparison.name,
+                                          point=i))
+    rows = []
+    for p, base_jet, ft_x, ft_yy, ft_yx in zip(
+            samples, base_jets, cjet.grad[:, :n], cjet.hess[:, n:, n:],
+            cjet.hess[:, n:, :n]):
         G = _spray_vector(base_jet, p.y)
-        cjet = xy_jet2(pair.comparison, p.x, p.y)
-        ft_x = cjet.grad[:n]
-        ft_yy = cjet.hess[n:, n:]
-        ft_yx = cjet.hess[n:, :n]
         rows.append(ft_yx @ p.y - 2.0 * (ft_yy @ G) - ft_x)
-    return RapcsakReport(residuals=np.array(rows))
+    report = RapcsakReport(residuals=np.array(rows))
+    check_lanes(np.isfinite(report.norms), lambda i: NonFiniteResult(
+        f"residual norm {report.norms[i]} not finite", point=i))
+    return report
 
 
 # -- unparameterized path comparison -----------------------------------------

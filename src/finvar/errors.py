@@ -2,7 +2,27 @@
 
 
 class FinvarError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error can say where it happened: ``metric`` is the name of the
+    metric being evaluated, and ``point`` the index of the first failing
+    point when the evaluation ran over a stack of points. Both are part of
+    the message.
+    """
+
+    def __init__(self, message: str = "", *, metric: str | None = None,
+                 point: int | None = None):
+        super().__init__(message)
+        self.metric = metric
+        self.point = point
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        if self.metric is not None:
+            text = f"{self.metric}: {text}"
+        if self.point is not None:
+            text = f"{text} (point {self.point})"
+        return text
 
 
 class ConfigError(FinvarError):
@@ -19,7 +39,13 @@ class DegenerateVelocity(FinvarError):
 
 class SingularMetric(FinvarError):
     """Metric tensor g is not numerically positive definite at the evaluation
-    point: singular or indefinite (strong convexity fails)."""
+    point: singular or indefinite (strong convexity fails), or its
+    determinant leaves the floating-point range."""
+
+
+class NonFiniteResult(FinvarError):
+    """A metric's value or derivatives, or a quantity formed from them,
+    overflowed to inf or NaN."""
 
 
 class DegenerateAngularMetric(FinvarError):

@@ -54,10 +54,16 @@ class PairJets:
         return self.y.shape[0]
 
 
-def pair_jets(pair: ProjectivePair, p: TangentPoint) -> PairJets:
-    """The jets of the base and of the comparison metric at ``p``."""
-    return PairJets(base=metric_jet(pair.base, p),
-                    comparison=metric_jet(pair.comparison, p), y=p.y)
+def pair_jets(pair: ProjectivePair, points):
+    """The jets of the base and of the comparison metric at a
+    :class:`TangentPoint`, or the list of them at each of a sequence of
+    points, with one stacked pass per metric."""
+    base = metric_jet(pair.base, points)
+    comparison = metric_jet(pair.comparison, points)
+    if isinstance(points, TangentPoint):
+        return PairJets(base, comparison, points.y)
+    return [PairJets(jet, jet_t, p.y)
+            for jet, jet_t, p in zip(base, comparison, points)]
 
 
 @dataclass(frozen=True)
@@ -119,11 +125,14 @@ def first_integrals(jets: PairJets) -> FirstIntegralVector:
     jet, jet_t = jets.base, jets.comparison
     H = (jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
     coeffs = charpoly_coefficients(H)
-    h_norm = float(np.linalg.norm(H))
-    if abs(coeffs[0]) > Q0_RTOL * h_norm ** H.shape[0]:
+    # ||H||^n may overflow: to inf, which keeps the guard meaningful, and
+    # silently, as a float power would raise
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(H) ** H.shape[0]
+    if abs(coeffs[0]) > Q0_RTOL * scale:
         raise DegenerateAngularMetric(
             f"constant charpoly term {coeffs[0]:.3e} not negligible "
-            f"against ||H||^n = {h_norm ** H.shape[0]:.3e}")
+            f"against ||H||^n = {scale:.3e}")
     f = coeffs[1:].copy()
     return FirstIntegralVector(f=f, delta=f * jet.det_g)
 
@@ -184,10 +193,13 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
     Along a geodesic of the pair's base metric, the base jets the
     integrator evaluated at each sample are reused, and only the comparison
     metric is evaluated here; along any other metric's geodesics both are.
+    Each metric evaluated here runs one stacked pass over all samples.
     """
+    states = traj.states
     if traj.metric is not pair.base:
-        return np.array([first_integrals(pair_jets(pair, p)).f
-                         for p in traj.states])
+        return np.array([first_integrals(jets).f
+                         for jets in pair_jets(pair, states)])
     return np.array([
-        first_integrals(PairJets(jet, metric_jet(pair.comparison, p), p.y)).f
-        for jet, p in zip(traj.jets, traj.states)])
+        first_integrals(PairJets(jet, jet_t, p.y)).f
+        for jet, jet_t, p in zip(traj.jets,
+                                 metric_jet(pair.comparison, states), states)])

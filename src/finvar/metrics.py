@@ -40,9 +40,10 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .autodiff import Jet2, gdot, gsqrt, scalar_value, xy_jet2
+from .autodiff import (Jet2, check_lanes, gdot, gsqrt, lane, lane_values,
+                       xy_jet2)
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
-                     DomainError)
+                     DomainError, FinvarError)
 
 # Points closer to a domain boundary than this margin are rejected to avoid
 # catastrophic cancellation in terms like 1 - |x|^2.
@@ -97,7 +98,10 @@ class FinslerMetric:
 
     Calling the metric with generic scalars (floats or hyper-duals) first
     checks the domain of the underlying float base point, so every
-    differentiation pass enforces the same boundary.
+    differentiation pass enforces the same boundary. The predicate takes a
+    base point of shape (n,) and returns a bool, or a stack of shape (N, n)
+    and returns a mask over its rows; both forms run the same arithmetic,
+    so a point gets the same answer alone and in a stack.
     """
 
     name: str
@@ -110,10 +114,16 @@ class FinslerMetric:
     beta_closed: bool | None = None
 
     def __call__(self, xs, ys):
-        xf = np.array([scalar_value(c) for c in xs])
-        if not self.domain(xf):
-            raise DomainError(f"{self.name}: base point {xf} outside domain")
-        return self.evaluator(xs, ys)
+        x = lane_values(xs)
+        check_lanes(self.domain(x), lambda i: DomainError(
+            f"base point {lane(x, i)} outside domain", metric=self.name,
+            point=i))
+        try:
+            return self.evaluator(xs, ys)
+        except FinvarError as exc:
+            if exc.metric is None:
+                exc.metric = self.name
+            raise
 
     def value(self, p: TangentPoint) -> float:
         """F(x, y) at a tangent point."""
@@ -168,12 +178,23 @@ class MetricJet:
         return self.F_y.shape[0]
 
 
-def metric_jet(metric: FinslerMetric, p: TangentPoint) -> MetricJet:
-    """Assemble every tensor of ``metric`` at ``p`` from one joint AD pass."""
-    if p.dim != metric.dim:
-        raise ConfigError(
-            f"{metric.name} has dimension {metric.dim}, point has {p.dim}")
-    return _jet_arrays(metric, p.x, p.y)
+def metric_jet(metric: FinslerMetric, points):
+    """Assemble every tensor of ``metric`` from one joint AD pass.
+
+    At a :class:`TangentPoint` this is its :class:`MetricJet`; at a sequence
+    of points, the list of their jets, all from one stacked pass.
+    """
+    one = isinstance(points, TangentPoint)
+    for p in ([points] if one else points):
+        if p.dim != metric.dim:
+            raise ConfigError(
+                f"{metric.name} has dimension {metric.dim}, point has {p.dim}")
+    if one:
+        return _jet_arrays(metric, points.x, points.y)
+    if not points:
+        return []
+    return _jet_arrays(metric, np.array([p.x for p in points]),
+                       np.array([p.y for p in points]))
 
 
 # Metric values under this floor are treated as a collapsed velocity; jets
@@ -181,31 +202,46 @@ def metric_jet(metric: FinslerMetric, p: TangentPoint) -> MetricJet:
 F_FLOOR = 1e-13
 
 
-def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray) -> MetricJet:
-    n = x.shape[0]
-    jet: Jet2 = xy_jet2(metric, x, y)
-    F = jet.value
-    if not np.isfinite(F) or F < F_FLOOR:
-        raise DegenerateVelocity(
-            f"{metric.name}: value {F} below the positivity floor")
-    F_x = jet.grad[:n]
-    F_y = jet.grad[n:]
-    F_yy = jet.hess[n:, n:]
-    F_yx = jet.hess[n:, :n]
-    h = F * F_yy
-    g = h + np.outer(F_y, F_y)
-    g_inv, det_g = linalg.inverse(g)
-    return MetricJet(
-        F=F,
-        F_y=F_y.copy(),
-        F_x=F_x.copy(),
-        g=g,
-        g_inv=g_inv,
-        h=h,
-        det_g=det_g,
-        F2_yx=2.0 * (np.outer(F_y, F_x) + F * F_yx),
-        F2_x=2.0 * F * F_x,
-    )
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i v_j, for one pair of vectors or lane by lane over stacks."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray):
+    """The :class:`MetricJet` at one point (x, y of shape (n,)), or the list
+    of jets at the rows of stacks x, y of shape (N, n).
+
+    Every failure names the metric, and in a stack the first failing point.
+    """
+    n = x.shape[-1]
+    try:
+        jet: Jet2 = xy_jet2(metric, x, y)
+        F = jet.value
+        check_lanes(np.isfinite(F) & (F >= F_FLOOR), lambda i: (
+            DegenerateVelocity(f"value {lane(F, i)} below the positivity "
+                               f"floor", point=i)))
+        F_x = jet.grad[..., :n]
+        F_y = jet.grad[..., n:]
+        F_yy = jet.hess[..., n:, n:]
+        F_yx = jet.hess[..., n:, :n]
+        # F against vectors and against matrices, in either layout
+        F_v = np.asarray(F)[..., None]
+        F_m = F_v[..., None]
+        h = F_m * F_yy
+        g = h + _outer(F_y, F_y)
+        g_inv, det_g = linalg.inverse(g)
+    except FinvarError as exc:
+        if exc.metric is None:
+            exc.metric = metric.name
+        raise
+    F2_yx = 2.0 * (_outer(F_y, F_x) + F_m * F_yx)
+    F2_x = 2.0 * F_v * F_x
+    if y.ndim == 1:
+        return MetricJet(F=F, F_y=F_y.copy(), F_x=F_x.copy(), g=g,
+                         g_inv=g_inv, h=h, det_g=det_g, F2_yx=F2_yx,
+                         F2_x=F2_x)
+    return [MetricJet(*fields) for fields in zip(
+        F.tolist(), F_y, F_x, g, g_inv, h, det_g.tolist(), F2_yx, F2_x)]
 
 
 @dataclass(frozen=True)
@@ -240,8 +276,9 @@ def _all_space(_x: np.ndarray) -> bool:
     return True
 
 
-def _unit_ball(x: np.ndarray) -> bool:
-    return float(np.dot(x, x)) < (1.0 - EPS_DOM) ** 2
+def _unit_ball(x: np.ndarray):
+    xt = x.T
+    return gdot(xt, xt) < (1.0 - EPS_DOM) ** 2
 
 
 def _euclidean_field(xs, ys):
@@ -321,14 +358,25 @@ def _beta_field(beta_desc: dict, n: int) -> tuple[Callable, bool]:
     raise ConfigError("randers beta needs a 'potential' or 'covector' entry")
 
 
-def _randers_beta_norm2(a_field, beta, x: np.ndarray) -> float:
-    a = np.array([[float(scalar_value(v)) for v in row]
-                  for row in a_field(list(x))])
-    b = np.array([float(scalar_value(v)) for v in beta(list(x))])
+def _randers_beta_norm2(a_field, beta, x: np.ndarray):
+    """||beta||_alpha^2 at a base point of shape (n,), or at each row of a
+    stack of shape (N, n) through one batched solve."""
+    n = x.shape[-1]
+    coords = list(x.T)
+    a = np.empty(x.shape[:-1] + (n, n))
+    b = np.empty(x.shape)
+    for i, row in enumerate(a_field(coords)):
+        for j, v in enumerate(row):
+            a[..., i, j] = v
+    for i, v in enumerate(beta(coords)):
+        b[..., i] = v
     try:
-        return float(b @ np.linalg.solve(a, b))
+        sol = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return float("inf")
+        if x.ndim == 1:
+            return float("inf")
+        return np.array([_randers_beta_norm2(a_field, beta, row) for row in x])
+    return gdot(b.T, sol.T)
 
 
 def _require_dim(desc: dict) -> int:

@@ -334,6 +334,73 @@ class TestCliContract:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "SingularMetric"
 
+    @pytest.mark.parametrize("command", ["evaluate", "verify", "oracle"])
+    @pytest.mark.parametrize("third, error, where", [
+        ({"x": [2.0, 0.0], "y": [1.0, 0.0]}, "DomainError", "klein: "),
+        ({"x": [0.1, 0.0], "y": [1e-20, 0.0]}, "DegenerateVelocity",
+         "euclidean: "),
+        ({"x": [0.1, 0.0], "y": [0.0, 0.0]}, "DegenerateVelocity", ""),
+    ], ids=["outside_domain", "tiny_velocity", "zero_velocity"])
+    def test_runtime_error_names_the_failing_point(self, tmp_path, capsys,
+                                                   command, third, error,
+                                                   where):
+        # every point of a command is evaluated in one stacked pass; the
+        # error still says which point broke
+        good = [{"x": [0.1, 0.2], "y": [1.0, 0.0]},
+                {"x": [-0.2, 0.1], "y": [0.3, 0.7]}]
+        cfg = write_config(tmp_path, points=good + [third])
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert payload["message"].startswith(where)
+        assert payload["message"].endswith("(point 2)")
+
+    @pytest.mark.parametrize("factor", [1e308, 1e200])
+    def test_verify_overflow_is_a_runtime_error(self, tmp_path, capsys,
+                                                factor):
+        # the residual of an overflowing comparison metric is not a verdict
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "funk", "dim": 2},
+            "comparison": {"kind": "scaled", "factor": factor,
+                           "base": {"kind": "funk", "dim": 2}},
+        }, samples={"count": 5})
+        code, out, err = run(capsys, "verify", "--config", cfg)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "NonFiniteResult"
+
+    def test_verify_tiny_factor_still_passes(self, tmp_path, capsys):
+        # finiteness is certified, not the value floor
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "funk", "dim": 2},
+            "comparison": {"kind": "scaled", "factor": 1e-120,
+                           "base": {"kind": "funk", "dim": 2}},
+        }, samples={"count": 5})
+        code, out, err = run(capsys, "verify", "--config", cfg)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("command",
+                             ["evaluate", "geodesic", "verify", "oracle"])
+    @pytest.mark.parametrize("factor", [1e100, 1e130])
+    def test_overflowing_scale_keeps_exit_code_contract(self, tmp_path,
+                                                        capsys, command,
+                                                        factor):
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "funk", "dim": 3},
+            "comparison": {"kind": "scaled", "factor": factor,
+                           "base": {"kind": "funk", "dim": 3}},
+        }, samples={"count": 3, "trajectories": 1},
+            integrator={"t_end": 0.2})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code in (0, 1, 3)
+        lines = err.splitlines()
+        assert len(lines) <= 1
+        if lines:
+            assert isinstance(json.loads(lines[0]), dict)
+        if code == 1:
+            assert json.loads(out)["verdict"] == "fail"
+
     def test_tolerance_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, pair={
             "base": {"kind": "euclidean", "dim": 2},
@@ -383,7 +450,8 @@ FUZZ_BASES = [
     },
 ]
 
-FUZZ_VALUES = ["x", float("nan"), float("inf"), True, None, [0.5]]
+FUZZ_VALUES = ["x", float("nan"), float("inf"), 1e308, 1e100, True, None,
+               [0.5]]
 
 
 def _fuzz_paths(node, path=()):

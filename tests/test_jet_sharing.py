@@ -1,4 +1,5 @@
-"""Each metric jet is computed once per point: call counts, never timings."""
+"""Each metric jet is computed once per point, in one stacked pass per metric
+and command: call and lane counts, never timings."""
 
 import json
 
@@ -16,14 +17,21 @@ from conftest import make_pair, sample_points
 POINTS = 5
 
 
+def lanes(calls, name):
+    """Points evaluated for the metric ``name`` over all recorded calls."""
+    return sum(count for metric, count in calls if metric == name)
+
+
 @pytest.fixture
 def jet_calls(monkeypatch):
-    """Metric (by name) of every xy_jet2 call, from every module using it."""
+    """(metric name, number of points) of every xy_jet2 call, from every
+    module using it."""
     calls = []
     original = finvar.metrics.xy_jet2
 
     def counted(f, x, y):
-        calls.append(f.name)
+        y = np.asarray(y)
+        calls.append((f.name, 1 if y.ndim == 1 else y.shape[0]))
         return original(f, x, y)
 
     monkeypatch.setattr(finvar.metrics, "xy_jet2", counted)
@@ -44,7 +52,9 @@ def test_two_jets_per_point(tmp_path, capsys, jet_calls, command, n):
     }))
     assert main([command, "--config", str(path)]) == 0
     capsys.readouterr()
-    assert sorted(jet_calls) == ["funk"] * POINTS + ["klein"] * POINTS
+    # each point's jet exactly once, in one stacked pass per metric
+    assert lanes(jet_calls, "funk") == lanes(jet_calls, "klein") == POINTS
+    assert sorted(name for name, _ in jet_calls) == ["funk", "klein"]
 
 
 def _trajectory(pair, method):
@@ -61,7 +71,7 @@ def test_integrals_along_makes_one_comparison_jet_per_sample(jet_calls,
     traj = _trajectory(pair, method)
     jet_calls.clear()
     integrals_along(pair, traj)
-    assert jet_calls == ["funk"] * len(traj)
+    assert jet_calls == [("funk", len(traj))]
 
 
 @pytest.mark.parametrize("method", ["rkf45", "rk4"])
