@@ -15,7 +15,7 @@ from .dynamics import (GeodesicTrajectory, RapcsakReport, geodesic_rhs,
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
                      DomainError, FinvarError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward,
-                     OracleConditioning, OracleScopeExceeded, SingularMetric)
+                     OracleScopeExceeded, SingularMetric)
 from .integrals import (FirstIntegralVector, PairJets, build_H,
                         charpoly_coefficients, f1_closed_form,
                         first_integrals, fn1_closed_form, integrals_along,
@@ -23,9 +23,8 @@ from .integrals import (FirstIntegralVector, PairJets, build_H,
 from .metrics import (AngularRankReport, FinslerMetric, MetricJet,
                       ProjectivePair, TangentPoint, angular_rank_check,
                       catalog_metric, metric_jet)
-from .oracle import (OracleConfig, charpoly_by_interpolation,
-                     christoffel_oracle, delta_alpha_combinatorial,
-                     fd_derivative)
+from .oracle import (charpoly_by_interpolation, christoffel_oracle,
+                     delta_alpha_combinatorial, fd_derivative)
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,7 @@ __all__ = [
     "DegenerateVelocity", "DomainError", "FinslerMetric", "FinvarError",
     "FirstIntegralVector", "GeodesicTrajectory", "HyperDual",
     "IntegratorStall", "Jet2", "MetricJet", "NonFiniteResult",
-    "NonReversibleBackward", "OracleConditioning", "OracleConfig",
-    "OracleScopeExceeded", "PairJets",
+    "NonReversibleBackward", "OracleScopeExceeded", "PairJets",
     "ProjectivePair", "RapcsakReport", "SingularMetric",
     "TangentPoint", "angular_rank_check", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",

@@ -19,9 +19,9 @@ from .config import (RunConfig, apply_overrides, load_config,
                      sample_tangent_points)
 from .dynamics import integrate_geodesic, rapcsak_residual, trajectory_energy
 from .errors import ConfigError, FinvarError, OracleScopeExceeded
-from .integrals import (build_H, charpoly_coefficients, f1_closed_form,
-                        first_integrals, fn1_closed_form, integrals_along,
-                        mu, pair_jets, painleve_I0, sarlet_K, tm_I1)
+from .integrals import (f1_closed_form, first_integrals, fn1_closed_form,
+                        integrals_along, mu, pair_jets, painleve_I0,
+                        sarlet_K, tm_I1)
 from .oracle import charpoly_by_interpolation, delta_alpha_combinatorial
 
 # Default pass thresholds per command; --tolerance overrides the main one.
@@ -34,16 +34,11 @@ ORACLE_COMB_TOL = 1e-8
 ORACLE_INTERP_TOL = 1e-9
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as the lists and numbers they hold."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -76,7 +71,6 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     points = _points(cfg, "evaluate", cfg.samples.count)
     for idx, (p, jets) in enumerate(zip(points, pair_jets(pair, points))):
         jet, jet_t = jets.base, jets.comparison
-        H = build_H(jets)
         fiv = first_integrals(jets)
         m = mu(jets)
         i0 = painleve_I0(jets)
@@ -88,7 +82,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
                                     i0),
             "ri1_rel_err": _rel_err(fiv.f[n - 2] * jet_t.F ** 3 * m ** 3
                                     / jet.F, i1),
-            "q0_abs": abs(charpoly_coefficients(H)[0]),
+            "q0_abs": abs(fiv.coeffs[0]),
             "f_n": float(fiv.f[-1]),
         }
         for key in worst:
@@ -96,7 +90,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
         records.append({
             "index": idx, "x": p.x, "y": p.y,
             "F": jet.F, "F_comparison": jet_t.F,
-            "g": jet.g, "h": jet.h, "H": H,
+            "g": jet.g, "h": jet.h, "H": fiv.H,
             "f": fiv.f, "delta": fiv.delta,
             "mu": m, "I0": i0, "I1": i1, "K": sarlet_K(jets),
             "checks": checks,
@@ -126,14 +120,18 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     trajectories = []
     all_pass = True
     for idx, p0 in enumerate(_points(cfg, "geodesic", cfg.samples.trajectories)):
-        # The integrator keeps the base metric's domain; the comparison
-        # metric's may end sooner, as a ball does for straight lines.
-        traj = integrate_geodesic(
-            pair.base, p0, integ.t_end, method=integ.method,
-            step=integ.step, rtol=integ.rtol,
-            atol=integ.atol).within(pair.comparison.domain)
-        f_vals = integrals_along(pair, traj)
-        energy = trajectory_energy(pair.base, traj)
+        try:
+            # The integrator keeps the base metric's domain; the comparison
+            # metric's may end sooner, as a ball does for straight lines.
+            traj = integrate_geodesic(
+                pair.base, p0, integ.t_end, method=integ.method,
+                step=integ.step, rtol=integ.rtol,
+                atol=integ.atol).within(pair.comparison.domain)
+            f_vals = integrals_along(pair, traj)
+        except FinvarError as exc:
+            exc.trajectory = idx
+            raise
+        energy = trajectory_energy(traj)
         drift = np.abs(f_vals - f_vals[0]).max(axis=0)
         rel_drift = drift / np.maximum(1.0, np.abs(f_vals[0]))
         energy_drift = float(np.abs(energy - energy[0]).max() / energy[0])
@@ -203,15 +201,15 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     interp_tol = tol if tol is not None else ORACLE_INTERP_TOL
     comb_tol = tol if tol is not None else ORACLE_COMB_TOL
     point_jets = pair_jets(pair, _points(cfg, "oracle", cfg.samples.count))
+    fivs = [first_integrals(jets) for jets in point_jets]
     n = pair.dim
     checks = []
     all_pass = True
 
     worst = 0.0
-    for jets in point_jets:
-        H = build_H(jets)
-        a = charpoly_coefficients(H)
-        b = charpoly_by_interpolation(H)
+    for fiv in fivs:
+        a = fiv.coeffs
+        b = charpoly_by_interpolation(fiv.H)
         worst = max(worst, float(np.abs(a - b).max()
                                  / max(1.0, np.abs(a).max())))
     ok = worst <= interp_tol
@@ -223,9 +221,8 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     for alpha in range(1, n + 1):
         try:
             worst = 0.0
-            for jets in point_jets:
+            for jets, fiv in zip(point_jets, fivs):
                 delta = delta_alpha_combinatorial(jets, alpha)
-                fiv = first_integrals(jets)
                 worst = max(worst, _rel_err(delta, fiv.delta[alpha - 1]))
             ok = worst <= comb_tol
             all_pass = all_pass and ok
@@ -332,7 +329,8 @@ def _emit(cfg: RunConfig, command: str, report: dict) -> None:
     if cfg.fmt == "csv":
         text = _CSV_WRITERS[command](report)
     else:
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2,
+                          default=_json_default) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

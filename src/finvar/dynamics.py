@@ -172,7 +172,8 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         raise NonReversibleBackward(
             f"{metric.name} is not reversible; integrate forward only")
     if not metric.domain(p0.x):
-        raise DomainError(f"initial point {p0.x} outside domain")
+        raise DomainError(f"initial point {p0.x} outside domain",
+                          metric=metric.name)
     rhs = _make_rhs(metric)
     z0 = np.concatenate((p0.x, p0.y))
     if method == "rk4":
@@ -286,11 +287,10 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
     return times, zs, jets, domain_exit, n_acc, n_rej, None
 
 
-def trajectory_energy(metric: FinslerMetric, traj: GeodesicTrajectory) -> np.ndarray:
-    """F^2 of ``metric`` at every trajectory sample (conserved along its
-    own geodesics)."""
-    return np.array([metric.value(TangentPoint(x, y)) ** 2
-                     for x, y in zip(traj.xs, traj.ys)])
+def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:
+    """F^2 of the integrated metric at every trajectory sample (conserved
+    along its geodesics), from the jets the integrator evaluated."""
+    return np.array([jet.F ** 2 for jet in traj.jets])
 
 
 # -- projective equivalence test ---------------------------------------------

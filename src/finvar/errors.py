@@ -5,9 +5,10 @@ class FinvarError(Exception):
     """Base class for all package errors.
 
     An error can say where it happened: ``metric`` is the name of the
-    metric being evaluated, and ``point`` the index of the first failing
-    point when the evaluation ran over a stack of points. Both are part of
-    the message.
+    metric being evaluated, ``point`` the index of the first failing point
+    when the evaluation ran over a stack of points, and ``trajectory`` the
+    index of the geodesic whose integration or samples failed. All are part
+    of the message.
     """
 
     def __init__(self, message: str = "", *, metric: str | None = None,
@@ -15,13 +16,17 @@ class FinvarError(Exception):
         super().__init__(message)
         self.metric = metric
         self.point = point
+        self.trajectory: int | None = None
 
     def __str__(self) -> str:
         text = super().__str__()
         if self.metric is not None:
             text = f"{self.metric}: {text}"
-        if self.point is not None:
-            text = f"{text} (point {self.point})"
+        where = [f"{name} {index}" for name, index in
+                 (("trajectory", self.trajectory), ("point", self.point))
+                 if index is not None]
+        if where:
+            text = f"{text} ({', '.join(where)})"
         return text
 
 
@@ -58,10 +63,6 @@ class IntegratorStall(FinvarError):
 
 class NonReversibleBackward(FinvarError):
     """Backward-time integration requested for a non-reversible metric."""
-
-
-class OracleConditioning(FinvarError):
-    """Interpolation system too ill-conditioned to trust as an oracle."""
 
 
 class OracleScopeExceeded(FinvarError):

@@ -68,20 +68,22 @@ def pair_jets(pair: ProjectivePair, points):
 
 @dataclass(frozen=True)
 class FirstIntegralVector:
-    """Coefficients f_1..f_n of det(H + Lambda I) and delta_alpha = f_alpha
-    det g.
+    """H at one point, the coefficients of det(H + Lambda I) and delta_alpha
+    = f_alpha det g.
 
-    ``f[alpha-1]`` is f_alpha; f_n is 1 identically. The delta coefficients
-    transform like det g under coordinate changes and are kept only for
-    cross-checks against the combinatorial oracle.
+    ``coeffs[k]`` is the coefficient of Lambda^k, the constant term q0
+    included; ``f[alpha-1]`` is f_alpha, and f_n is 1 identically. The
+    delta coefficients transform like det g under coordinate changes and
+    are kept only for cross-checks against the combinatorial oracle.
     """
 
-    f: np.ndarray
+    H: np.ndarray
+    coeffs: np.ndarray
     delta: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.f.shape[0]
+    def f(self) -> np.ndarray:
+        return self.coeffs[1:]
 
 
 def build_H(jets: PairJets) -> np.ndarray:
@@ -116,14 +118,13 @@ def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
 
 
 def first_integrals(jets: PairJets) -> FirstIntegralVector:
-    """First integrals f_1..f_n at the point and their delta counterparts.
+    """H, its characteristic polynomial and the first integrals at the point.
 
     The constant term of the characteristic polynomial is computed and
     checked against ~0 rather than assumed; a violation is reported as a
     degenerate angular metric since it means H lost its kernel.
     """
-    jet, jet_t = jets.base, jets.comparison
-    H = (jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
+    H = build_H(jets)
     coeffs = charpoly_coefficients(H)
     # ||H||^n may overflow: to inf, which keeps the guard meaningful, and
     # silently, as a float power would raise
@@ -133,8 +134,8 @@ def first_integrals(jets: PairJets) -> FirstIntegralVector:
         raise DegenerateAngularMetric(
             f"constant charpoly term {coeffs[0]:.3e} not negligible "
             f"against ||H||^n = {scale:.3e}")
-    f = coeffs[1:].copy()
-    return FirstIntegralVector(f=f, delta=f * jet.det_g)
+    return FirstIntegralVector(H=H, coeffs=coeffs,
+                               delta=coeffs[1:] * jets.base.det_g)
 
 
 def f1_closed_form(jets: PairJets) -> float:
@@ -191,15 +192,14 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
     """f_1..f_n evaluated at every trajectory sample, shape (n_samples, n).
 
     Along a geodesic of the pair's base metric, the base jets the
-    integrator evaluated at each sample are reused, and only the comparison
-    metric is evaluated here; along any other metric's geodesics both are.
-    Each metric evaluated here runs one stacked pass over all samples.
+    integrator evaluated at each sample are reused; along any other
+    metric's geodesics they come from one stacked pass over all samples, as
+    the comparison jets always do.
     """
     states = traj.states
-    if traj.metric is not pair.base:
-        return np.array([first_integrals(jets).f
-                         for jets in pair_jets(pair, states)])
+    base = (traj.jets if traj.metric is pair.base
+            else metric_jet(pair.base, states))
     return np.array([
         first_integrals(PairJets(jet, jet_t, p.y)).f
-        for jet, jet_t, p in zip(traj.jets,
-                                 metric_jet(pair.comparison, states), states)])
+        for jet, jet_t, p in zip(base, metric_jet(pair.comparison, states),
+                                 states)])

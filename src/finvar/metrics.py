@@ -34,7 +34,7 @@ Named 1-form choices for ``randers``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -109,7 +109,6 @@ class FinslerMetric:
     evaluator: Callable
     domain: Callable[[np.ndarray], bool]
     reversible: bool = True
-    descriptor: dict = field(default_factory=dict)
     matrix_field: Callable | None = None
     beta_closed: bool | None = None
 
@@ -124,13 +123,6 @@ class FinslerMetric:
             if exc.metric is None:
                 exc.metric = self.name
             raise
-
-    def value(self, p: TangentPoint) -> float:
-        """F(x, y) at a tangent point."""
-        if p.dim != self.dim:
-            raise ConfigError(
-                f"{self.name} has dimension {self.dim}, point has {p.dim}")
-        return float(self(list(p.x), list(p.y)))
 
 
 @dataclass(frozen=True)
@@ -398,16 +390,14 @@ def catalog_metric(desc: dict) -> FinslerMetric:
 
     if kind == "euclidean":
         n = _require_dim(desc)
-        return FinslerMetric("euclidean", n, _euclidean_field, _all_space,
-                             descriptor=dict(desc))
+        return FinslerMetric("euclidean", n, _euclidean_field, _all_space)
     if kind == "klein":
         n = _require_dim(desc)
-        return FinslerMetric("klein", n, _klein_field, _unit_ball,
-                             descriptor=dict(desc))
+        return FinslerMetric("klein", n, _klein_field, _unit_ball)
     if kind == "funk":
         n = _require_dim(desc)
         return FinslerMetric("funk", n, _funk_field, _unit_ball,
-                             reversible=False, descriptor=dict(desc))
+                             reversible=False)
     if kind == "riemannian":
         n = _require_dim(desc)
         a_field = _matrix_field(desc.get("field", "const_diag"),
@@ -417,8 +407,7 @@ def catalog_metric(desc: dict) -> FinslerMetric:
             return gsqrt(_quadratic_form(_a(xs), ys))
 
         return FinslerMetric(f"riemannian[{desc.get('field')}]", n,
-                             riemann_eval, _all_space, descriptor=dict(desc),
-                             matrix_field=a_field)
+                             riemann_eval, _all_space, matrix_field=a_field)
     if kind == "randers":
         n = _require_dim(desc)
         a_field = _matrix_field(desc.get("alpha_field", "const_diag"),
@@ -442,8 +431,7 @@ def catalog_metric(desc: dict) -> FinslerMetric:
 
         return FinslerMetric(f"randers[{desc.get('beta')}]", n, randers_eval,
                              randers_domain, reversible=False,
-                             descriptor=dict(desc), matrix_field=a_field,
-                             beta_closed=closed)
+                             matrix_field=a_field, beta_closed=closed)
     if kind == "scaled":
         factor = desc.get("factor")
         if not (finite_number(factor) and factor > 0):
@@ -457,6 +445,5 @@ def catalog_metric(desc: dict) -> FinslerMetric:
 
         return FinslerMetric(f"scaled[{c}]{base.name}", base.dim, scaled_eval,
                              base.domain, reversible=base.reversible,
-                             descriptor=dict(desc),
                              matrix_field=base.matrix_field)
     raise ConfigError(f"unknown metric kind '{kind}'")

@@ -12,45 +12,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, OracleConditioning,
-                     OracleScopeExceeded)
+from .errors import ConfigError, DomainError, OracleScopeExceeded
 from .integrals import PairJets
 
 FD_STEP_MIN = 1e-8
 FD_STEP_MAX = 1e-3
-VANDERMONDE_COND_MAX = 1e12
 # (n!)^2 terms; beyond n=3 the sum is too slow to serve as a quick oracle.
 PERMUTATION_CUTOFF = 3
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the brute-force checks."""
-
-    fd_step: float = 1e-5
-    nodes: tuple | None = None
-    permutation_cutoff: int = PERMUTATION_CUTOFF
-
-    def __post_init__(self):
-        if not (FD_STEP_MIN <= self.fd_step <= FD_STEP_MAX):
-            raise ConfigError(
-                f"fd_step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}], "
-                f"got {self.fd_step}")
-        if self.nodes is not None and len(set(self.nodes)) != len(self.nodes):
-            raise ConfigError("interpolation nodes must be pairwise distinct")
-
-
-def charpoly_by_interpolation(M: np.ndarray,
-                              nodes=None) -> np.ndarray:
+def charpoly_by_interpolation(M: np.ndarray) -> np.ndarray:
     """Coefficients of det(M + Lambda I) via evaluation at n+1 nodes.
 
-    With default nodes the polynomial is solved in a rescaled variable
-    Lambda = s u at integer nodes u = 0..n with s = ||M||_inf, which keeps
-    the Vandermonde system well conditioned regardless of the matrix scale.
+    The polynomial is solved in a rescaled variable Lambda = s u at integer
+    nodes u = 0..n with s = ||M||_inf, which keeps the Vandermonde system
+    well conditioned regardless of the matrix scale.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0] if M.ndim == 2 else 0
@@ -58,28 +37,14 @@ def charpoly_by_interpolation(M: np.ndarray,
         raise ConfigError(f"expected a square matrix of size >= 2, "
                           f"got shape {M.shape}")
     eye = np.eye(n)
-    if nodes is None:
-        s = float(np.abs(M).max())
-        if s == 0.0:
-            s = 1.0
-        u = np.arange(n + 1, dtype=float)
-        V = np.vander(u, increasing=True)
-        dets = np.array([np.linalg.det(M + (s * uk) * eye) for uk in u])
-        q = np.linalg.solve(V, dets)
-        return q / s ** np.arange(n + 1)
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.shape != (n + 1,):
-        raise ConfigError(f"need exactly {n + 1} nodes, got {nodes.shape}")
-    if len(set(nodes.tolist())) != n + 1:
-        raise ConfigError("interpolation nodes must be pairwise distinct")
-    V = np.vander(nodes, increasing=True)
-    cond = np.linalg.cond(V)
-    if cond > VANDERMONDE_COND_MAX:
-        raise OracleConditioning(
-            f"Vandermonde condition number {cond:.3e} exceeds "
-            f"{VANDERMONDE_COND_MAX:.0e}")
-    dets = np.array([np.linalg.det(M + lk * eye) for lk in nodes])
-    return np.linalg.solve(V, dets)
+    s = float(np.abs(M).max())
+    if s == 0.0:
+        s = 1.0
+    u = np.arange(n + 1, dtype=float)
+    V = np.vander(u, increasing=True)
+    dets = np.array([np.linalg.det(M + (s * uk) * eye) for uk in u])
+    q = np.linalg.solve(V, dets)
+    return q / s ** np.arange(n + 1)
 
 
 def _perm_sign(perm: tuple) -> int:
@@ -91,8 +56,7 @@ def _perm_sign(perm: tuple) -> int:
     return sign
 
 
-def delta_alpha_combinatorial(jets: PairJets, alpha: int,
-                              config: OracleConfig = OracleConfig()) -> float:
+def delta_alpha_combinatorial(jets: PairJets, alpha: int) -> float:
     """delta_alpha by direct enumeration of the permutation-pair sum.
 
     The coefficient of Lambda^alpha in det((F/F~) h~ + Lambda g) equals
@@ -106,9 +70,9 @@ def delta_alpha_combinatorial(jets: PairJets, alpha: int,
     and must match f_alpha det g from the production path.
     """
     n = jets.dim
-    if n > config.permutation_cutoff:
+    if n > PERMUTATION_CUTOFF:
         raise OracleScopeExceeded(
-            f"combinatorial sum limited to n <= {config.permutation_cutoff}, "
+            f"combinatorial sum limited to n <= {PERMUTATION_CUTOFF}, "
             f"got n = {n}")
     if not 1 <= alpha <= n:
         raise ConfigError(f"alpha must lie in 1..{n}, got {alpha}")

@@ -63,7 +63,7 @@ def _conservation_run(pair, integrated_metric, n):
         traj = integrate_geodesic(integrated_metric, p0, T_END,
                                   method="rkf45", rtol=1e-10, atol=1e-10)
         f_vals = integrals_along(pair, traj)
-        energy = trajectory_energy(integrated_metric, traj)
+        energy = trajectory_energy(traj)
         rel_drift = (np.abs(f_vals - f_vals[0])
                      / np.maximum(1.0, np.abs(f_vals[0]))).max(axis=0)
         abs_drift = np.abs(f_vals - f_vals[0]).max(axis=0)

@@ -356,6 +356,28 @@ class TestCliContract:
         assert payload["message"].startswith(where)
         assert payload["message"].endswith("(point 2)")
 
+    @pytest.mark.parametrize("base, comparison, message", [
+        ("euclidean", "klein",
+         "klein: base point [2. 0.] outside domain (trajectory 2, point 0)"),
+        ("klein", "funk",
+         "klein: initial point [2. 0.] outside domain (trajectory 2)"),
+    ], ids=["comparison_domain", "base_domain"])
+    def test_geodesic_error_names_the_trajectory(self, tmp_path, capsys,
+                                                 base, comparison, message):
+        # a point index alone counts the samples of one trajectory
+        points = [{"x": [0.1, 0.2], "y": [1.0, 0.0]},
+                  {"x": [-0.2, 0.1], "y": [0.3, 0.7]},
+                  {"x": [2.0, 0.0], "y": [1.0, 0.0]}]
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": base, "dim": 2},
+            "comparison": {"kind": comparison, "dim": 2},
+        }, points=points)
+        code, out, err = run(capsys, "geodesic", "--config", cfg)
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert payload["message"] == message
+
     @pytest.mark.parametrize("factor", [1e308, 1e200])
     def test_verify_overflow_is_a_runtime_error(self, tmp_path, capsys,
                                                 factor):

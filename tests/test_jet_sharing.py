@@ -1,15 +1,20 @@
 """Each metric jet is computed once per point, in one stacked pass per metric
-and command: call and lane counts, never timings."""
+and command, and so are H, its characteristic polynomial and the first
+integrals: call and lane counts, never timings."""
 
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import finvar.config
 import finvar.dynamics
+import finvar.integrals
 import finvar.metrics
-from finvar import (first_integrals, integrals_along, integrate_geodesic,
-                    pair_jets)
+from finvar import (HyperDual, first_integrals, integrals_along,
+                    integrate_geodesic, pair_jets)
 from finvar.cli import main
 
 from conftest import make_pair, sample_points
@@ -39,9 +44,28 @@ def jet_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command", ["evaluate", "verify", "oracle"])
-@pytest.mark.parametrize("n", [2, 3])
-def test_two_jets_per_point(tmp_path, capsys, jet_calls, command, n):
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) counts the calls of the finvar.integrals function
+    ``name`` from every finvar module holding it; returns the call list."""
+    def install(name):
+        original = getattr(finvar.integrals, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "finvar" or module_name.startswith("finvar."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+    return install
+
+
+def run_command(tmp_path, capsys, command, n, **settings):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "schema_version": 1,
@@ -49,12 +73,61 @@ def test_two_jets_per_point(tmp_path, capsys, jet_calls, command, n):
                  "comparison": {"kind": "funk", "dim": n}},
         "samples": {"count": POINTS},
         "seed": 5,
+        **settings,
     }))
     assert main([command, "--config", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify", "oracle"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_two_jets_per_point(tmp_path, capsys, jet_calls, command, n):
+    run_command(tmp_path, capsys, command, n)
     # each point's jet exactly once, in one stacked pass per metric
     assert lanes(jet_calls, "funk") == lanes(jet_calls, "klein") == POINTS
     assert sorted(name for name, _ in jet_calls) == ["funk", "klein"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "oracle"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_charpoly_per_point(tmp_path, capsys, count_calls, command, n):
+    calls = count_calls("charpoly_coefficients")
+    run_command(tmp_path, capsys, command, n)
+    assert len(calls) == POINTS
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_forms_first_integrals_once_per_point(tmp_path, capsys,
+                                                      count_calls, n):
+    # also at n = 4, where the combinatorial oracle is skipped: the q0
+    # guard of first_integrals still runs at every point
+    calls = count_calls("first_integrals")
+    run_command(tmp_path, capsys, "oracle", n)
+    assert len(calls) == POINTS
+
+
+def test_geodesic_evaluates_the_base_metric_only_in_jets(tmp_path, capsys,
+                                                         monkeypatch):
+    # the energy comes from the base jets the integrator carries, not from
+    # a second evaluation of the field with plain floats
+    calls = []
+    catalog = finvar.config.catalog_metric
+
+    def recording(desc):
+        metric = catalog(desc)
+        if desc["kind"] != "klein":
+            return metric
+
+        def field(xs, ys):
+            calls.append(isinstance(ys[0], HyperDual))
+            return metric.evaluator(xs, ys)
+
+        return replace(metric, evaluator=field)
+
+    monkeypatch.setattr(finvar.config, "catalog_metric", recording)
+    run_command(tmp_path, capsys, "geodesic", 2,
+                samples={"trajectories": 2})
+    assert calls and all(calls)
 
 
 def _trajectory(pair, method):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from finvar import (ConfigError, DomainError, OracleConditioning,
-                    OracleConfig, OracleScopeExceeded, TangentPoint,
-                    charpoly_by_interpolation, charpoly_coefficients,
+from finvar import (ConfigError, DomainError, OracleScopeExceeded,
+                    TangentPoint, charpoly_by_interpolation,
+                    charpoly_coefficients,
                     christoffel_oracle, delta_alpha_combinatorial,
                     fd_derivative, first_integrals, metric_jet, pair_jets,
                     spray_coefficients)
@@ -16,8 +16,7 @@ from conftest import make_metric, make_pair, sample_points
 
 class TestInterpolationCharpoly:
     def test_diag_example(self):
-        coeffs = charpoly_by_interpolation(np.diag([1.0, 2.0]),
-                                           nodes=(0.0, 1.0, 2.0))
+        coeffs = charpoly_by_interpolation(np.diag([1.0, 2.0]))
         assert coeffs == pytest.approx([2.0, 3.0, 1.0], abs=1e-12)
 
     def test_zero_matrix(self):
@@ -39,19 +38,6 @@ class TestInterpolationCharpoly:
         a = charpoly_coefficients(M)
         b = charpoly_by_interpolation(M)
         assert np.abs(a - b).max() <= 1e-9 * np.abs(a).max()
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ConfigError):
-            charpoly_by_interpolation(np.eye(2), nodes=(0.0, 1.0, 1.0))
-
-    def test_ill_conditioned_nodes_rejected(self):
-        with pytest.raises(OracleConditioning):
-            charpoly_by_interpolation(np.eye(3),
-                                      nodes=(0.0, 1e-14, 2e-14, 3e-14))
-
-    def test_wrong_node_count(self):
-        with pytest.raises(ConfigError):
-            charpoly_by_interpolation(np.eye(2), nodes=(0.0, 1.0))
 
 
 class TestCombinatorialDelta:
@@ -189,11 +175,3 @@ class TestChristoffel:
     def test_non_positive_definite_rejected(self):
         with pytest.raises(DomainError):
             christoffel_oracle(lambda xs: [[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
-
-
-def test_oracle_config_validation():
-    assert OracleConfig().fd_step == 1e-5
-    with pytest.raises(ConfigError):
-        OracleConfig(fd_step=1.0)
-    with pytest.raises(ConfigError):
-        OracleConfig(nodes=(0.0, 1.0, 1.0))
