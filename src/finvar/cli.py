@@ -9,9 +9,11 @@ byte-identical for identical config + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import ConfigError, FinvarError, OracleScopeExceeded
 from .integrals import (f1_closed_form, first_integrals, fn1_closed_form,
                         integrals_along, mu, pair_jets, painleve_I0,
                         sarlet_K, tm_I1)
+from .metrics import ProjectivePair
 from .oracle import charpoly_by_interpolation, delta_alpha_combinatorial
 
 # Default pass thresholds per command; --tolerance overrides the main one.
@@ -34,13 +37,6 @@ ORACLE_COMB_TOL = 1e-8
 ORACLE_INTERP_TOL = 1e-9
 
 
-def _json_default(obj):
-    """numpy arrays and scalars as the lists and numbers they hold."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(b))
 
@@ -51,12 +47,12 @@ def _default_velocity_scale(cfg: RunConfig, command: str) -> float:
     return 0.3 if command == "geodesic" else 1.0
 
 
-def _points(cfg: RunConfig, command: str, count: int):
+def _points(cfg: RunConfig, pair: ProjectivePair, command: str, count: int):
     if cfg.points:
         return cfg.explicit_points()
     rng = np.random.default_rng(cfg.seed)
     return sample_tangent_points(
-        cfg.build_pair(), count, rng, box=cfg.samples.box,
+        pair, count, rng, box=cfg.samples.box,
         velocity_scale=_default_velocity_scale(cfg, command))
 
 
@@ -68,7 +64,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     worst = {"f1_rel_err": 0.0, "fn1_rel_err": 0.0, "ri0_rel_err": 0.0,
              "ri1_rel_err": 0.0, "q0_abs": 0.0}
     n = pair.dim
-    points = _points(cfg, "evaluate", cfg.samples.count)
+    points = _points(cfg, pair, "evaluate", cfg.samples.count)
     for idx, (p, jets) in enumerate(zip(points, pair_jets(pair, points))):
         jet, jet_t = jets.base, jets.comparison
         fiv = first_integrals(jets)
@@ -119,7 +115,8 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     n = pair.dim
     trajectories = []
     all_pass = True
-    for idx, p0 in enumerate(_points(cfg, "geodesic", cfg.samples.trajectories)):
+    points = _points(cfg, pair, "geodesic", cfg.samples.trajectories)
+    for idx, p0 in enumerate(points):
         try:
             # The integrator keeps the base metric's domain; the comparison
             # metric's may end sooner, as a ball does for straight lines.
@@ -177,7 +174,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Projective-equivalence residual over a seeded sample grid."""
     pair = cfg.build_pair()
     tol = cfg.tolerance if cfg.tolerance is not None else RAPCSAK_TOL
-    samples = _points(cfg, "verify", cfg.samples.count)
+    samples = _points(cfg, pair, "verify", cfg.samples.count)
     rep = rapcsak_residual(pair, samples)
     verdict = rep.passes(tol)
     report = {
@@ -200,7 +197,8 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     tol = cfg.tolerance
     interp_tol = tol if tol is not None else ORACLE_INTERP_TOL
     comb_tol = tol if tol is not None else ORACLE_COMB_TOL
-    point_jets = pair_jets(pair, _points(cfg, "oracle", cfg.samples.count))
+    point_jets = pair_jets(pair,
+                           _points(cfg, pair, "oracle", cfg.samples.count))
     fivs = [first_integrals(jets) for jets in point_jets]
     n = pair.dim
     checks = []
@@ -325,12 +323,70 @@ _CSV_WRITERS = {
 }
 
 
+# json's spelling of the float reprs that are not JSON numbers
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _block(items, indent: str, brackets: str) -> str:
+    """A non-empty JSON array or object: one encoded item per line."""
+    inner = indent + "  "
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
+def _encode_rows(rows: list, indent: str) -> str:
+    """Nested lists of finite floats, one join per innermost row."""
+    if not rows:
+        return "[]"
+    if isinstance(rows[0], list):
+        inner = indent + "  "
+        return _block((_encode_rows(row, inner) for row in rows), indent, "[]")
+    return _block(map(float.__repr__, rows), indent, "[]")
+
+
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, with
+    numpy arrays and scalars written as the lists and numbers they hold;
+    ``indent`` is the indentation of the line ``obj`` starts on. Dict keys
+    must be strings."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return _block((encode_basestring_ascii(key) + ": "
+                       + _encode(value, inner)
+                       for key, value in sorted(obj.items())), indent, "{}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return _block((_encode(value, inner) for value in obj), indent, "[]")
+    if (isinstance(obj, np.ndarray) and obj.ndim
+            and obj.dtype == np.float64 and np.isfinite(obj).all()):
+        return _encode_rows(obj.tolist(), indent)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _encode(obj.tolist(), indent)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(cfg: RunConfig, command: str, report: dict) -> None:
     if cfg.fmt == "csv":
         text = _CSV_WRITERS[command](report)
     else:
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          default=_json_default) + "\n"
+        text = _encode(report, "") + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -338,7 +394,10 @@ def _emit(cfg: RunConfig, command: str, report: dict) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, so
+    # repeated in-process calls of main share it
     parser = argparse.ArgumentParser(
         prog="finvar",
         description="First integrals of projectively related Finsler metrics")

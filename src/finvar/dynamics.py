@@ -63,8 +63,6 @@ class GeodesicTrajectory:
     times: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-    step_size: float | None
-    integrator_name: str
     metric: FinslerMetric = field(repr=False)
     jets: tuple[MetricJet, ...] = field(repr=False)
     domain_exit: bool = False
@@ -187,7 +185,7 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
     else:
         raise ConfigError(f"unknown integrator '{method}'")
-    times, zs, jets, domain_exit, n_acc, n_rej, h_used = out
+    times, zs, jets, domain_exit, n_acc, n_rej = out
     times = np.asarray(times)
     zs = np.asarray(zs)
     n = metric.dim
@@ -197,8 +195,7 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         jets = jets[::-1]
     return GeodesicTrajectory(
         times=times, xs=zs[:, :n].copy(), ys=zs[:, n:].copy(),
-        step_size=h_used, integrator_name=method, metric=metric,
-        jets=tuple(jets), domain_exit=domain_exit,
+        metric=metric, jets=tuple(jets), domain_exit=domain_exit,
         n_accepted=n_acc, n_rejected=n_rej)
 
 
@@ -232,7 +229,7 @@ def _integrate_rk4(metric, rhs, z0, t_end, step):
         times.append((k + 1) * h)
         zs.append(z)
         jets.append(_state_jet(metric, z))
-    return times, zs, jets, domain_exit, len(times) - 1, 0, abs(h)
+    return times, zs, jets, domain_exit, len(times) - 1, 0
 
 
 def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
@@ -284,7 +281,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         if abs(h) < H_MIN:
             raise IntegratorStall(
                 f"step size fell below {H_MIN:.0e} at t={t:.6g}")
-    return times, zs, jets, domain_exit, n_acc, n_rej, None
+    return times, zs, jets, domain_exit, n_acc, n_rej
 
 
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:

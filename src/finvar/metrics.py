@@ -110,7 +110,6 @@ class FinslerMetric:
     domain: Callable[[np.ndarray], bool]
     reversible: bool = True
     matrix_field: Callable | None = None
-    beta_closed: bool | None = None
 
     def __call__(self, xs, ys):
         x = lane_values(xs)
@@ -327,8 +326,8 @@ def _matrix_field(name: str, params, n: int) -> Callable:
     raise ConfigError(f"unknown matrix field '{name}'")
 
 
-def _beta_field(beta_desc: dict, n: int) -> tuple[Callable, bool]:
-    """Covector field and whether it is closed (exact)."""
+def _beta_field(beta_desc: dict, n: int) -> Callable:
+    """Covector field of a Randers metric."""
     if not isinstance(beta_desc, dict):
         raise ConfigError(f"randers beta must be an object, got {beta_desc!r}")
     if "potential" in beta_desc:
@@ -336,16 +335,16 @@ def _beta_field(beta_desc: dict, n: int) -> tuple[Callable, bool]:
         params = finite_vector(beta_desc.get("params", []),
                                f"potential '{pot}' params", n)
         if pot == "linear":
-            return (lambda xs: list(params)), True
+            return lambda xs: list(params)
         if pot == "quadratic":
-            return (lambda xs: [params[i] * xs[i] for i in range(n)]), True
+            return lambda xs: [params[i] * xs[i] for i in range(n)]
         raise ConfigError(f"unknown potential '{pot}'")
     if "covector" in beta_desc:
         cov = beta_desc["covector"]
         if cov == "x2_dx1":
             if n < 2:
                 raise ConfigError("x2_dx1 needs dimension >= 2")
-            return (lambda xs: [xs[1]] + [0.0] * (n - 1)), False
+            return lambda xs: [xs[1]] + [0.0] * (n - 1)
         raise ConfigError(f"unknown covector field '{cov}'")
     raise ConfigError("randers beta needs a 'potential' or 'covector' entry")
 
@@ -412,7 +411,7 @@ def catalog_metric(desc: dict) -> FinslerMetric:
         n = _require_dim(desc)
         a_field = _matrix_field(desc.get("alpha_field", "const_diag"),
                                 desc.get("alpha_params", [1.0] * n), n)
-        beta, closed = _beta_field(desc.get("beta", {}), n)
+        beta = _beta_field(desc.get("beta", {}), n)
         probes = [np.zeros(n)]
         for i in range(n):
             e = np.zeros(n)
@@ -431,7 +430,7 @@ def catalog_metric(desc: dict) -> FinslerMetric:
 
         return FinslerMetric(f"randers[{desc.get('beta')}]", n, randers_eval,
                              randers_domain, reversible=False,
-                             matrix_field=a_field, beta_closed=closed)
+                             matrix_field=a_field)
     if kind == "scaled":
         factor = desc.get("factor")
         if not (finite_number(factor) and factor > 0):

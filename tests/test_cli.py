@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar.cli import main
+from finvar.cli import _build_parser, main
 
 NAN = float("nan")
 
@@ -432,6 +432,45 @@ class TestCliContract:
         code, out, _ = run(capsys, "verify", "--config", cfg,
                            "--tolerance", "1e-30")
         assert code == 1
+
+
+class TestRepeatedMain:
+    """main may be called many times in one process; its parser is built
+    once and no flag carries over from one call to the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        _build_parser.cache_clear()
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        first = run(capsys, "verify", "--config", cfg)
+        code, out, _ = run(capsys, "verify", "--config", cfg, "--seed", "1",
+                           "--format", "csv")
+        assert code == 0 and out.startswith("index,residual_norm\n")
+        assert run(capsys, "verify", "--config", cfg) == first
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "oracle", "--config", cfg,
+                           "--out", str(out_path))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, "oracle", "--config", cfg)
+        assert code == 0 and out == out_path.read_text()
+
+    def test_argv_error_then_valid_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", cfg, "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", "--config", cfg)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "pass"
 
 
 # -- config fuzz -------------------------------------------------------------

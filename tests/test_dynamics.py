@@ -213,7 +213,6 @@ class TestRapcsak:
         from finvar import catalog_metric
         comp = catalog_metric({"kind": "randers", "dim": 2,
                                "beta": {"covector": "x2_dx1"}})
-        assert comp.beta_closed is False
         pair = ProjectivePair(EUCLID, comp)
         rep = rapcsak_residual(pair, sample_points(pair, 100, seed=53))
         assert rep.max_residual >= 1e-2

@@ -79,6 +79,23 @@ def run_command(tmp_path, capsys, command, n, **settings):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command",
+                         ["evaluate", "geodesic", "verify", "oracle"])
+def test_one_pair_per_command(tmp_path, capsys, monkeypatch, command):
+    # the sampler draws from the command's pair instead of building its own
+    calls = []
+    catalog = finvar.config.catalog_metric
+
+    def recording(desc):
+        calls.append(desc["kind"])
+        return catalog(desc)
+
+    monkeypatch.setattr(finvar.config, "catalog_metric", recording)
+    run_command(tmp_path, capsys, command, 2,
+                samples={"count": POINTS, "trajectories": 2})
+    assert sorted(calls) == ["funk", "klein"]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "verify", "oracle"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_two_jets_per_point(tmp_path, capsys, jet_calls, command, n):
