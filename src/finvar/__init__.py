@@ -8,9 +8,8 @@ brute-force oracles.
 """
 
 from .autodiff import HyperDual, Jet2, xy_jet2
-from .dynamics import (GeodesicTrajectory, RapcsakReport, geodesic_rhs,
-                       integrate_geodesic, path_distance, rapcsak_residual,
-                       resample_by_arclength, spray_coefficients,
+from .dynamics import (GeodesicTrajectory, RapcsakReport, integrate_geodesic,
+                       path_distance, rapcsak_residual, resample_by_arclength,
                        trajectory_energy)
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
                      DomainError, FinvarError, IntegratorStall,
@@ -38,9 +37,9 @@ __all__ = [
     "TangentPoint", "angular_rank_check", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",
     "christoffel_oracle", "delta_alpha_combinatorial", "f1_closed_form",
-    "fd_derivative", "first_integrals", "fn1_closed_form", "geodesic_rhs",
+    "fd_derivative", "first_integrals", "fn1_closed_form",
     "integrals_along", "integrate_geodesic", "metric_jet", "mu",
     "painleve_I0", "pair_jets", "path_distance", "rapcsak_residual",
-    "resample_by_arclength", "sarlet_K", "spray_coefficients", "tm_I1",
+    "resample_by_arclength", "sarlet_K", "tm_I1",
     "trajectory_energy", "xy_jet2",
 ]

@@ -1,25 +1,37 @@
 """Forward-mode second-order automatic differentiation over lanes of points.
 
 A :class:`HyperDual` carries a value, a gradient over ``m`` seeded variables,
-and the full symmetric Hessian in one pass, so every second derivative of a
-scalar field is exact to machine precision. This is the substrate for all
-metric tensors in the package: fields are written once against generic
-scalars and evaluated with plain floats or with hyper-duals.
+and Hessian rows in one pass, so every second derivative of a scalar field
+is exact to machine precision. This is the substrate for all metric tensors
+in the package: fields are written once against generic scalars and
+evaluated with plain floats or with hyper-duals.
 
-One class and one arithmetic code path serve two lane layouts:
+It keeps the Hessian rows of the last ``r`` variables, as many as its seeds
+have: all of them from :func:`seed_variables`, and from :func:`xy_jet2` the
+velocity rows ``[F_yx | F_yy]`` (r = n, m = 2n), all the package reads. One
+class and one arithmetic code path serve two lane layouts:
 
 * **one point:** ``val`` is a Python float, ``grad`` has shape (1, m) and
-  ``hess`` (m, m);
+  ``hess`` (r, m);
 * **N points:** ``val`` has shape (N, 1, 1), ``grad`` (N, 1, m) and ``hess``
-  (N, m, m), one lane per point.
+  (N, r, m), one lane per point (seeds keep lane-free ones, which broadcast).
 
-Products of gradients are formed as ``grad.swapaxes(-1, -2) * other.grad``,
-which broadcasts to the (m, m) outer product in either layout; every other
-operation is elementwise. So lane k of a stacked pass performs exactly the
-floating-point operations of a one-point pass at point k, and the two agree
-bitwise. Evaluating N points at once, the structure-of-arrays form of
-vectorized forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 13), replaces N interpreted passes by one.
+A product adds the kept rows of the outer product ``grad.swapaxes(-1, -2) *
+other.grad``, (m, m) in either layout, and of its transpose; ``sqrt``,
+``reciprocal`` and powers form their self-outer product over the kept rows.
+So each kept entry takes the floating-point operations of a full Hessian in
+the same order, and lane k of a stacked pass those of a one-point pass at
+point k: the two agree bitwise. Evaluating N points at once, the
+structure-of-arrays form of vectorized forward-mode Taylor arithmetic
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), replaces N
+interpreted passes by one.
+
+Seeds share cached read-only unit gradients and one zero Hessian per shape;
+a product of two operands carrying it (seeds, or seeds plus a number) adds
+only its cross terms. For finite values that is exact: the dropped terms,
+value times zero Hessian, are +-0, each cross entry of two unit gradients is
++0 or 1, and +-0 plus such an entry is that entry. Constants have zero
+Hessians of their own and never take this rule.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). A stack is evaluated ``LANES`` points at a time, so the
@@ -30,6 +42,7 @@ variables (m <= 16), where flat numpy arrays beat any sparsity bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,16 +59,14 @@ SQRT_FLOOR = 1e-26
 # hyper-dual, whatever the number of points.
 LANES = 64
 
-_ZERO_HESS: dict[int, np.ndarray] = {}
 
-
-def _zeros(m: int) -> np.ndarray:
-    z = _ZERO_HESS.get(m)
-    if z is None:
-        z = np.zeros((m, m))
-        z.setflags(write=False)
-        _ZERO_HESS[m] = z
-    return z
+@functools.cache
+def _seed_arrays(rows: int, m: int):
+    """What every seed over ``m`` variables with ``rows`` Hessian rows shares:
+    read-only views (from broadcast_to) of the unit gradients, and of the
+    zero Hessian whose identity marks seed products."""
+    return (tuple(np.broadcast_to(np.eye(m)[:, None], (m, 1, m))),
+            np.broadcast_to(0.0, (rows, m)))
 
 
 # -- lanes --------------------------------------------------------------------
@@ -96,8 +107,8 @@ class HyperDual:
 
     @classmethod
     def constant(cls, value: float, m: int) -> "HyperDual":
-        """A one-point constant; it broadcasts against stacked lanes."""
-        return cls(float(value), np.zeros((1, m)), _zeros(m))
+        """A one-point constant with all Hessian rows; it broadcasts."""
+        return cls(float(value), np.zeros((1, m)), np.zeros((m, m)))
 
     def __repr__(self) -> str:
         return f"HyperDual({self.val!r}, grad={self.grad!r})"
@@ -124,19 +135,24 @@ class HyperDual:
     def __neg__(self):
         return HyperDual(-self.val, -self.grad, -self.hess)
 
-    def _outer(self, other: "HyperDual") -> np.ndarray:
-        """grad_i * other.grad_j, in either lane layout."""
-        return self.grad.swapaxes(-1, -2) * other.grad
+    def _outer_rows(self) -> np.ndarray:
+        """grad_i * grad_j over the kept rows i, in either lane layout."""
+        g = self.grad
+        return g[..., g.shape[-1] - self.hess.shape[-2]:].swapaxes(-1, -2) * g
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            cross = self._outer(other)
-            return HyperDual(
-                self.val * other.val,
-                self.val * other.grad + other.val * self.grad,
-                self.val * other.hess + other.val * self.hess + cross
-                + cross.swapaxes(-1, -2),
-            )
+            h = self.hess
+            cross = self.grad.swapaxes(-1, -2) * other.grad
+            rows = ..., slice(cross.shape[-1] - h.shape[-2], None), slice(None)
+            if h is other.hess and h is _seed_arrays(*h.shape[-2:])[1]:
+                hess = (cross + cross.swapaxes(-1, -2))[rows]
+            else:
+                hess = (self.val * other.hess + other.val * h + cross[rows]
+                        + cross.swapaxes(-1, -2)[rows])
+            return HyperDual(self.val * other.val,
+                             self.val * other.grad + other.val * self.grad,
+                             hess)
         return HyperDual(self.val * other, other * self.grad, other * self.hess)
 
     __rmul__ = __mul__
@@ -145,7 +161,7 @@ class HyperDual:
         inv = 1.0 / self.val
         inv2 = inv * inv
         return HyperDual(inv, -inv2 * self.grad,
-                         (2.0 * inv2 * inv) * self._outer(self)
+                         (2.0 * inv2 * inv) * self._outer_rows()
                          - inv2 * self.hess)
 
     def __truediv__(self, other):
@@ -160,7 +176,8 @@ class HyperDual:
         if not isinstance(p, (int, float)):
             return NotImplemented
         if p == 0:
-            return HyperDual.constant(1.0, self.grad.shape[-1])
+            return HyperDual(1.0, np.zeros_like(self.grad),
+                             np.zeros_like(self.hess))
         if p == 1:
             return HyperDual(self.val, self.grad, self.hess)
         if p == 2:
@@ -169,7 +186,7 @@ class HyperDual:
         d1 = p * v ** (p - 1)
         d2 = p * (p - 1) * v ** (p - 2)
         return HyperDual(v ** p, d1 * self.grad,
-                         d1 * self.hess + d2 * self._outer(self))
+                         d1 * self.hess + d2 * self._outer_rows())
 
     def sqrt(self) -> "HyperDual":
         v = self.val
@@ -181,29 +198,25 @@ class HyperDual:
         d1 = 0.5 / s
         d2 = -0.25 / (v * s)
         return HyperDual(s, d1 * self.grad,
-                         d1 * self.hess + d2 * self._outer(self))
+                         d1 * self.hess + d2 * self._outer_rows())
+
+
+def _seeds(values, m: int, offset: int, rows: int) -> list[HyperDual]:
+    values = np.asarray(values, dtype=float)
+    grads, hess = _seed_arrays(rows, m)
+    return [HyperDual(float(values[i]) if values.ndim == 1
+                      else values[:, i, None, None],
+                      grads[offset + i], hess)
+            for i in range(values.shape[-1])]
 
 
 def seed_variables(values, m: int, offset: int = 0) -> list[HyperDual]:
     """Lift ``values`` to hyper-duals seeded as variables offset..offset+k-1.
 
-    ``values`` of shape (k,) gives one-point hyper-duals; a stack of shape
-    (N, k) gives hyper-duals over N lanes.
+    ``values`` of shape (k,) gives one-point hyper-duals and a stack of shape
+    (N, k) hyper-duals over N lanes, all with full Hessian rows.
     """
-    values = np.asarray(values, dtype=float)
-    out = []
-    for i in range(values.shape[-1]):
-        g = np.zeros((1, m))
-        g[0, offset + i] = 1.0
-        g.setflags(write=False)
-        if values.ndim == 1:
-            out.append(HyperDual(float(values[i]), g, _zeros(m)))
-        else:
-            lanes = values.shape[0]
-            out.append(HyperDual(values[:, i, None, None],
-                                 np.broadcast_to(g, (lanes, 1, m)),
-                                 np.broadcast_to(_zeros(m), (lanes, m, m))))
-    return out
+    return _seeds(values, m, offset, m)
 
 
 def scalar_value(z):
@@ -247,9 +260,9 @@ def gdot(u, v):
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient, and symmetric Hessian of a scalar field in the seeded
-    variables: a float, (m,) and (m, m) at one point; (N,), (N, m) and
-    (N, m, m) over N points."""
+    """Value, gradient, and Hessian rows of a scalar field in the seeded
+    variables: a float, (m,) and (r, m) at one point; (N,), (N, m) and
+    (N, r, m) over N points."""
 
     value: float | np.ndarray
     grad: np.ndarray
@@ -264,6 +277,7 @@ def _check_velocity(y: np.ndarray) -> None:
 def xy_jet2(f, x, y) -> Jet2:
     """One joint pass over (x, y): variables 0..n-1 are x, n..2n-1 are y.
 
+    ``hess`` holds the velocity rows ``[F_yx | F_yy]``, of shape (n, 2n).
     ``x`` and ``y`` of shape (n,) give the jet at one point; stacks of shape
     (N, n) give the jets at N points, evaluated ``LANES`` at a time. An
     error from a stack names the index of its first failing point.
@@ -274,19 +288,18 @@ def xy_jet2(f, x, y) -> Jet2:
     n = y.shape[-1]
     m = 2 * n
     if y.ndim == 1:
-        res = f(seed_variables(x, m), seed_variables(y, m, offset=n))
+        res = f(_seeds(x, m, 0, n), _seeds(y, m, n, n))
         if isinstance(res, HyperDual):
             return Jet2(res.val, res.grad[0], res.hess)
-        return Jet2(float(res), np.zeros(m), np.zeros((m, m)))
+        return Jet2(float(res), np.zeros(m), np.zeros((n, m)))
     count = y.shape[0]
     value = np.empty((count, 1, 1))
     grad = np.empty((count, 1, m))
-    hess = np.empty((count, m, m))
+    hess = np.empty((count, n, m))
     for start in range(0, count, LANES):
         chunk = slice(start, start + LANES)
         try:
-            res = f(seed_variables(x[chunk], m),
-                    seed_variables(y[chunk], m, offset=n))
+            res = f(_seeds(x[chunk], m, 0, n), _seeds(y[chunk], m, n, n))
         except FinvarError as exc:
             if exc.point is not None:
                 exc.point += start

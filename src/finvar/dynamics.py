@@ -41,16 +41,6 @@ def _flow(jet: MetricJet, y: np.ndarray) -> np.ndarray:
     return np.concatenate((y, -2.0 * _spray_vector(jet, y)))
 
 
-def spray_coefficients(metric: FinslerMetric, p: TangentPoint) -> np.ndarray:
-    """G^i of ``metric`` at ``p``; 2+-homogeneous in the velocity."""
-    return _spray_vector(metric_jet(metric, p), p.y)
-
-
-def geodesic_rhs(metric: FinslerMetric, p: TangentPoint) -> np.ndarray:
-    """Concatenated (x', y') = (y, -2G) at ``p``."""
-    return _flow(metric_jet(metric, p), p.y)
-
-
 @dataclass(frozen=True)
 class GeodesicTrajectory:
     """Accepted integration samples of one geodesic.
@@ -79,10 +69,6 @@ class GeodesicTrajectory:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    @property
-    def states(self) -> list[TangentPoint]:
-        return [TangentPoint(x, y) for x, y in zip(self.xs, self.ys)]
 
     @property
     def t_final(self) -> float:
@@ -339,8 +325,8 @@ def rapcsak_residual(pair: ProjectivePair,
                                           point=i))
     rows = []
     for p, base_jet, ft_x, ft_yy, ft_yx in zip(
-            samples, base_jets, cjet.grad[:, :n], cjet.hess[:, n:, n:],
-            cjet.hess[:, n:, :n]):
+            samples, base_jets, cjet.grad[:, :n], cjet.hess[:, :, n:],
+            cjet.hess[:, :, :n]):
         G = _spray_vector(base_jet, p.y)
         rows.append(ft_yx @ p.y - 2.0 * (ft_yy @ G) - ft_x)
     report = RapcsakReport(residuals=np.array(rows))

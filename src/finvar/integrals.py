@@ -30,7 +30,8 @@ import numpy as np
 
 from .dynamics import GeodesicTrajectory
 from .errors import ConfigError, DegenerateAngularMetric
-from .metrics import MetricJet, ProjectivePair, TangentPoint, metric_jet
+from .metrics import (MetricJet, ProjectivePair, TangentPoint, _jet_arrays,
+                      metric_jet)
 
 # |constant term| of det(H + Lambda I) must stay under this multiple of
 # ||H||_F^n; a violation means the kernel property H y = 0 degraded.
@@ -196,10 +197,11 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
     metric's geodesics they come from one stacked pass over all samples, as
     the comparison jets always do.
     """
-    states = traj.states
+    if traj.xs.shape[1] != pair.dim:
+        raise ConfigError(f"trajectory has dimension {traj.xs.shape[1]}, "
+                          f"pair has {pair.dim}")
     base = (traj.jets if traj.metric is pair.base
-            else metric_jet(pair.base, states))
-    return np.array([
-        first_integrals(PairJets(jet, jet_t, p.y)).f
-        for jet, jet_t, p in zip(base, metric_jet(pair.comparison, states),
-                                 states)])
+            else _jet_arrays(pair.base, traj.xs, traj.ys))
+    comparison = _jet_arrays(pair.comparison, traj.xs, traj.ys)
+    return np.array([first_integrals(PairJets(jet, jet_t, y)).f
+                     for jet, jet_t, y in zip(base, comparison, traj.ys)])

@@ -213,8 +213,8 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray):
                                f"floor", point=i)))
         F_x = jet.grad[..., :n]
         F_y = jet.grad[..., n:]
-        F_yy = jet.hess[..., n:, n:]
-        F_yx = jet.hess[..., n:, :n]
+        F_yy = jet.hess[..., :, n:]
+        F_yx = jet.hess[..., :, :n]
         # F against vectors and against matrices, in either layout
         F_v = np.asarray(F)[..., None]
         F_m = F_v[..., None]

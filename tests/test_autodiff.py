@@ -18,10 +18,10 @@ CURVED = make_metric("curved", 2)
 
 
 def velocity_jet(f, x, y) -> Jet2:
-    """The velocity blocks grad[n:] and hess[n:, n:] of the joint jet."""
+    """The velocity blocks grad[n:] and hess[:, n:] of the joint jet."""
     n = len(y)
     jet = xy_jet2(f, x, y)
-    return Jet2(jet.value, jet.grad[n:], jet.hess[n:, n:])
+    return Jet2(jet.value, jet.grad[n:], jet.hess[:, n:])
 
 
 def test_euclid_value_and_gradient():
@@ -46,7 +46,7 @@ def test_funk_jet_matches_finite_differences():
 
 
 # In the joint jet of a field in dimension 2, grad[:2] is the x-gradient
-# and hess[2:, :2] the mixed Hessian d^2 F / dy^i dx^j.
+# and hess[:, :2] the mixed Hessian d^2 F / dy^i dx^j.
 
 
 def test_x_gradient_euclid_vanishes():
@@ -68,16 +68,16 @@ def test_x_gradient_curved_riemannian_hand_value():
 
 
 def test_mixed_hessian_trivial_cases():
-    mixed = xy_jet2(EUCLID, [0.3, 0.1], [1.0, 2.0]).hess[2:, :2]
+    mixed = xy_jet2(EUCLID, [0.3, 0.1], [1.0, 2.0]).hess[:, :2]
     assert np.abs(mixed).max() == 0.0
     # derivative of x1 -> x1^2 vanishes at the origin
-    mixed = xy_jet2(CURVED, [0.0, 0.0], [1.0, 1.0]).hess[2:, :2]
+    mixed = xy_jet2(CURVED, [0.0, 0.0], [1.0, 1.0]).hess[:, :2]
     assert np.abs(mixed).max() < 1e-14
 
 
 def test_mixed_hessian_funk_matches_finite_differences():
     x, y = [0.2, 0.1], [1.0, 1.0]
-    mixed = xy_jet2(FUNK, x, y).hess[2:, :2]
+    mixed = xy_jet2(FUNK, x, y).hess[:, :2]
     fd = fd_derivative(FUNK, x, y, "xy_hess")
     assert np.abs(mixed - fd).max() / np.abs(fd).max() < 1e-6
 
@@ -186,5 +186,77 @@ def test_velocity_jet_matches_joint_jet_blocks():
     velocity = FUNK(x, seed_variables(y, 2))
     joint = xy_jet2(FUNK, x, y)
     assert np.allclose(joint.grad[2:], velocity.grad, rtol=0, atol=1e-15)
-    assert np.allclose(joint.hess[2:, 2:], velocity.hess, rtol=0, atol=1e-15)
+    assert np.allclose(joint.hess[:, 2:], velocity.hess, rtol=0, atol=1e-15)
     assert float(FUNK(x, y)) == pytest.approx(joint.value, rel=1e-15)
+
+
+# -- the velocity-row engine against a full-Hessian reference, bitwise ----
+
+
+def fresh_seeds(values, m, offset):
+    """Seeds with freshly allocated gradients and full (m, m) zero Hessians,
+    one per seed: no product of them can take the shared-zero rule, so a
+    pass over them is the general full-Hessian rule."""
+    values = np.asarray(values, dtype=float)
+    lanes = values.shape[:-1]
+    seeds = []
+    for i in range(values.shape[-1]):
+        grad = np.zeros(lanes + (1, m))
+        grad[..., 0, offset + i] = 1.0
+        val = float(values[i]) if not lanes else values[:, i, None, None]
+        seeds.append(HyperDual(val, grad, np.zeros(lanes + (m, m))))
+    return seeds
+
+
+def assert_same_bytes(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# signed zeros and negative coordinates, where a changed rounding order or
+# a dropped term would show in the sign of a zero
+COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.3, 0.3))
+VELOCITY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def jet_case(draw):
+    n = draw(st.sampled_from([2, 3, 5, 8]))
+    count = draw(st.integers(0, 12))   # 0: one point
+    shape = (n,) if count == 0 else (count, n)
+    size = n * max(count, 1)
+    x = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
+    y = np.array(draw(st.lists(VELOCITY, min_size=size, max_size=size)))
+    x, y = x.reshape(shape), y.reshape(shape)
+    y[..., 0] = draw(st.sampled_from([0.5, -0.5, 1.5]))   # F off its floor
+    return n, x, y
+
+
+@given(case=jet_case(), family=st.integers(0, len(catalog_metrics(2)) - 1))
+@settings(max_examples=120, deadline=None)
+def test_velocity_rows_equal_the_full_hessian_rows_bitwise(case, family):
+    n, x, y = case
+    metric = catalog_metrics(n)[family]
+    jet = xy_jet2(metric, x, y)
+    ref = metric(fresh_seeds(x, 2 * n, 0), fresh_seeds(y, 2 * n, n))
+    lanes = x.shape[:-1]
+    assert_same_bytes(jet.value, np.reshape(ref.val, lanes))
+    assert_same_bytes(jet.grad, np.reshape(ref.grad, lanes + (2 * n,)))
+    full = np.broadcast_to(ref.hess, lanes + (2 * n, 2 * n))
+    assert_same_bytes(jet.hess, full[..., n:, :])
+
+
+@pytest.mark.parametrize("a", [-1.5, -0.0, 0.0, 2.0])
+@pytest.mark.parametrize("b", [-0.25, -0.0, 0.0, 3.0])
+def test_seed_product_rule_equals_the_general_rule_bytewise(a, b):
+    for values in ([a, b], [[a, b], [b, a]]):
+        u, v = seed_variables(values, 2)
+        fu, fv = fresh_seeds(values, 2, 0)
+        assert u.hess is v.hess     # the shared zero: the seed rule applies
+        for w, ref in ((u * v, fu * fv), (v * u, fv * fu), (u * u, fu * fu),
+                       ((u + 1.0) * v, (fu + 1.0) * fv)):
+            assert_same_bytes(w.val, ref.val)
+            assert_same_bytes(np.broadcast_to(w.grad, ref.grad.shape),
+                              ref.grad)
+            assert_same_bytes(np.broadcast_to(w.hess, ref.hess.shape),
+                              ref.hess)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from finvar import (ConfigError, IntegratorStall, NonReversibleBackward,
-                    ProjectivePair, TangentPoint, geodesic_rhs,
-                    integrate_geodesic, metric_jet, path_distance,
-                    rapcsak_residual, spray_coefficients, trajectory_energy)
+                    ProjectivePair, TangentPoint, integrate_geodesic,
+                    metric_jet, path_distance, rapcsak_residual,
+                    trajectory_energy)
 from finvar.autodiff import gsqrt, scalar_value
+from finvar.dynamics import _flow, _spray_vector
 from finvar.metrics import FinslerMetric
 from finvar.oracle import christoffel_oracle
 
@@ -21,20 +22,21 @@ CURVED = make_metric("curved", 2)
 
 class TestSpray:
     def test_euclid_spray_vanishes(self):
-        G = spray_coefficients(EUCLID, TangentPoint([0.4, -0.2], [1.0, 2.0]))
+        p = TangentPoint([0.4, -0.2], [1.0, 2.0])
+        G = _spray_vector(metric_jet(EUCLID, p), p.y)
         assert np.abs(G).max() < 1e-14
 
     def test_constant_riemannian_spray_vanishes(self):
         from finvar import catalog_metric
         m = catalog_metric({"kind": "riemannian", "dim": 3,
                             "field": "const_diag", "params": [2.0, 3.0, 5.0]})
-        G = spray_coefficients(m, TangentPoint([0.1, 0.2, 0.3],
-                                               [1.0, -1.0, 0.5]))
+        p = TangentPoint([0.1, 0.2, 0.3], [1.0, -1.0, 0.5])
+        G = _spray_vector(metric_jet(m, p), p.y)
         assert np.abs(G).max() < 1e-12
 
     def test_curved_riemannian_vs_christoffel(self):
         p = TangentPoint([1.0, 0.0], [1.0, 1.0])
-        G = spray_coefficients(CURVED, p)
+        G = _spray_vector(metric_jet(CURVED, p), p.y)
         gamma = christoffel_oracle(CURVED.matrix_field, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
         assert np.abs(G - G_ref).max() / np.abs(G_ref).max() < 1e-6
@@ -47,7 +49,7 @@ class TestSpray:
             return ((w * np.eye(2) + np.outer(x, x)) / w ** 2).tolist()
 
         p = TangentPoint([0.3, 0.1], [0.5, -0.2])
-        G = spray_coefficients(KLEIN, p)
+        G = _spray_vector(metric_jet(KLEIN, p), p.y)
         gamma = christoffel_oracle(klein_matrix, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
         assert np.abs(G - G_ref).max() / max(np.abs(G_ref).max(), 1e-12) < 1e-6
@@ -58,15 +60,16 @@ class TestSpray:
         for n in (2, 3):
             fk = make_metric("funk", n)
             for p in sample_points(make_pair("funk", "funk", n), 10, seed=37):
-                G = spray_coefficients(fk, p)
+                G = _spray_vector(metric_jet(fk, p), p.y)
                 expect = 0.5 * metric_jet(fk, p).F * p.y
                 assert np.abs(G - expect).max() <= 1e-12 * np.abs(expect).max()
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_spray_two_homogeneous(self, lam):
         for p in sample_points(make_pair("klein", "klein", 2), 10, seed=41):
-            a = spray_coefficients(KLEIN, p)
-            b = spray_coefficients(KLEIN, TangentPoint(p.x, lam * p.y))
+            q = TangentPoint(p.x, lam * p.y)
+            a = _spray_vector(metric_jet(KLEIN, p), p.y)
+            b = _spray_vector(metric_jet(KLEIN, q), q.y)
             assert np.abs(b - lam ** 2 * a).max() \
                 <= 1e-10 * max(1.0, np.abs(lam ** 2 * a).max())
 
@@ -74,21 +77,22 @@ class TestSpray:
 class TestGeodesicRhs:
     def test_euclid_rhs(self):
         p = TangentPoint([0.1, 0.3], [2.0, -1.0])
-        rhs = geodesic_rhs(EUCLID, p)
+        rhs = _flow(metric_jet(EUCLID, p), p.y)
         assert np.allclose(rhs[:2], p.y, rtol=0, atol=0)
         assert np.abs(rhs[2:]).max() < 1e-14
 
     def test_klein_rhs_matches_spray(self):
         p = TangentPoint([0.2, 0.0], [0.0, 1.0])
-        rhs = geodesic_rhs(KLEIN, p)
-        G = spray_coefficients(KLEIN, p)
+        rhs = _flow(metric_jet(KLEIN, p), p.y)
+        G = _spray_vector(metric_jet(KLEIN, p), p.y)
         assert np.allclose(rhs[2:], -2.0 * G, rtol=0, atol=0)
 
     def test_rhs_velocity_scaling(self):
         p = TangentPoint([0.1, -0.2], [0.5, 0.3])
         lam = 2.0
-        a = geodesic_rhs(FUNK, p)
-        b = geodesic_rhs(FUNK, TangentPoint(p.x, lam * p.y))
+        q = TangentPoint(p.x, lam * p.y)
+        a = _flow(metric_jet(FUNK, p), p.y)
+        b = _flow(metric_jet(FUNK, q), q.y)
         assert np.abs(b[:2] - lam * a[:2]).max() < 1e-12
         assert np.abs(b[2:] - lam ** 2 * a[2:]).max() <= 1e-10 * np.abs(a[2:]).max()
 

@@ -318,3 +318,10 @@ class TestConservationSmoke:
             if np.abs(f_vals - f_vals[0]).max() >= 1e-3:
                 hits += 1
         assert hits >= 2
+
+    def test_trajectory_of_another_dimension_rejected(self):
+        traj = integrate_geodesic(make_metric("klein", 3),
+                                  TangentPoint([0.1, 0.0, 0.0],
+                                               [0.0, 0.3, 0.1]), 0.1)
+        with pytest.raises(ConfigError):
+            integrals_along(make_pair("euclidean", "klein", 2), traj)

@@ -13,8 +13,8 @@ import finvar.config
 import finvar.dynamics
 import finvar.integrals
 import finvar.metrics
-from finvar import (HyperDual, first_integrals, integrals_along,
-                    integrate_geodesic, pair_jets)
+from finvar import (HyperDual, TangentPoint, first_integrals,
+                    integrals_along, integrate_geodesic, pair_jets)
 from finvar.cli import main
 
 from conftest import make_pair, sample_points
@@ -168,6 +168,6 @@ def test_integrals_along_makes_one_comparison_jet_per_sample(jet_calls,
 def test_integrals_along_equals_fresh_jets_bitwise(method):
     pair = make_pair("klein", "funk", 3)
     traj = _trajectory(pair, method)
-    fresh = np.array([first_integrals(pair_jets(pair, p)).f
-                      for p in traj.states])
+    fresh = np.array([first_integrals(pair_jets(pair, TangentPoint(x, y))).f
+                      for x, y in zip(traj.xs, traj.ys)])
     assert np.array_equal(integrals_along(pair, traj), fresh)

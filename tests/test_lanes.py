@@ -72,7 +72,7 @@ def test_lane_layouts():
 def test_constant_field_in_a_stack():
     jet = xy_jet2(lambda xs, ys: 2.5, np.zeros((3, 2)), np.ones((3, 2)))
     assert np.array_equal(jet.value, [2.5, 2.5, 2.5])
-    assert not jet.grad.any() and jet.hess.shape == (3, 4, 4)
+    assert not jet.grad.any() and jet.hess.shape == (3, 2, 4)
 
 
 def test_stacked_domain_agrees_with_the_one_point_predicate():
