@@ -26,12 +26,15 @@ structure-of-arrays form of vectorized forward-mode Taylor arithmetic
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), replaces N
 interpreted passes by one.
 
-Seeds share cached read-only unit gradients and one zero Hessian per shape;
-a product of two operands carrying it (seeds, or seeds plus a number) adds
-only its cross terms. For finite values that is exact: the dropped terms,
-value times zero Hessian, are +-0, each cross entry of two unit gradients is
-+0 or 1, and +-0 plus such an entry is that entry. Constants have zero
-Hessians of their own and never take this rule.
+Seeds share cached read-only unit gradients and zero Hessians, and each
+knows the index of its variable. A product of seeds i and j computes only
+its value and gradient: its Hessian rows are the kept rows of
+e_i e_j^T + e_j e_i^T, cached per (i, j, r, m), read-only and lane-free.
+For finite values that is what the general rule gives, bit for bit: its
+terms value times zero Hessian add up to +-0, each cross entry of two unit
+gradients is +0 or 1, and +-0 plus such an entry is that entry, so what
+remains is the sum of the two cross terms, the cached entry. Every other
+product, a seed plus a number among them, takes the general rule.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). A stack is evaluated ``LANES`` points at a time, so the
@@ -63,10 +66,21 @@ LANES = 64
 @functools.cache
 def _seed_arrays(rows: int, m: int):
     """What every seed over ``m`` variables with ``rows`` Hessian rows shares:
-    read-only views (from broadcast_to) of the unit gradients, and of the
-    zero Hessian whose identity marks seed products."""
+    read-only views (from broadcast_to) of the unit gradients and of the
+    zero Hessian."""
     return (tuple(np.broadcast_to(np.eye(m)[:, None], (m, 1, m))),
             np.broadcast_to(0.0, (rows, m)))
+
+
+@functools.cache
+def _seed_pair_hessian(i: int, j: int, rows: int, m: int) -> np.ndarray:
+    """The kept rows of e_i e_j^T + e_j e_i^T, the Hessian of the product of
+    seeds i and j: read-only and lane-free."""
+    unit = _seed_arrays(rows, m)[0]
+    cross = unit[i].swapaxes(-1, -2) * unit[j]
+    block = (cross + cross.swapaxes(-1, -2))[m - rows:]
+    block.flags.writeable = False
+    return block
 
 
 # -- lanes --------------------------------------------------------------------
@@ -143,11 +157,13 @@ class HyperDual:
     def __mul__(self, other):
         if isinstance(other, HyperDual):
             h = self.hess
-            cross = self.grad.swapaxes(-1, -2) * other.grad
-            rows = ..., slice(cross.shape[-1] - h.shape[-2], None), slice(None)
-            if h is other.hess and h is _seed_arrays(*h.shape[-2:])[1]:
-                hess = (cross + cross.swapaxes(-1, -2))[rows]
+            if isinstance(self, _Seed) and isinstance(other, _Seed):
+                hess = _seed_pair_hessian(self.index, other.index,
+                                          *h.shape[-2:])
             else:
+                cross = self.grad.swapaxes(-1, -2) * other.grad
+                rows = (..., slice(cross.shape[-1] - h.shape[-2], None),
+                        slice(None))
                 hess = (self.val * other.hess + other.val * h + cross[rows]
                         + cross.swapaxes(-1, -2)[rows])
             return HyperDual(self.val * other.val,
@@ -201,12 +217,23 @@ class HyperDual:
                          d1 * self.hess + d2 * self._outer_rows())
 
 
+class _Seed(HyperDual):
+    """A seeded variable: the unit gradient of variable ``index`` and a zero
+    Hessian. Arithmetic on seeds gives plain hyper-duals."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, val, grad: np.ndarray, hess: np.ndarray, index: int):
+        super().__init__(val, grad, hess)
+        self.index = index
+
+
 def _seeds(values, m: int, offset: int, rows: int) -> list[HyperDual]:
     values = np.asarray(values, dtype=float)
     grads, hess = _seed_arrays(rows, m)
-    return [HyperDual(float(values[i]) if values.ndim == 1
-                      else values[:, i, None, None],
-                      grads[offset + i], hess)
+    return [_Seed(float(values[i]) if values.ndim == 1
+                  else values[:, i, None, None],
+                  grads[offset + i], hess, offset + i)
             for i in range(values.shape[-1])]
 
 

@@ -10,6 +10,12 @@ Runge-Kutta-Fehlberg 4(5) pair, which propagates the fifth-order solution
 (local extrapolation) and uses the classical embedded error estimate for
 step control. Conservation checks need integration error far below the
 first-integral drift tolerance, hence the tight default tolerances.
+
+An RKF45 step keeps its six stages in the rows of one array. Each weighted
+sum of stages is one product by a column of the tableau and one reduction
+over the rows, which adds the terms in the order of Python's ``sum`` and
+from its int 0, so a leading -0.0 term still gives +0.0: the sums are
+bitwise those of ``sum(w * k for w, k in zip(weights, stages))``.
 """
 
 from __future__ import annotations
@@ -80,14 +86,16 @@ class GeodesicTrajectory:
         ``domain_exit`` set; the trajectory itself when no sample is outside.
 
         The first sample is always kept. The step counters still describe
-        the whole integration.
+        the whole integration. ``domain`` tests all samples in one call on
+        their stacked base points, as every metric's predicate can.
         """
-        for k in range(1, len(self)):
-            if not domain(self.xs[k]):
-                return replace(self, times=self.times[:k], xs=self.xs[:k],
-                               ys=self.ys[:k], jets=self.jets[:k],
-                               domain_exit=True)
-        return self
+        inside = np.broadcast_to(domain(self.xs[1:]), (len(self) - 1,))
+        outside = np.flatnonzero(~inside)
+        if not outside.size:
+            return self
+        k = int(outside[0]) + 1
+        return replace(self, times=self.times[:k], xs=self.xs[:k],
+                       ys=self.ys[:k], jets=self.jets[:k], domain_exit=True)
 
 
 def _state_jet(metric: FinslerMetric, z: np.ndarray) -> MetricJet:
@@ -122,15 +130,25 @@ _RKF_A = (
 )
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+# The same weights as columns, one weight per stage row.
+_RKF_A_COLS = tuple(np.array(a).reshape(-1, 1) for a in _RKF_A)
+_RKF_B5_COL = np.array(_RKF_B5).reshape(-1, 1)
+_RKF_ERR_COL = np.array(_RKF_ERR).reshape(-1, 1)
+
+
+def _stage_sum(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum(w * k_s for w, k_s in zip(weights, k)) as one product and one
+    reduction, in the same order and from the same int 0."""
+    return np.add.reduce(weights * k, axis=0, initial=0)
 
 
 def _rkf45_step(rhs, z, k1, h):
-    k = [k1]
+    k = np.empty((6, z.shape[0]))
+    k[0] = k1
     for s in range(1, 6):
-        zs = z + h * sum(a * ks for a, ks in zip(_RKF_A[s], k))
-        k.append(rhs(zs))
-    z_new = z + h * sum(b * ks for b, ks in zip(_RKF_B5, k))
-    err = h * sum(e * ks for e, ks in zip(_RKF_ERR, k))
+        k[s] = rhs(z + h * _stage_sum(_RKF_A_COLS[s], k[:s]))
+    z_new = z + h * _stage_sum(_RKF_B5_COL, k)
+    err = h * _stage_sum(_RKF_ERR_COL, k)
     return z_new, err
 
 

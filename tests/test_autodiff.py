@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finvar import DegenerateVelocity, DomainError
-from finvar.autodiff import HyperDual, Jet2, seed_variables, xy_jet2
+from finvar.autodiff import (HyperDual, Jet2, _seed_pair_hessian,
+                             seed_variables, xy_jet2)
 from finvar.oracle import fd_derivative
 
 from conftest import catalog_metrics, make_metric, sample_points
@@ -195,8 +196,8 @@ def test_velocity_jet_matches_joint_jet_blocks():
 
 def fresh_seeds(values, m, offset):
     """Seeds with freshly allocated gradients and full (m, m) zero Hessians,
-    one per seed: no product of them can take the shared-zero rule, so a
-    pass over them is the general full-Hessian rule."""
+    one per seed: plain hyper-duals, so no product of them takes the seed
+    rule, and a pass over them is the general full-Hessian rule."""
     values = np.asarray(values, dtype=float)
     lanes = values.shape[:-1]
     seeds = []
@@ -246,17 +247,47 @@ def test_velocity_rows_equal_the_full_hessian_rows_bitwise(case, family):
     assert_same_bytes(jet.hess, full[..., n:, :])
 
 
+def jet_seeds(x, y) -> list[HyperDual]:
+    """The seeds of a pass of :func:`xy_jet2`: variables x then y, with
+    velocity Hessian rows."""
+    seeds = []
+
+    def field(xs, ys):
+        seeds.extend(xs + ys)
+        return xs[0]
+
+    xy_jet2(field, x, y)
+    return seeds
+
+
 @pytest.mark.parametrize("a", [-1.5, -0.0, 0.0, 2.0])
 @pytest.mark.parametrize("b", [-0.25, -0.0, 0.0, 3.0])
 def test_seed_product_rule_equals_the_general_rule_bytewise(a, b):
-    for values in ([a, b], [[a, b], [b, a]]):
-        u, v = seed_variables(values, 2)
-        fu, fv = fresh_seeds(values, 2, 0)
-        assert u.hess is v.hess     # the shared zero: the seed rule applies
-        for w, ref in ((u * v, fu * fv), (v * u, fv * fu), (u * u, fu * fu),
-                       ((u + 1.0) * v, (fu + 1.0) * fv)):
-            assert_same_bytes(w.val, ref.val)
-            assert_same_bytes(np.broadcast_to(w.grad, ref.grad.shape),
-                              ref.grad)
-            assert_same_bytes(np.broadcast_to(w.hess, ref.hess.shape),
-                              ref.hess)
+    one = [a, b, -a, 1.0]
+    stack = [one, [b, a, -b, 2.0], [-0.0, 1.0, a, b]]   # velocities x[1:]
+    # (seeds, reference seeds, rows kept), m = 4 with all rows and m = 6
+    # with the 3 velocity rows, at one point and over a stack
+    cases = []
+    for values in (one, stack):
+        values = np.array(values)
+        cases.append((seed_variables(values, 4), fresh_seeds(values, 4, 0),
+                      4))
+        x, y = values[..., :3], values[..., 1:]
+        cases.append((jet_seeds(x, y),
+                      fresh_seeds(x, 6, 0) + fresh_seeds(y, 6, 3), 3))
+    for seeds, fresh, rows in cases:
+        m = len(seeds)
+        for i in range(m):
+            for j in range(m):
+                w = seeds[i] * seeds[j]
+                assert w.hess is _seed_pair_hessian(i, j, rows, m)
+                assert not w.hess.flags.writeable
+                shifted = (seeds[i] + 1.0) * seeds[j]  # the general rule
+                for got, ref in ((w, fresh[i] * fresh[j]),
+                                 (shifted, (fresh[i] + 1.0) * fresh[j])):
+                    ref_hess = ref.hess[..., m - rows:, :]
+                    assert_same_bytes(got.val, ref.val)
+                    assert_same_bytes(
+                        np.broadcast_to(got.grad, ref.grad.shape), ref.grad)
+                    assert_same_bytes(
+                        np.broadcast_to(got.hess, ref_hess.shape), ref_hess)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finvar import (ConfigError, IntegratorStall, NonReversibleBackward,
                     ProjectivePair, TangentPoint, integrate_geodesic,
                     metric_jet, path_distance, rapcsak_residual,
                     trajectory_energy)
 from finvar.autodiff import gsqrt, scalar_value
-from finvar.dynamics import _flow, _spray_vector
+from finvar.dynamics import (_RKF_A, _RKF_B5, _RKF_ERR, _flow,
+                             _rkf45_step, _spray_vector)
 from finvar.metrics import FinslerMetric
 from finvar.oracle import christoffel_oracle
 
@@ -195,6 +198,64 @@ class TestIntegration:
         with pytest.raises(IntegratorStall):
             integrate_geodesic(metric, TangentPoint([0.0, 0.0], [1.0, 0.5]),
                                1.0)
+
+
+# signed zeros among the stages, where a sum started from -0.0 instead of
+# Python's int 0 would show
+STAGE_VALUE = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+@st.composite
+def rkf45_case(draw):
+    dim = draw(st.sampled_from([4, 6, 10, 16]))
+    vector = st.lists(STAGE_VALUE, min_size=dim, max_size=dim).map(np.array)
+    z = draw(vector)
+    stages = [draw(vector) for _ in range(6)]
+    h = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                       st.floats(-2.0, 2.0)))
+    return z, stages, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(rkf45_case())
+def test_rkf45_stage_sums_equal_python_sums_bitwise(case):
+    z, stages, h = case
+    args = []
+
+    def rhs(zs):
+        args.append(zs.copy())
+        return stages[len(args)]
+
+    z_new, err = _rkf45_step(rhs, z, stages[0], h)
+    ref_args = [z + h * sum(a * k for a, k in zip(_RKF_A[s], stages))
+                for s in range(1, 6)]
+    ref_z = z + h * sum(b * k for b, k in zip(_RKF_B5, stages))
+    ref_err = h * sum(e * k for e, k in zip(_RKF_ERR, stages))
+    for got, ref in zip(args + [z_new, err], ref_args + [ref_z, ref_err]):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_within_truncates_at_the_first_sample_outside():
+    # straight euclidean lines leave the unit ball of the klein metric
+    traj = integrate_geodesic(EUCLID, TangentPoint([0.5, 0.0], [1.0, 0.2]),
+                              1.0, method="rk4", step=0.05)
+    calls = []
+
+    def ball(x):
+        calls.append(x.shape)
+        return KLEIN.domain(x)
+
+    cut = traj.within(ball)
+    first_out = next(k for k in range(1, len(traj))
+                     if not KLEIN.domain(traj.xs[k]))
+    assert calls == [(len(traj) - 1, 2)]     # one stacked call
+    assert cut.domain_exit and len(cut) == first_out
+    assert cut.times.tobytes() == traj.times[:first_out].tobytes()
+    assert cut.jets == traj.jets[:first_out]
+    assert (cut.n_accepted, cut.n_rejected) == (traj.n_accepted,
+                                                traj.n_rejected)
+    assert traj.within(EUCLID.domain) is traj   # a predicate giving True
 
 
 class TestRapcsak:

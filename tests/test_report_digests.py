@@ -29,31 +29,65 @@ COMMANDS = ("evaluate", "geodesic", "verify", "oracle")
 FORMATS = ("json", "csv")
 
 
-def _ball_config(base: str, comparison: str, n: int) -> dict:
+BALL_PAIRS = (("klein", "funk"), ("funk", "klein"))
+
+
+def _ball_config(base: str, comparison: str, n: int, *,
+                 samples: dict | None = None, integrator: dict | None = None,
+                 **extra) -> dict:
     return {
         "schema_version": 1,
         "pair": {"base": {"kind": base, "dim": n},
                  "comparison": {"kind": comparison, "dim": n}},
-        "samples": {"count": 4, "trajectories": 1},
-        "integrator": {"t_end": 0.2},
+        "samples": {"count": 4, "trajectories": 1, **(samples or {})},
+        "integrator": integrator or {"t_end": 0.2},
         "seed": 7,
+        **extra,
     }
 
 
 def configs() -> dict[str, dict]:
-    """Every config by name: the shipped ones and small ball-metric pairs."""
+    """Every config run by all commands, by name: the shipped ones and small
+    ball-metric pairs."""
     out = {path.name: json.loads(path.read_text())
            for path in sorted((ROOT / "configs").glob("*.json"))}
-    for base, comparison in (("klein", "funk"), ("funk", "klein")):
+    for base, comparison in BALL_PAIRS:
         for n in (2, 3, 5, 8):
             out[f"{base}_{comparison}_n{n}"] = _ball_config(base, comparison,
                                                             n)
     return out
 
 
-CONFIGS = configs()
-CASES = [(name, command, fmt) for name in CONFIGS
-         for command in COMMANDS for fmt in FORMATS]
+def geodesic_configs() -> dict[str, dict]:
+    """Configs run by ``geodesic`` alone: long trajectories, which pin the
+    integrator's step control, rejected steps and domain exits."""
+    out = {}
+    for base, comparison in BALL_PAIRS:
+        for n in (2, 3):
+            for method, integrator in (
+                    ("rkf45", {"t_end": 3.0}),
+                    ("rk4", {"method": "rk4", "step": 0.02, "t_end": 3.0})):
+                out[f"{base}_{comparison}_n{n}_{method}_t3"] = _ball_config(
+                    base, comparison, n, samples={"trajectories": 2},
+                    integrator=integrator)
+    # rejects 2 of its 121 attempted steps
+    out["klein_funk_n2_explicit_t3"] = _ball_config(
+        "klein", "funk", 2, integrator={"t_end": 3.0},
+        points=[{"x": [0.8, 0.0], "y": [1.0, 0.0]}])
+    # straight lines leave the ball: both trajectories end in domain_exit
+    out["euclidean_klein_n2_t3"] = _ball_config(
+        "euclidean", "klein", 2,
+        samples={"trajectories": 2, "velocity_scale": 1.0},
+        integrator={"t_end": 3.0})
+    return out
+
+
+ALL_COMMANDS = configs()
+GEODESIC_ONLY = geodesic_configs()
+CONFIGS = {**ALL_COMMANDS, **GEODESIC_ONLY}
+CASES = [(name, command, fmt) for name in ALL_COMMANDS
+         for command in COMMANDS for fmt in FORMATS] + [
+    (name, "geodesic", fmt) for name in GEODESIC_ONLY for fmt in FORMATS]
 
 
 def digest(config: dict, command: str, fmt: str, workdir: Path) -> str:
