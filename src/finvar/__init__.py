@@ -9,8 +9,7 @@ brute-force oracles.
 
 from .autodiff import HyperDual, Jet2, xy_jet2
 from .dynamics import (GeodesicTrajectory, RapcsakReport, integrate_geodesic,
-                       path_distance, rapcsak_residual, resample_by_arclength,
-                       trajectory_energy)
+                       rapcsak_residual, trajectory_energy)
 from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
                      DomainError, FinvarError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward,
@@ -19,8 +18,7 @@ from .integrals import (FirstIntegralVector, PairJets, build_H,
                         charpoly_coefficients, f1_closed_form,
                         first_integrals, fn1_closed_form, integrals_along,
                         mu, pair_jets, painleve_I0, sarlet_K, tm_I1)
-from .metrics import (AngularRankReport, FinslerMetric, MetricJet,
-                      ProjectivePair, TangentPoint, angular_rank_check,
+from .metrics import (FinslerMetric, MetricJet, ProjectivePair, TangentPoint,
                       catalog_metric, metric_jet)
 from .oracle import (charpoly_by_interpolation, christoffel_oracle,
                      delta_alpha_combinatorial, fd_derivative)
@@ -28,18 +26,16 @@ from .oracle import (charpoly_by_interpolation, christoffel_oracle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularRankReport", "ConfigError", "DegenerateAngularMetric",
-    "DegenerateVelocity", "DomainError", "FinslerMetric", "FinvarError",
-    "FirstIntegralVector", "GeodesicTrajectory", "HyperDual",
-    "IntegratorStall", "Jet2", "MetricJet", "NonFiniteResult",
-    "NonReversibleBackward", "OracleScopeExceeded", "PairJets",
-    "ProjectivePair", "RapcsakReport", "SingularMetric",
-    "TangentPoint", "angular_rank_check", "build_H", "catalog_metric",
+    "ConfigError", "DegenerateAngularMetric", "DegenerateVelocity",
+    "DomainError", "FinslerMetric", "FinvarError", "FirstIntegralVector",
+    "GeodesicTrajectory", "HyperDual", "IntegratorStall", "Jet2",
+    "MetricJet", "NonFiniteResult", "NonReversibleBackward",
+    "OracleScopeExceeded", "PairJets", "ProjectivePair", "RapcsakReport",
+    "SingularMetric", "TangentPoint", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",
     "christoffel_oracle", "delta_alpha_combinatorial", "f1_closed_form",
     "fd_derivative", "first_integrals", "fn1_closed_form",
     "integrals_along", "integrate_geodesic", "metric_jet", "mu",
-    "painleve_I0", "pair_jets", "path_distance", "rapcsak_residual",
-    "resample_by_arclength", "sarlet_K", "tm_I1",
+    "painleve_I0", "pair_jets", "rapcsak_residual", "sarlet_K", "tm_I1",
     "trajectory_energy", "xy_jet2",
 ]

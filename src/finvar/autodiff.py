@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,6 +89,23 @@ def _seed_pair_hessian(i: int, j: int, rows: int, m: int) -> np.ndarray:
 def lane(a, i: int | None):
     """Lane ``i`` of a stacked array; the array itself for one point."""
     return a if i is None else a[i]
+
+
+class Lanes:
+    """Indexing for a dataclass whose fields share one lane layout: each a
+    one-point value, or a stack with the lanes on its leading axis.
+
+    ``obj[i]`` indexes every field; an int gives lane i with its scalars as
+    Python floats, as at one point, and a slice gives a stack.
+    """
+
+    def __getitem__(self, i):
+        return type(self)(*(_item(getattr(self, f.name)[i])
+                            for f in fields(self)))
+
+
+def _item(v):
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def check_lanes(ok, error) -> None:

@@ -21,7 +21,7 @@ bitwise those of ``sum(w * k for w, k in zip(weights, stages))``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -39,8 +39,15 @@ H_MIN = 1e-12
 INTEGRATORS = ("rk4", "rkf45")
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a v for one matrix and vector, or lane by lane over stacks, with the
+    bits of the one-matrix product in every lane."""
+    return (a @ v[..., None])[..., 0]
+
+
 def _spray_vector(jet: MetricJet, y: np.ndarray) -> np.ndarray:
-    return 0.25 * (jet.g_inv @ (jet.F2_yx @ y - jet.F2_x))
+    """The spray G at one point, or at every point of a stacked jet."""
+    return 0.25 * _matvec(jet.g_inv, _matvec(jet.F2_yx, y) - jet.F2_x)
 
 
 def _flow(jet: MetricJet, y: np.ndarray) -> np.ndarray:
@@ -51,7 +58,8 @@ def _flow(jet: MetricJet, y: np.ndarray) -> np.ndarray:
 class GeodesicTrajectory:
     """Accepted integration samples of one geodesic.
 
-    ``jets`` holds the jet of the integrated ``metric`` at each sample.
+    ``jets`` is the stacked jet of the integrated ``metric`` at the
+    samples, one lane per sample.
     ``domain_exit`` is set when the trajectory was truncated at the last
     fully in-domain accepted step instead of reaching the requested time.
     """
@@ -60,7 +68,7 @@ class GeodesicTrajectory:
     xs: np.ndarray
     ys: np.ndarray
     metric: FinslerMetric = field(repr=False)
-    jets: tuple[MetricJet, ...] = field(repr=False)
+    jets: MetricJet = field(repr=False)
     domain_exit: bool = False
     n_accepted: int = 0
     n_rejected: int = 0
@@ -69,9 +77,9 @@ class GeodesicTrajectory:
         dt = np.diff(self.times)
         if dt.size and not np.all(dt > 0):
             raise ConfigError("trajectory times must be strictly increasing")
-        if len(self.jets) != len(self.times):
-            raise ConfigError(f"{len(self.jets)} jets for {len(self.times)} "
-                              f"trajectory samples")
+        if self.jets.F.shape != self.times.shape:
+            raise ConfigError(f"jets of shape {self.jets.F.shape} for "
+                              f"{len(self.times)} trajectory samples")
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -199,14 +207,22 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         jets = jets[::-1]
     return GeodesicTrajectory(
         times=times, xs=zs[:, :n].copy(), ys=zs[:, n:].copy(),
-        metric=metric, jets=tuple(jets), domain_exit=domain_exit,
+        metric=metric, jets=_stack(jets), domain_exit=domain_exit,
         n_accepted=n_acc, n_rejected=n_rej)
+
+
+def _stack(jets: list[MetricJet]) -> MetricJet:
+    """One stacked jet from the one-point jets at the samples, lane k equal
+    to ``jets[k]``."""
+    return MetricJet(*(np.array([getattr(jet, f.name) for jet in jets])
+                       for f in fields(MetricJet)))
 
 
 # Both integrators evaluate the jet once at each accepted state, the final
 # one included: it gives the first stage of the next step, also when that
-# step is rejected and retried, and it travels with the trajectory so that
-# integrals along it need not evaluate the base metric again.
+# step is rejected and retried, and it travels with the trajectory, stacked
+# once at the end, so that integrals along it need not evaluate the base
+# metric again.
 
 
 def _integrate_rk4(metric, rhs, z0, t_end, step):
@@ -291,7 +307,8 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:
     """F^2 of the integrated metric at every trajectory sample (conserved
     along its geodesics), from the jets the integrator evaluated."""
-    return np.array([jet.F ** 2 for jet in traj.jets])
+    # a float power per sample: an array power rounds differently
+    return np.array([F ** 2 for F in traj.jets.F.tolist()])
 
 
 # -- projective equivalence test ---------------------------------------------
@@ -331,9 +348,9 @@ def rapcsak_residual(pair: ProjectivePair,
     if not samples:
         raise ConfigError("rapcsak_residual needs at least one sample")
     n = pair.dim
+    y = np.array([p.y for p in samples])
     base_jets = metric_jet(pair.base, samples)
-    cjet = xy_jet2(pair.comparison, np.array([p.x for p in samples]),
-                   np.array([p.y for p in samples]))
+    cjet = xy_jet2(pair.comparison, np.array([p.x for p in samples]), y)
     # the raw jet enters the residual directly: an overflow there, or in
     # the residual norm, must not pass for a large residual
     check_lanes(np.isfinite(cjet.value) & np.isfinite(cjet.grad).all(axis=1)
@@ -341,49 +358,10 @@ def rapcsak_residual(pair: ProjectivePair,
                 lambda i: NonFiniteResult("value or derivatives not finite",
                                           metric=pair.comparison.name,
                                           point=i))
-    rows = []
-    for p, base_jet, ft_x, ft_yy, ft_yx in zip(
-            samples, base_jets, cjet.grad[:, :n], cjet.hess[:, :, n:],
-            cjet.hess[:, :, :n]):
-        G = _spray_vector(base_jet, p.y)
-        rows.append(ft_yx @ p.y - 2.0 * (ft_yy @ G) - ft_x)
-    report = RapcsakReport(residuals=np.array(rows))
+    G = _spray_vector(base_jets, y)
+    residuals = (_matvec(cjet.hess[:, :, :n], y)
+                 - 2.0 * _matvec(cjet.hess[:, :, n:], G) - cjet.grad[:, :n])
+    report = RapcsakReport(residuals=residuals)
     check_lanes(np.isfinite(report.norms), lambda i: NonFiniteResult(
         f"residual norm {report.norms[i]} not finite", point=i))
     return report
-
-
-# -- unparameterized path comparison -----------------------------------------
-
-
-def resample_by_arclength(xs: np.ndarray, count: int,
-                          total: float | None = None) -> np.ndarray:
-    """Resample a polyline at ``count`` points equally spaced in chord length.
-
-    ``total`` caps the arclength (used to truncate a longer path to the
-    extent of a shorter one).
-    """
-    seg = np.linalg.norm(np.diff(xs, axis=0), axis=1)
-    s = np.concatenate(([0.0], np.cumsum(seg)))
-    length = s[-1] if total is None else min(total, s[-1])
-    targets = np.linspace(0.0, length, count)
-    out = np.empty((count, xs.shape[1]))
-    for j in range(xs.shape[1]):
-        out[:, j] = np.interp(targets, s, xs[:, j])
-    return out
-
-
-def path_distance(xs_a: np.ndarray, xs_b: np.ndarray,
-                  count: int = 200) -> float:
-    """Distance between two paths as unparameterized curves.
-
-    Both polylines are truncated to their common chord length and resampled
-    at matched arclength fractions; the returned max pointwise distance
-    bounds the Hausdorff distance of the truncated curves from above.
-    """
-    len_a = float(np.linalg.norm(np.diff(xs_a, axis=0), axis=1).sum())
-    len_b = float(np.linalg.norm(np.diff(xs_b, axis=0), axis=1).sum())
-    common = min(len_a, len_b)
-    ra = resample_by_arclength(xs_a, count, total=common)
-    rb = resample_by_arclength(xs_b, count, total=common)
-    return float(np.linalg.norm(ra - rb, axis=1).max())

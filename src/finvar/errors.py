@@ -54,7 +54,7 @@ class NonFiniteResult(FinvarError):
 
 
 class DegenerateAngularMetric(FinvarError):
-    """Angular metric has rank deficit >= 2 (kernel larger than the velocity line)."""
+    """H lost its kernel: the constant term of det(H + Lambda I) is not ~0."""
 
 
 class IntegratorStall(FinvarError):

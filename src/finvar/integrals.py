@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Lanes, check_lanes, lane
 from .dynamics import GeodesicTrajectory
 from .errors import ConfigError, DegenerateAngularMetric
 from .metrics import (MetricJet, ProjectivePair, TangentPoint, _jet_arrays,
@@ -39,8 +40,10 @@ Q0_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PairJets:
-    """Both metric jets of a pair at one tangent point, with its velocity.
+class PairJets(Lanes):
+    """Both metric jets of a pair at one tangent point, with its velocity,
+    or at N points in the stacked layout of :class:`MetricJet` (y of shape
+    (N, n)); ``jets[i]`` is the pair of jets at point i.
 
     H, the f_alpha and every closed form below are functions of these two
     jets alone, so a caller computes them once per point and shares them.
@@ -52,28 +55,26 @@ class PairJets:
 
     @property
     def dim(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
 
-def pair_jets(pair: ProjectivePair, points):
+def pair_jets(pair: ProjectivePair, points) -> PairJets:
     """The jets of the base and of the comparison metric at a
-    :class:`TangentPoint`, or the list of them at each of a sequence of
-    points, with one stacked pass per metric."""
-    base = metric_jet(pair.base, points)
-    comparison = metric_jet(pair.comparison, points)
-    if isinstance(points, TangentPoint):
-        return PairJets(base, comparison, points.y)
-    return [PairJets(jet, jet_t, p.y)
-            for jet, jet_t, p in zip(base, comparison, points)]
+    :class:`TangentPoint`, or stacked over a sequence of points, with one
+    stacked pass per metric."""
+    y = (points.y if isinstance(points, TangentPoint)
+         else np.array([p.y for p in points]))
+    return PairJets(metric_jet(pair.base, points),
+                    metric_jet(pair.comparison, points), y)
 
 
 @dataclass(frozen=True)
-class FirstIntegralVector:
+class FirstIntegralVector(Lanes):
     """H at one point, the coefficients of det(H + Lambda I) and delta_alpha
-    = f_alpha det g.
+    = f_alpha det g; or all of them at N points, stacked on a leading axis.
 
-    ``coeffs[k]`` is the coefficient of Lambda^k, the constant term q0
-    included; ``f[alpha-1]`` is f_alpha, and f_n is 1 identically. The
+    ``coeffs[..., k]`` is the coefficient of Lambda^k, the constant term q0
+    included; ``f[..., alpha-1]`` is f_alpha, and f_n is 1 identically. The
     delta coefficients transform like det g under coordinate changes and
     are kept only for cross-checks against the combinatorial oracle.
     """
@@ -84,64 +85,86 @@ class FirstIntegralVector:
 
     @property
     def f(self) -> np.ndarray:
-        return self.coeffs[1:]
+        return self.coeffs[..., 1:]
+
+
+# Below, a stack takes elementwise arithmetic, matmul and the stacked trace
+# only: these give each lane its one-matrix bits; einsum, .sum(-1) and
+# np.linalg.norm with an axis do not.
+
+
+def _per_matrix(a) -> np.ndarray:
+    """A scalar, or the values of a stack, against (n, n) matrices."""
+    return np.asarray(a)[..., None, None]
 
 
 def build_H(jets: PairJets) -> np.ndarray:
     """H = (F/F~) g^{-1} h~, the rank-(n-1) tensor whose characteristic
     polynomial carries the first integrals."""
     jet, jet_t = jets.base, jets.comparison
-    return (jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
+    return _per_matrix(jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
 
 
 def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
-    """Coefficients of det(M + Lambda I) in increasing powers of Lambda.
+    """Coefficients of det(M + Lambda I) in increasing powers of Lambda, for
+    one matrix (n, n) or each of a stack (N, n, n).
 
     Faddeev-LeVerrier recursion applied to -M; exact rational structure, no
     complex arithmetic, adequate for the package's working range n <= 8.
     The leading coefficient is exactly 1.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0] if M.ndim == 2 else 0
-    if M.ndim != 2 or M.shape != (n, n) or n < 2:
+    n = M.shape[-1] if M.ndim >= 2 else 0
+    if M.ndim < 2 or M.shape[-2] != n or n < 2:
         raise ConfigError(f"charpoly needs a square matrix of size >= 2, "
                           f"got shape {M.shape}")
     A = -M
-    coeffs = np.empty(n + 1)
-    coeffs[n] = 1.0
-    Mk = np.eye(n)
+    eye = np.eye(n)
+    coeffs = np.empty(M.shape[:-2] + (n + 1,))
+    coeffs[..., n] = 1.0
+    Mk = eye
     for k in range(1, n + 1):
         AM = A @ Mk
-        ck = -np.trace(AM) / k
-        coeffs[n - k] = ck
-        Mk = AM + ck * np.eye(n)
+        ck = -np.trace(AM, axis1=-2, axis2=-1) / k
+        coeffs[..., n - k] = ck
+        Mk = AM + _per_matrix(ck) * eye
     return coeffs
 
 
 def first_integrals(jets: PairJets) -> FirstIntegralVector:
-    """H, its characteristic polynomial and the first integrals at the point.
+    """H, its characteristic polynomial and the first integrals at the point,
+    or at every point of a stack.
 
     The constant term of the characteristic polynomial is computed and
     checked against ~0 rather than assumed; a violation is reported as a
-    degenerate angular metric since it means H lost its kernel.
+    degenerate angular metric since it means H lost its kernel, and in a
+    stack names the first failing point.
     """
     H = build_H(jets)
     coeffs = charpoly_coefficients(H)
+    n = H.shape[-1]
+    flat = H.reshape(H.shape[:-2] + (1, n * n))
+    # ||H||_F as np.linalg.norm forms it, from the flattened H times itself
+    norm = np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
     # ||H||^n may overflow: to inf, which keeps the guard meaningful, and
     # silently, as a float power would raise
     with np.errstate(over="ignore"):
-        scale = np.linalg.norm(H) ** H.shape[0]
-    if abs(coeffs[0]) > Q0_RTOL * scale:
-        raise DegenerateAngularMetric(
-            f"constant charpoly term {coeffs[0]:.3e} not negligible "
-            f"against ||H||^n = {scale:.3e}")
-    return FirstIntegralVector(H=H, coeffs=coeffs,
-                               delta=coeffs[1:] * jets.base.det_g)
+        scale = norm ** n
+    q0 = coeffs[..., 0]
+    check_lanes(~(np.abs(q0) > Q0_RTOL * scale),
+                lambda i: DegenerateAngularMetric(
+                    f"constant charpoly term {lane(q0, i):.3e} not "
+                    f"negligible against ||H||^n = {lane(scale, i):.3e}",
+                    point=i))
+    return FirstIntegralVector(
+        H=H, coeffs=coeffs,
+        delta=coeffs[..., 1:] * np.asarray(jets.base.det_g)[..., None])
 
 
 def f1_closed_form(jets: PairJets) -> float:
     """f_1 = (F/F~)^(n+1) det g~ / det g, bypassing the polynomial."""
     jet, jet_t = jets.base, jets.comparison
+    # one point: an array power would round differently in some lanes
     return (jet.F / jet_t.F) ** (jets.dim + 1) * jet_t.det_g / jet.det_g
 
 
@@ -154,6 +177,7 @@ def fn1_closed_form(jets: PairJets) -> float:
 def _volume_ratio(det_g: float, det_g_t: float, n: int) -> float:
     """(det g / det g~)^(1/(n+1)); both determinants are positive because
     every jet certifies that its metric is strongly convex."""
+    # one point: an array power would round differently in some lanes
     return (det_g / det_g_t) ** (1.0 / (n + 1))
 
 
@@ -165,6 +189,7 @@ def mu(jets: PairJets) -> float:
 def painleve_I0(jets: PairJets) -> float:
     """Painleve-type integral I_0 = mu^2 F~^2 (equals F^2 / f_1^(2/(n+1)))."""
     jet, jet_t = jets.base, jets.comparison
+    # one point: an array power would round differently in some lanes
     return _volume_ratio(jet.det_g, jet_t.det_g, jets.dim) ** 2 * jet_t.F ** 2
 
 
@@ -195,7 +220,8 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
     Along a geodesic of the pair's base metric, the base jets the
     integrator evaluated at each sample are reused; along any other
     metric's geodesics they come from one stacked pass over all samples, as
-    the comparison jets always do.
+    the comparison jets always do. H and its characteristic polynomial are
+    formed for all samples at once.
     """
     if traj.xs.shape[1] != pair.dim:
         raise ConfigError(f"trajectory has dimension {traj.xs.shape[1]}, "
@@ -203,5 +229,4 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
     base = (traj.jets if traj.metric is pair.base
             else _jet_arrays(pair.base, traj.xs, traj.ys))
     comparison = _jet_arrays(pair.comparison, traj.xs, traj.ys)
-    return np.array([first_integrals(PairJets(jet, jet_t, y)).f
-                     for jet, jet_t, y in zip(base, comparison, traj.ys)])
+    return first_integrals(PairJets(base, comparison, traj.ys)).f

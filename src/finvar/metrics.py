@@ -1,4 +1,4 @@
-"""Finsler metric catalog and per-point tensor assembly.
+"""Finsler metric catalog and tensor assembly, at one point or a stack.
 
 A metric is an evaluatable positively 1-homogeneous field F(x, y) together
 with a domain predicate on the base point. The catalog provides:
@@ -40,10 +40,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .autodiff import (Jet2, check_lanes, gdot, gsqrt, lane, lane_values,
-                       xy_jet2)
-from .errors import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
-                     DomainError, FinvarError)
+from .autodiff import (Jet2, Lanes, check_lanes, gdot, gsqrt, lane,
+                       lane_values, xy_jet2)
+from .errors import ConfigError, DegenerateVelocity, DomainError, FinvarError
 
 # Points closer to a domain boundary than this margin are rejected to avoid
 # catastrophic cancellation in terms like 1 - |x|^2.
@@ -146,44 +145,46 @@ class ProjectivePair:
 
 
 @dataclass(frozen=True)
-class MetricJet:
-    """All derivative data of one metric at one tangent point.
+class MetricJet(Lanes):
+    """All derivative data of one metric at one tangent point, or at N
+    points with the lanes on the leading axis of every field (F and det_g
+    of shape (N,)); ``jet[i]`` is the jet at point i.
 
     g is the velocity Hessian of F^2 / 2, h = F * (velocity Hessian of F) the
     angular metric, and the F2_* blocks are the x-derivatives of F^2 needed
     by the geodesic spray.
     """
 
-    F: float
+    F: float | np.ndarray
     F_y: np.ndarray
     F_x: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     h: np.ndarray
-    det_g: float
+    det_g: float | np.ndarray
     F2_yx: np.ndarray
     F2_x: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.F_y.shape[0]
+        return self.F_y.shape[-1]
 
 
-def metric_jet(metric: FinslerMetric, points):
+def metric_jet(metric: FinslerMetric, points) -> MetricJet:
     """Assemble every tensor of ``metric`` from one joint AD pass.
 
-    At a :class:`TangentPoint` this is its :class:`MetricJet`; at a sequence
-    of points, the list of their jets, all from one stacked pass.
+    At a :class:`TangentPoint` this is its one-point :class:`MetricJet`; at
+    a non-empty sequence of points, their stacked jet from one stacked pass.
     """
     one = isinstance(points, TangentPoint)
+    if not (one or points):
+        raise ConfigError("metric_jet needs at least one point")
     for p in ([points] if one else points):
         if p.dim != metric.dim:
             raise ConfigError(
                 f"{metric.name} has dimension {metric.dim}, point has {p.dim}")
     if one:
         return _jet_arrays(metric, points.x, points.y)
-    if not points:
-        return []
     return _jet_arrays(metric, np.array([p.x for p in points]),
                        np.array([p.y for p in points]))
 
@@ -198,9 +199,10 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray):
-    """The :class:`MetricJet` at one point (x, y of shape (n,)), or the list
-    of jets at the rows of stacks x, y of shape (N, n).
+def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
+                y: np.ndarray) -> MetricJet:
+    """The :class:`MetricJet` at one point (x, y of shape (n,)), or the
+    stacked jet at the rows of stacks x, y of shape (N, n).
 
     Every failure names the metric, and in a stack the first failing point.
     """
@@ -227,37 +229,8 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray):
         raise
     F2_yx = 2.0 * (_outer(F_y, F_x) + F_m * F_yx)
     F2_x = 2.0 * F_v * F_x
-    if y.ndim == 1:
-        return MetricJet(F=F, F_y=F_y.copy(), F_x=F_x.copy(), g=g,
-                         g_inv=g_inv, h=h, det_g=det_g, F2_yx=F2_yx,
-                         F2_x=F2_x)
-    return [MetricJet(*fields) for fields in zip(
-        F.tolist(), F_y, F_x, g, g_inv, h, det_g.tolist(), F2_yx, F2_x)]
-
-
-@dataclass(frozen=True)
-class AngularRankReport:
-    """Eigenvalue audit of the angular metric h (expected rank n-1)."""
-
-    eigenvalues: np.ndarray
-    threshold: float
-    null_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.null_count == 1
-
-
-def angular_rank_check(jet: MetricJet) -> AngularRankReport:
-    """Assert h has exactly one near-zero eigenvalue (kernel = velocity line)."""
-    eigs = np.linalg.eigvalsh(jet.h)
-    threshold = 1e-9 * np.abs(eigs).max()
-    null_count = int(np.sum(np.abs(eigs) <= threshold))
-    if null_count >= 2:
-        raise DegenerateAngularMetric(
-            f"angular metric has {null_count} near-null eigenvalues: {eigs}")
-    return AngularRankReport(eigenvalues=eigs, threshold=threshold,
-                             null_count=null_count)
+    return MetricJet(F=F, F_y=F_y.copy(), F_x=F_x.copy(), g=g, g_inv=g_inv,
+                     h=h, det_g=det_g, F2_yx=F2_yx, F2_x=F2_x)
 
 
 # -- catalog ---------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Shared fixtures: catalog metrics, standard pairs, seeded samplers."""
+"""Shared fixtures: catalog metrics, standard pairs, seeded samplers, and
+the unparameterized distance of two sampled paths."""
 
 import numpy as np
 import pytest
 
 from finvar import ProjectivePair, catalog_metric
 from finvar.config import sample_tangent_points
+
+
+JET_FIELDS = ("F", "F_x", "F_y", "g", "g_inv", "h", "det_g", "F2_yx", "F2_x")
 
 
 def make_metric(kind, n, **kw):
@@ -53,6 +57,29 @@ def sample_points(pair, count, seed=0, velocity_scale=1.0, box=(-0.35, 0.35)):
     rng = np.random.default_rng(seed)
     return sample_tangent_points(pair, count, rng, box=box,
                                  velocity_scale=velocity_scale)
+
+
+def _resample_by_arclength(xs, count, total):
+    """``count`` points of the polyline ``xs`` equally spaced in chord
+    length, up to chord length ``total``."""
+    seg = np.linalg.norm(np.diff(xs, axis=0), axis=1)
+    s = np.concatenate(([0.0], np.cumsum(seg)))
+    targets = np.linspace(0.0, min(total, s[-1]), count)
+    return np.stack([np.interp(targets, s, col) for col in xs.T], axis=1)
+
+
+def path_distance(xs_a, xs_b, count=200):
+    """Distance between two paths as unparameterized curves.
+
+    Both polylines are truncated to their common chord length and resampled
+    at matched arclength fractions; the max pointwise distance bounds the
+    Hausdorff distance of the truncated curves from above.
+    """
+    common = min(float(np.linalg.norm(np.diff(xs, axis=0), axis=1).sum())
+                 for xs in (xs_a, xs_b))
+    ra = _resample_by_arclength(xs_a, count, common)
+    rb = _resample_by_arclength(xs_b, count, common)
+    return float(np.linalg.norm(ra - rb, axis=1).max())
 
 
 @pytest.fixture

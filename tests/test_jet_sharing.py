@@ -46,15 +46,16 @@ def jet_calls(monkeypatch):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(name) counts the calls of the finvar.integrals function
-    ``name`` from every finvar module holding it; returns the call list."""
+    """count_calls(name) records the first argument of every call of the
+    finvar.integrals function ``name``, from every finvar module holding
+    it; returns the list of those arguments."""
     def install(name):
         original = getattr(finvar.integrals, name)
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+        def counted(arg, *args, **kwargs):
+            calls.append(arg)
+            return original(arg, *args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
             if module_name == "finvar" or module_name.startswith("finvar."):
@@ -108,19 +109,20 @@ def test_two_jets_per_point(tmp_path, capsys, jet_calls, command, n):
 @pytest.mark.parametrize("command", ["evaluate", "oracle"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_charpoly_per_point(tmp_path, capsys, count_calls, command, n):
+    # one stacked call over every point of the command
     calls = count_calls("charpoly_coefficients")
     run_command(tmp_path, capsys, command, n)
-    assert len(calls) == POINTS
+    assert [M.shape for M in calls] == [(POINTS, n, n)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_oracle_forms_first_integrals_once_per_point(tmp_path, capsys,
                                                       count_calls, n):
     # also at n = 4, where the combinatorial oracle is skipped: the q0
-    # guard of first_integrals still runs at every point
+    # guard of first_integrals still runs at every point, in one stacked call
     calls = count_calls("first_integrals")
     run_command(tmp_path, capsys, "oracle", n)
-    assert len(calls) == POINTS
+    assert [jets.y.shape for jets in calls] == [(POINTS, n)]
 
 
 def test_geodesic_evaluates_the_base_metric_only_in_jets(tmp_path, capsys,

@@ -1,31 +1,40 @@
 """The stacked (N-lane) engine against N one-point evaluations, bitwise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finvar.autodiff
-from finvar import (DegenerateVelocity, DomainError, HyperDual,
-                    ProjectivePair, SingularMetric, metric_jet, pair_jets,
-                    rapcsak_residual)
+from finvar import (DegenerateAngularMetric, DegenerateVelocity, DomainError,
+                    HyperDual, PairJets, ProjectivePair, SingularMetric,
+                    build_H, charpoly_coefficients, first_integrals,
+                    metric_jet, pair_jets, rapcsak_residual)
 from finvar.autodiff import seed_variables, xy_jet2
+from finvar.dynamics import _spray_vector
 from finvar.linalg import inverse
 from finvar.metrics import FinslerMetric, TangentPoint
 
-from conftest import catalog_metrics, make_pair, sample_points
+from conftest import JET_FIELDS, catalog_metrics, make_pair, sample_points
 
-JET_FIELDS = ("F", "F_x", "F_y", "g", "g_inv", "h", "det_g", "F2_yx", "F2_x")
 FAMILIES = len(catalog_metrics(2))
 
 
+def assert_same_jet(a, b):
+    """Two jets in the same layout, field by field, bitwise."""
+    for name in JET_FIELDS:
+        va, vb = getattr(a, name), getattr(b, name)
+        assert type(va) is type(vb), name
+        assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), name
+
+
 def assert_same_jets(stacked, single):
-    assert len(stacked) == len(single)
-    for k, (a, b) in enumerate(zip(stacked, single)):
-        for name in JET_FIELDS:
-            va, vb = getattr(a, name), getattr(b, name)
-            assert type(va) is type(vb), (k, name)
-            assert np.array_equal(va, vb), (k, name)
+    """Lane k of a stacked jet is the one-point jet ``single[k]``."""
+    assert stacked.F.shape == (len(single),)
+    for k, jet in enumerate(single):
+        assert_same_jet(stacked[k], jet)
 
 
 @given(n=st.sampled_from([2, 3, 5, 8]),
@@ -41,6 +50,51 @@ def test_stacked_jets_equal_one_point_jets_bitwise(n, family, count, seed):
                      [metric_jet(metric, p) for p in points])
 
 
+def one_point_residual(pair, jets, p):
+    """The projective-equivalence residual at one point, from one-point
+    products (the reference for the stacked rows)."""
+    n = pair.dim
+    cjet = xy_jet2(pair.comparison, p.x, p.y)
+    G = _spray_vector(jets.base, p.y)
+    return (cjet.hess[:, :n] @ p.y - 2.0 * (cjet.hess[:, n:] @ G)
+            - cjet.grad[:n])
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@given(n=st.sampled_from([2, 3, 5, 8]),
+       base=st.integers(0, FAMILIES - 1),
+       comparison=st.integers(0, FAMILIES - 1),
+       count=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_stacked_integrals_equal_one_point_integrals_bitwise(
+        lanes, n, base, comparison, count, seed):
+    # H, its charpoly, the spray and the residual rows of a stack take only
+    # operations that keep each lane's one-point bits: this pins that
+    # property of the numpy/BLAS build
+    metrics = catalog_metrics(n)
+    pair = ProjectivePair(metrics[base], metrics[comparison])
+    points = sample_points(pair, count, seed=seed, box=(-0.3, 0.3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finvar.autodiff, "LANES", lanes)
+        jets = pair_jets(pair, points)
+        fiv = first_integrals(jets)
+        spray = _spray_vector(jets.base, jets.y)
+        residuals = rapcsak_residual(pair, points).residuals
+    for k, p in enumerate(points):
+        one = pair_jets(pair, p)
+        assert_same_jet(jets[k].base, one.base)
+        assert_same_jet(jets[k].comparison, one.comparison)
+        assert jets[k].y.tobytes() == one.y.tobytes()
+        one_fiv = first_integrals(one)
+        for name in ("H", "coeffs", "delta"):
+            assert (getattr(fiv, name)[k].tobytes()
+                    == getattr(one_fiv, name).tobytes()), name
+        assert spray[k].tobytes() == _spray_vector(one.base, p.y).tobytes()
+        assert (residuals[k].tobytes()
+                == one_point_residual(pair, one, p).tobytes())
+
+
 @pytest.mark.parametrize("lanes", [1, 3])
 def test_chunk_size_does_not_change_results(monkeypatch, lanes):
     pair = make_pair("klein", "funk", 3)
@@ -49,10 +103,25 @@ def test_chunk_size_does_not_change_results(monkeypatch, lanes):
     residuals = rapcsak_residual(pair, points).residuals
     monkeypatch.setattr(finvar.autodiff, "LANES", lanes)
     chunked = pair_jets(pair, points)
-    assert_same_jets([j.base for j in chunked], [j.base for j in reference])
-    assert_same_jets([j.comparison for j in chunked],
-                     [j.comparison for j in reference])
+    assert_same_jet(chunked.base, reference.base)
+    assert_same_jet(chunked.comparison, reference.comparison)
     assert np.array_equal(rapcsak_residual(pair, points).residuals, residuals)
+
+
+def test_q0_guard_names_the_failing_point():
+    pair = make_pair("klein", "funk", 2)
+    jets = pair_jets(pair, sample_points(pair, 4, seed=8))
+    # g~ in place of h~ at point 2: H loses its kernel there
+    h = jets.comparison.h.copy()
+    h[2] = jets.comparison.g[2]
+    broken = PairJets(jets.base, replace(jets.comparison, h=h), jets.y)
+    q0 = charpoly_coefficients(build_H(broken[2]))[0]
+    assert abs(q0) > 1e-3
+    with pytest.raises(DegenerateAngularMetric) as info:
+        first_integrals(broken)
+    assert info.value.point == 2
+    assert "(point 2)" in str(info.value)
+    assert f"constant charpoly term {q0:.3e} " in str(info.value)
 
 
 def test_lane_layouts():

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from finvar import (ConfigError, DegenerateAngularMetric, DegenerateVelocity,
-                    DomainError, ProjectivePair, TangentPoint,
-                    angular_rank_check, catalog_metric, metric_jet)
-from finvar.metrics import AngularRankReport, MetricJet
+from finvar import (ConfigError, DegenerateVelocity, DomainError,
+                    ProjectivePair, TangentPoint, catalog_metric, metric_jet)
 from finvar.oracle import fd_derivative
 
 from conftest import catalog_metrics, make_metric, sample_points
@@ -81,6 +79,11 @@ class TestTangentPoint:
     def test_dimension_floor(self):
         with pytest.raises(ConfigError):
             TangentPoint([0.0], [1.0])
+
+    def test_no_points_rejected(self):
+        # a stacked jet has at least one lane
+        with pytest.raises(ConfigError):
+            metric_jet(make_metric("euclidean", 2), [])
 
 
 class TestMetricJet:
@@ -169,53 +172,36 @@ class TestMetricJet:
             metric_jet(m, TangentPoint([0.0, 0.0], [1e-300, 0.0]))
 
 
+def null_count(eigs):
+    """Eigenvalues of h within 1e-9 of its largest in modulus."""
+    return int(np.sum(np.abs(eigs) <= 1e-9 * np.abs(eigs).max()))
+
+
 class TestAngularRank:
     def test_euclid_projector_spectrum(self):
         jet = metric_jet(make_metric("euclidean", 3),
                          TangentPoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
-        rep = angular_rank_check(jet)
-        assert rep.ok and rep.null_count == 1
-        assert np.sort(rep.eigenvalues) == pytest.approx([0.0, 1.0, 1.0],
-                                                         abs=1e-12)
+        eigs = np.linalg.eigvalsh(jet.h)
+        assert null_count(eigs) == 1
+        assert np.sort(eigs) == pytest.approx([0.0, 1.0, 1.0], abs=1e-12)
 
     def test_randers_rank_on_random_points(self):
         m = catalog_metric({"kind": "randers", "dim": 3,
                             "beta": {"potential": "quadratic",
                                      "params": [0.4, 0.2, 0.1]}})
         for p in sample_points(ProjectivePair(m, m), 25, seed=31):
-            rep = angular_rank_check(metric_jet(m, p))
-            assert rep.ok
-            # independent eigen-decomposition of h agrees on the null count
-            eigs = np.linalg.eigvalsh(metric_jet(m, p).h)
-            assert np.sum(np.abs(eigs) <= 1e-9 * np.abs(eigs).max()) == 1
+            assert null_count(np.linalg.eigvalsh(metric_jet(m, p).h)) == 1
 
     def test_scaled_eigenvalues_scale_quadratically(self):
         base = make_metric("funk", 2)
         scaled = make_metric("scaled", 2, factor=2.0,
                              base={"kind": "funk", "dim": 2})
         p = TangentPoint([0.1, 0.2], [1.0, -0.3])
-        a = angular_rank_check(metric_jet(base, p)).eigenvalues
-        b = angular_rank_check(metric_jet(scaled, p)).eigenvalues
+        a = np.linalg.eigvalsh(metric_jet(base, p).h)
+        b = np.linalg.eigvalsh(metric_jet(scaled, p).h)
         assert np.sort(b) == pytest.approx(4.0 * np.sort(a), rel=1e-10)
-
-    def test_rank_deficit_rejected(self):
-        jet = metric_jet(make_metric("euclidean", 2),
-                         TangentPoint([0.0, 0.0], [1.0, 0.0]))
-        broken = MetricJet(F=jet.F, F_y=jet.F_y, F_x=jet.F_x, g=jet.g,
-                           g_inv=jet.g_inv, h=np.zeros((2, 2)),
-                           det_g=jet.det_g, F2_yx=jet.F2_yx, F2_x=jet.F2_x)
-        with pytest.raises(DegenerateAngularMetric):
-            angular_rank_check(broken)
 
 
 def test_pair_dimension_check():
     with pytest.raises(ConfigError):
         ProjectivePair(make_metric("euclidean", 2), make_metric("klein", 3))
-
-
-def test_angular_report_type():
-    jet = metric_jet(make_metric("klein", 2),
-                     TangentPoint([0.1, 0.1], [1.0, 0.5]))
-    rep = angular_rank_check(jet)
-    assert isinstance(rep, AngularRankReport)
-    assert rep.eigenvalues.shape == (2,)
