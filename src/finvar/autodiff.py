@@ -302,7 +302,7 @@ def gdot(u, v):
 # -- field evaluation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jet2:
     """Value, gradient, and Hessian rows of a scalar field in the seeded
     variables: a float, (m,) and (r, m) at one point; (N,), (N, m) and

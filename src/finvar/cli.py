@@ -67,7 +67,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     points = _points(cfg, pair, "evaluate", cfg.samples.count)
     all_jets = pair_jets(pair, points)
     all_fivs = first_integrals(all_jets)
-    for idx, p in enumerate(points):
+    for idx in range(len(points)):
         # the closed forms take float powers, so they run point by point
         jets, fiv = all_jets[idx], all_fivs[idx]
         jet, jet_t = jets.base, jets.comparison
@@ -87,7 +87,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
         for key in worst:
             worst[key] = max(worst[key], checks[key])
         records.append({
-            "index": idx, "x": p.x, "y": p.y,
+            "index": idx, "x": points.x[idx], "y": points.y[idx],
             "F": jet.F, "F_comparison": jet_t.F,
             "g": jet.g, "h": jet.h, "H": fiv.H,
             "f": fiv.f, "delta": fiv.delta,
@@ -119,7 +119,8 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     trajectories = []
     all_pass = True
     points = _points(cfg, pair, "geodesic", cfg.samples.trajectories)
-    for idx, p0 in enumerate(points):
+    for idx in range(len(points)):
+        p0 = points[idx]
         try:
             # The integrator keeps the base metric's domain; the comparison
             # metric's may end sooner, as a ball does for straight lines.

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import INTEGRATORS
-from .errors import ConfigError, FinvarError
+from .errors import ConfigError
 from .metrics import (ProjectivePair, TangentPoint, catalog_metric,
                       finite_number, finite_vector)
 
@@ -33,12 +33,14 @@ def _check_number(value, where: str) -> None:
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _check_point(pt, where: str) -> None:
-    """An explicit tangent point: finite numeric x and y of equal length."""
+def _check_point(pt, where: str, n: int | None) -> int:
+    """An explicit tangent point: finite numeric x and y of equal length,
+    ``n`` if given; returns that length."""
     if not isinstance(pt, dict) or "x" not in pt or "y" not in pt:
         raise ConfigError(f"{where} must be an object with 'x' and 'y'")
-    x = finite_vector(pt["x"], f"{where}.x")
+    x = finite_vector(pt["x"], f"{where}.x", n)
     finite_vector(pt["y"], f"{where}.y", len(x))
+    return len(x)
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,9 @@ class RunConfig:
                 f"seed must be an integer >= 0, got {self.seed!r}")
         if self.tolerance is not None:
             _check_number(self.tolerance, "tolerance")
+        n = None  # every point has the length of points[0]
         for i, pt in enumerate(self.points):
-            _check_point(pt, f"points[{i}]")
+            n = _check_point(pt, f"points[{i}]", n)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a file path, got {self.out!r}")
 
@@ -110,16 +113,11 @@ class RunConfig:
         return ProjectivePair(base=catalog_metric(self.base),
                               comparison=catalog_metric(self.comparison))
 
-    def explicit_points(self) -> list[TangentPoint]:
-        points = []
-        for i, pt in enumerate(self.points):
-            try:
-                points.append(TangentPoint(np.asarray(pt["x"], dtype=float),
-                                           np.asarray(pt["y"], dtype=float)))
-            except FinvarError as exc:
-                exc.point = i
-                raise
-        return points
+    def explicit_points(self) -> TangentPoint:
+        """The explicit points, as one stack."""
+        return TangentPoint(
+            np.array([pt["x"] for pt in self.points], dtype=float),
+            np.array([pt["y"] for pt in self.points], dtype=float))
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -200,12 +198,15 @@ def apply_overrides(cfg: RunConfig, *, seed=None, fmt=None, tolerance=None,
 def sample_tangent_points(pair: ProjectivePair, count: int,
                           rng: np.random.Generator,
                           box: tuple[float, float] = (-0.35, 0.35),
-                          velocity_scale: float = 1.0) -> list[TangentPoint]:
-    """Seeded in-domain samples: box-uniform base points, sphere velocities."""
+                          velocity_scale: float = 1.0) -> TangentPoint:
+    """Seeded in-domain samples, as one stack: box-uniform base points,
+    sphere velocities. Each draw is tested against the domain before its
+    velocity is drawn, an order every seeded report depends on."""
     n = pair.dim
-    points = []
-    tries = 0
-    while len(points) < count:
+    xs = np.empty((count, n))
+    ys = np.empty((count, n))
+    k = tries = 0
+    while k < count:
         tries += 1
         if tries > MAX_REJECTIONS:
             raise ConfigError(
@@ -218,5 +219,6 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
         norm = np.linalg.norm(y)
         if norm < 1e-12:
             continue
-        points.append(TangentPoint(x, velocity_scale * y / norm))
-    return points
+        xs[k], ys[k] = x, velocity_scale * y / norm
+        k += 1
+    return TangentPoint(xs, ys)

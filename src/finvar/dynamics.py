@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import check_lanes, xy_jet2
+from .autodiff import check_lanes, lane, xy_jet2
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
@@ -54,7 +54,7 @@ def _flow(jet: MetricJet, y: np.ndarray) -> np.ndarray:
     return np.concatenate((y, -2.0 * _spray_vector(jet, y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicTrajectory:
     """Accepted integration samples of one geodesic.
 
@@ -166,16 +166,16 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
                        ) -> GeodesicTrajectory:
     """Integrate the geodesic flow of ``metric`` from ``p0`` to time ``t_end``.
 
-    ``method`` is ``rk4`` (fixed step ``step``) or ``rkf45`` (adaptive with
-    ``rtol``/``atol``). Samples are the accepted steps. Approaching the
-    domain boundary truncates the trajectory (``domain_exit``); a step
-    rejection cascade below the hard floor raises :class:`IntegratorStall`;
-    a non-reversible metric rejects ``t_end < 0`` with
-    :class:`NonReversibleBackward`.
+    ``p0`` is one point, not a stack. ``method`` is ``rk4`` (fixed step
+    ``step``) or ``rkf45`` (adaptive with ``rtol``/``atol``). Samples are
+    the accepted steps. Approaching the domain boundary truncates the
+    trajectory (``domain_exit``); a step rejection cascade below the hard
+    floor raises :class:`IntegratorStall`; a non-reversible metric rejects
+    ``t_end < 0`` with :class:`NonReversibleBackward`.
     """
-    if p0.dim != metric.dim:
-        raise ConfigError(f"initial condition has dimension {p0.dim}, "
-                          f"metric has {metric.dim}")
+    if p0.x.shape != (metric.dim,):
+        raise ConfigError(f"initial condition has shape {p0.x.shape}, "
+                          f"metric has dimension {metric.dim}")
     if t_end == 0.0:
         raise ConfigError("t_end must be nonzero")
     if t_end < 0.0 and not metric.reversible:
@@ -189,6 +189,9 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     if method == "rk4":
         if not (isinstance(step, (int, float)) and step > 0):
             raise ConfigError(f"rk4 needs step > 0, got {step!r}")
+        if not math.isfinite(abs(t_end) / step):
+            raise ConfigError(f"rk4 step count |t_end| / step overflows, "
+                              f"got t_end={t_end!r} step={step!r}")
         out = _integrate_rk4(metric, rhs, z0, t_end, float(step))
     elif method == "rkf45":
         if not (rtol > 0 and atol > 0):
@@ -314,16 +317,16 @@ def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:
 # -- projective equivalence test ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RapcsakReport:
     """Residuals of S(dF~/dy^i) = dF~/dx^i over a sample set."""
 
-    residuals: np.ndarray            # (n_samples, n)
+    residuals: np.ndarray            # (n,), or (n_samples, n)
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "norms",
-                          np.linalg.norm(self.residuals, axis=1))
+                          np.linalg.norm(self.residuals, axis=-1))
 
     @property
     def max_residual(self) -> float:
@@ -338,30 +341,28 @@ class RapcsakReport:
 
 
 def rapcsak_residual(pair: ProjectivePair,
-                     samples: list[TangentPoint]) -> RapcsakReport:
-    """Projective-equivalence residual of the pair on ``samples``.
+                     samples: TangentPoint) -> RapcsakReport:
+    """Projective-equivalence residual of the pair at ``samples``, one point
+    or a stack.
 
     Componentwise r_i = y^j d2F~/dy^i dx^j - 2 G^j d2F~/dy^i dy^j - dF~/dx^i
     with G the spray of the base metric; the residual vanishes exactly when
     the comparison metric shares the base metric's unparameterized geodesics.
     """
-    if not samples:
-        raise ConfigError("rapcsak_residual needs at least one sample")
     n = pair.dim
-    y = np.array([p.y for p in samples])
     base_jets = metric_jet(pair.base, samples)
-    cjet = xy_jet2(pair.comparison, np.array([p.x for p in samples]), y)
+    cjet = xy_jet2(pair.comparison, samples.x, samples.y)
     # the raw jet enters the residual directly: an overflow there, or in
     # the residual norm, must not pass for a large residual
-    check_lanes(np.isfinite(cjet.value) & np.isfinite(cjet.grad).all(axis=1)
-                & np.isfinite(cjet.hess).all(axis=(1, 2)),
+    check_lanes(np.isfinite(cjet.value) & np.isfinite(cjet.grad).all(axis=-1)
+                & np.isfinite(cjet.hess).all(axis=(-2, -1)),
                 lambda i: NonFiniteResult("value or derivatives not finite",
                                           metric=pair.comparison.name,
                                           point=i))
-    G = _spray_vector(base_jets, y)
-    residuals = (_matvec(cjet.hess[:, :, :n], y)
-                 - 2.0 * _matvec(cjet.hess[:, :, n:], G) - cjet.grad[:, :n])
+    G = _spray_vector(base_jets, samples.y)
+    residuals = (_matvec(cjet.hess[..., :n], samples.y)
+                 - 2.0 * _matvec(cjet.hess[..., n:], G) - cjet.grad[..., :n])
     report = RapcsakReport(residuals=residuals)
     check_lanes(np.isfinite(report.norms), lambda i: NonFiniteResult(
-        f"residual norm {report.norms[i]} not finite", point=i))
+        f"residual norm {lane(report.norms, i)} not finite", point=i))
     return report

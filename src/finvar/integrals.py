@@ -39,7 +39,7 @@ from .metrics import (MetricJet, ProjectivePair, TangentPoint, _jet_arrays,
 Q0_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairJets(Lanes):
     """Both metric jets of a pair at one tangent point, with its velocity,
     or at N points in the stacked layout of :class:`MetricJet` (y of shape
@@ -58,17 +58,14 @@ class PairJets(Lanes):
         return self.y.shape[-1]
 
 
-def pair_jets(pair: ProjectivePair, points) -> PairJets:
-    """The jets of the base and of the comparison metric at a
-    :class:`TangentPoint`, or stacked over a sequence of points, with one
-    stacked pass per metric."""
-    y = (points.y if isinstance(points, TangentPoint)
-         else np.array([p.y for p in points]))
+def pair_jets(pair: ProjectivePair, points: TangentPoint) -> PairJets:
+    """The jets of the base and of the comparison metric at one point, or
+    stacked over a stack of points, with one pass per metric."""
     return PairJets(metric_jet(pair.base, points),
-                    metric_jet(pair.comparison, points), y)
+                    metric_jet(pair.comparison, points), points.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirstIntegralVector(Lanes):
     """H at one point, the coefficients of det(H + Lambda I) and delta_alpha
     = f_alpha det g; or all of them at N points, stacked on a leading axis.

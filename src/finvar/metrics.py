@@ -67,9 +67,12 @@ def finite_vector(values, where: str, n: int | None = None) -> list[float]:
     return [float(v) for v in values]
 
 
-@dataclass(frozen=True)
-class TangentPoint:
-    """Base point and nonzero velocity, the locus of every evaluation."""
+@dataclass(frozen=True, eq=False)
+class TangentPoint(Lanes):
+    """Base point and nonzero velocity, the locus of every evaluation: x and
+    y of shape (n,) at one point, or (N, n) for N >= 1 points stacked on the
+    leading axis. ``points[i]`` is point i of a stack, and ``len(points)``
+    is N."""
 
     x: np.ndarray
     y: np.ndarray
@@ -77,18 +80,24 @@ class TangentPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
+        if (self.x.shape != self.y.shape or self.x.ndim not in (1, 2)
+                or not self.x.size):
             raise ConfigError(
-                f"x and y must be vectors of equal length, got {self.x.shape} "
-                f"and {self.y.shape}")
-        if self.x.shape[0] < 2:
+                f"x and y must be vectors, or non-empty stacks of them, of "
+                f"equal shape, got {self.x.shape} and {self.y.shape}")
+        if self.dim < 2:
             raise ConfigError("dimension must be at least 2")
-        if not np.any(self.y):
-            raise DegenerateVelocity("velocity is exactly zero")
+        check_lanes(np.any(self.y != 0.0, axis=-1), lambda i: (
+            DegenerateVelocity("velocity is exactly zero", point=i)))
+
+    def __len__(self) -> int:
+        if self.x.ndim != 2:
+            raise TypeError("one TangentPoint has no len(); a stack has")
+        return self.x.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,7 @@ class ProjectivePair:
         return self.base.domain(x) and self.comparison.domain(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricJet(Lanes):
     """All derivative data of one metric at one tangent point, or at N
     points with the lanes on the leading axis of every field (F and det_g
@@ -170,23 +179,13 @@ class MetricJet(Lanes):
         return self.F_y.shape[-1]
 
 
-def metric_jet(metric: FinslerMetric, points) -> MetricJet:
-    """Assemble every tensor of ``metric`` from one joint AD pass.
-
-    At a :class:`TangentPoint` this is its one-point :class:`MetricJet`; at
-    a non-empty sequence of points, their stacked jet from one stacked pass.
-    """
-    one = isinstance(points, TangentPoint)
-    if not (one or points):
-        raise ConfigError("metric_jet needs at least one point")
-    for p in ([points] if one else points):
-        if p.dim != metric.dim:
-            raise ConfigError(
-                f"{metric.name} has dimension {metric.dim}, point has {p.dim}")
-    if one:
-        return _jet_arrays(metric, points.x, points.y)
-    return _jet_arrays(metric, np.array([p.x for p in points]),
-                       np.array([p.y for p in points]))
+def metric_jet(metric: FinslerMetric, points: TangentPoint) -> MetricJet:
+    """Assemble every tensor of ``metric`` from one joint AD pass: the
+    one-point :class:`MetricJet` at one point, the stacked jet at a stack."""
+    if points.dim != metric.dim:
+        raise ConfigError(
+            f"{metric.name} has dimension {metric.dim}, point has {points.dim}")
+    return _jet_arrays(metric, points.x, points.y)
 
 
 # Metric values under this floor are treated as a collapsed velocity; jets

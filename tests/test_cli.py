@@ -285,12 +285,22 @@ class TestCliContract:
         ("evaluate", {"integrator": {"method": "euler"}}),
         ("verify", {"integrator": {"method": "euler"}}),
         ("evaluate", {"out": True}),
+        *((command, {"points": [{"x": [0.1, 0.2], "y": [1.0, 0.0]},
+                                {"x": [0.1, 0.2, 0.3], "y": [1.0, 0.0, 0.0]}]})
+          for command in ("evaluate", "geodesic", "verify", "oracle")),
+        ("geodesic", {"integrator": {"method": "rk4", "t_end": 1e308,
+                                     "step": 1e-3}}),
+        ("geodesic", {"integrator": {"method": "rk4", "t_end": 1.0,
+                                     "step": 1e-320}}),
     ], ids=["seed", "negative_seed", "count", "box", "samples", "rtol",
             "tolerance", "point_string", "point_nan_evaluate",
             "point_nan_geodesic", "const_diag_string",
             "const_diag_nan", "randers_beta_string", "randers_beta_nan",
             "scaled_factor_nan", "scaled_factor_inf", "method_evaluate",
-            "method_verify", "out"])
+            "method_verify", "out", "point_lengths_evaluate",
+            "point_lengths_geodesic", "point_lengths_verify",
+            "point_lengths_oracle", "rk4_steps_huge_t_end",
+            "rk4_steps_tiny_step"])
     def test_malformed_value_types(self, tmp_path, capsys, command,
                                    overrides):
         cfg = write_config(tmp_path, **overrides)

@@ -107,6 +107,14 @@ class TestIntegration:
         assert np.abs(traj.xs[-1] - [1.0, 2.0]).max() < 1e-13
         assert traj.times[-1] == pytest.approx(1.0, abs=0)
 
+    def test_initial_condition_is_one_point(self):
+        stack = TangentPoint([[0.0, 0.0]] * 2, [[1.0, 2.0]] * 2)
+        with pytest.raises(ConfigError):
+            integrate_geodesic(EUCLID, stack, 1.0)
+        traj = integrate_geodesic(EUCLID, stack[1], 1.0, method="rk4",
+                                  step=1e-2)
+        assert np.abs(traj.xs[-1] - [1.0, 2.0]).max() < 1e-13
+
     def test_klein_geodesic_is_straight_line(self):
         traj = integrate_geodesic(KLEIN, TangentPoint([0.0, 0.1], [1.0, 0.0]),
                                   1.0)
@@ -285,8 +293,10 @@ class TestRapcsak:
         assert rep.max_residual >= 1e-2
 
     def test_empty_samples_rejected(self):
+        # a stack of no samples is refused when it is built
         with pytest.raises(ConfigError):
-            rapcsak_residual(make_pair("euclidean", "klein", 2), [])
+            rapcsak_residual(make_pair("euclidean", "klein", 2),
+                             TangentPoint(np.empty((0, 2)), np.empty((0, 2))))
 
     def test_report_shape(self):
         pair = make_pair("euclidean", "funk", 2)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import finvar.autodiff
 from finvar import (DegenerateAngularMetric, DegenerateVelocity, DomainError,
-                    HyperDual, PairJets, ProjectivePair, SingularMetric,
-                    build_H, charpoly_coefficients, first_integrals,
-                    metric_jet, pair_jets, rapcsak_residual)
+                    FirstIntegralVector, GeodesicTrajectory, HyperDual, Jet2,
+                    MetricJet, PairJets, ProjectivePair, RapcsakReport,
+                    SingularMetric, build_H, charpoly_coefficients,
+                    first_integrals, integrate_geodesic, metric_jet,
+                    pair_jets, rapcsak_residual)
 from finvar.autodiff import seed_variables, xy_jet2
 from finvar.dynamics import _spray_vector
 from finvar.linalg import inverse
@@ -93,6 +95,8 @@ def test_stacked_integrals_equal_one_point_integrals_bitwise(
         assert spray[k].tobytes() == _spray_vector(one.base, p.y).tobytes()
         assert (residuals[k].tobytes()
                 == one_point_residual(pair, one, p).tobytes())
+        assert (rapcsak_residual(pair, p).residuals.tobytes()
+                == residuals[k].tobytes())
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
@@ -213,11 +217,42 @@ def test_stacked_inverse_names_the_failing_matrix(bad):
     assert info.value.point is None
 
 
+def _equal_valued(kind):
+    """A new object of class ``kind``, equal in value to every other one
+    this returns for ``kind``."""
+    pair = make_pair("klein", "funk", 2)
+    points = sample_points(pair, 3, seed=5)
+    if kind is TangentPoint:
+        return TangentPoint(points.x, points.y)
+    if kind is Jet2:
+        return xy_jet2(pair.base, points.x, points.y)
+    if kind is MetricJet:
+        return metric_jet(pair.base, points)
+    if kind is PairJets:
+        return pair_jets(pair, points)
+    if kind is FirstIntegralVector:
+        return first_integrals(pair_jets(pair, points))
+    if kind is GeodesicTrajectory:
+        return integrate_geodesic(pair.base, points[0], 0.1)
+    return rapcsak_residual(pair, points)
+
+
+@pytest.mark.parametrize("kind", [
+    TangentPoint, Jet2, MetricJet, PairJets, FirstIntegralVector,
+    GeodesicTrajectory, RapcsakReport], ids=lambda kind: kind.__name__)
+def test_array_holders_compare_by_identity(kind):
+    # a field-wise == of arrays has no single truth value
+    a, b = _equal_valued(kind), _equal_valued(kind)
+    assert type(a) is type(b) is kind
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_metric_and_point_reach_the_message_from_a_jet():
     rank_one = FinslerMetric("rank-one", 2,
                              lambda xs, ys: (ys[0] + ys[1]) * 1.0,
                              lambda x: True)
-    points = [TangentPoint([0.0, 0.0], [1.0, 0.5])] * 3
+    points = TangentPoint([[0.0, 0.0]] * 3, [[1.0, 0.5]] * 3)
     with pytest.raises(SingularMetric) as info:
         metric_jet(rank_one, points)
     assert str(info.value).startswith("rank-one: ")

@@ -81,9 +81,41 @@ class TestTangentPoint:
             TangentPoint([0.0], [1.0])
 
     def test_no_points_rejected(self):
-        # a stacked jet has at least one lane
+        # a stack, and so a stacked jet, has at least one lane
         with pytest.raises(ConfigError):
-            metric_jet(make_metric("euclidean", 2), [])
+            metric_jet(make_metric("euclidean", 2),
+                       TangentPoint(np.empty((0, 2)), np.empty((0, 2))))
+
+    def test_stack_indexes_its_points(self):
+        points = TangentPoint([[0.1, 0.2], [-0.2, 0.0], [0.3, 0.1]],
+                              [[0.3, -0.1], [1.0, 0.5], [0.0, 2.0]])
+        assert len(points) == 3 and points.dim == 2
+        one = points[1]
+        assert one.x.tolist() == [-0.2, 0.0] and one.y.tolist() == [1.0, 0.5]
+        assert one.dim == 2
+        with pytest.raises(TypeError):
+            len(one)
+        assert len(points[1:]) == 2
+        assert [p.y.tolist() for p in points] == points.y.tolist()
+
+    def test_zero_velocity_in_a_stack_names_the_point(self):
+        with pytest.raises(DegenerateVelocity) as info:
+            TangentPoint([[0.0, 0.0]] * 3, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert info.value.point == 2
+
+    @pytest.mark.parametrize("x, y", [
+        ([[0.0, 0.0]], [0.0, 1.0]),               # a stack and a vector
+        ([[[0.0, 0.0]]], [[[0.0, 1.0]]]),         # three axes
+        ([[0.0], [0.0]], [[1.0], [1.0]]),         # dimension 1
+    ], ids=["mixed_layouts", "three_axes", "dimension_floor"])
+    def test_malformed_stacks(self, x, y):
+        with pytest.raises(ConfigError):
+            TangentPoint(x, y)
+
+    def test_stack_dimension_must_match_the_metric(self):
+        with pytest.raises(ConfigError):
+            metric_jet(make_metric("klein", 3),
+                       TangentPoint([[0.0, 0.0]] * 2, [[1.0, 0.0]] * 2))
 
 
 class TestMetricJet:
