@@ -104,6 +104,14 @@ class Lanes:
                             for f in fields(self)))
 
 
+def lane_power(a, p):
+    """``a ** p`` by Python's float power in each lane: numpy's array power
+    rounds differently in some lanes. A numpy scalar for one point, shape
+    (N,) for N lanes."""
+    a = np.asarray(a)
+    return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)[()]
+
+
 def _item(v):
     return v.item() if isinstance(v, np.generic) else v
 

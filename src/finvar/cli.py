@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .autodiff import lane_power
 from .config import (RunConfig, apply_overrides, load_config,
                      sample_tangent_points)
 from .dynamics import integrate_geodesic, rapcsak_residual, trajectory_energy
@@ -37,8 +38,9 @@ ORACLE_COMB_TOL = 1e-8
 ORACLE_INTERP_TOL = 1e-9
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(b))
+def _rel_err(a, b):
+    """|a - b| / max(1, |b|), elementwise over arrays."""
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
 
 
 def _default_velocity_scale(cfg: RunConfig, command: str) -> float:
@@ -60,40 +62,43 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     """Per-point report of all tensors, integrals, and cross-check deltas."""
     pair = cfg.build_pair()
     tol = cfg.tolerance if cfg.tolerance is not None else EVALUATE_TOL
-    records = []
-    worst = {"f1_rel_err": 0.0, "fn1_rel_err": 0.0, "ri0_rel_err": 0.0,
-             "ri1_rel_err": 0.0, "q0_abs": 0.0}
     n = pair.dim
     points = _points(cfg, pair, "evaluate", cfg.samples.count)
-    all_jets = pair_jets(pair, points)
-    all_fivs = first_integrals(all_jets)
-    for idx in range(len(points)):
-        # the closed forms take float powers, so they run point by point
-        jets, fiv = all_jets[idx], all_fivs[idx]
-        jet, jet_t = jets.base, jets.comparison
-        m = mu(jets)
-        i0 = painleve_I0(jets)
-        i1 = tm_I1(jets)
-        checks = {
-            "f1_rel_err": _rel_err(fiv.f[0], f1_closed_form(jets)),
-            "fn1_rel_err": _rel_err(fiv.f[n - 2], fn1_closed_form(jets)),
-            "ri0_rel_err": _rel_err(jet.F ** 2 / fiv.f[0] ** (2.0 / (n + 1)),
-                                    i0),
-            "ri1_rel_err": _rel_err(fiv.f[n - 2] * jet_t.F ** 3 * m ** 3
-                                    / jet.F, i1),
-            "q0_abs": abs(fiv.coeffs[0]),
-            "f_n": float(fiv.f[-1]),
-        }
-        for key in worst:
-            worst[key] = max(worst[key], checks[key])
-        records.append({
-            "index": idx, "x": points.x[idx], "y": points.y[idx],
-            "F": jet.F, "F_comparison": jet_t.F,
-            "g": jet.g, "h": jet.h, "H": fiv.H,
-            "f": fiv.f, "delta": fiv.delta,
-            "mu": m, "I0": i0, "I1": i1, "K": sarlet_K(jets),
-            "checks": checks,
-        })
+    jets = pair_jets(pair, points)
+    fiv = first_integrals(jets)
+    jet, jet_t = jets.base, jets.comparison
+    # every closed form and check takes the whole stack; only the float
+    # powers go lane by lane, as one-point values would
+    m = mu(jets)
+    i0 = painleve_I0(jets)
+    i1 = tm_I1(jets)
+    f1, fn1 = fiv.f[:, 0], fiv.f[:, n - 2]
+    # f_1 keeps the power of a numpy scalar (nan, not complex, below 0)
+    ri0 = (lane_power(jet.F, 2)
+           / np.array([v ** (2.0 / (n + 1)) for v in f1]))
+    ri1 = fn1 * lane_power(jet_t.F, 3) * lane_power(m, 3) / jet.F
+    checks = {
+        "f1_rel_err": _rel_err(f1, f1_closed_form(jets)),
+        "fn1_rel_err": _rel_err(fn1, fn1_closed_form(jets)),
+        "ri0_rel_err": _rel_err(ri0, i0),
+        "ri1_rel_err": _rel_err(ri1, i1),
+        "q0_abs": np.abs(fiv.coeffs[:, 0]),
+        "f_n": fiv.f[:, -1],
+    }
+    checks = {key: value.tolist() for key, value in checks.items()}
+    # the fold of a point-by-point max, in point order
+    worst = {key: max([0.0] + values) for key, values in checks.items()
+             if key != "f_n"}
+    records = [{
+        "index": idx, "x": x, "y": y, "F": F, "F_comparison": F_t,
+        "g": g, "h": h, "H": H, "f": f, "delta": delta,
+        "mu": m_k, "I0": i0_k, "I1": i1_k, "K": K,
+        "checks": {key: values[idx] for key, values in checks.items()},
+    } for idx, (x, y, F, F_t, g, h, H, f, delta, m_k, i0_k, i1_k, K)
+        in enumerate(zip(points.x, points.y, jet.F.tolist(),
+                         jet_t.F.tolist(), jet.g, jet.h, fiv.H, fiv.f,
+                         fiv.delta, m.tolist(), i0.tolist(), i1.tolist(),
+                         sarlet_K(jets)))]
     fn1_tol = min(tol, FN1_TOL) if cfg.tolerance is None else tol
     verdict = (worst["f1_rel_err"] <= tol and worst["ri0_rel_err"] <= tol
                and worst["ri1_rel_err"] <= tol
@@ -208,26 +213,22 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     checks = []
     all_pass = True
 
-    worst = 0.0
-    for H, a in zip(fiv.H, fiv.coeffs):
-        b = charpoly_by_interpolation(H)
-        worst = max(worst, float(np.abs(a - b).max()
-                                 / max(1.0, np.abs(a).max())))
+    a = fiv.coeffs
+    errs = (np.abs(a - charpoly_by_interpolation(fiv.H)).max(axis=-1)
+            / np.maximum(1.0, np.abs(a).max(axis=-1)))
+    worst = max([0.0] + errs.tolist())
     ok = worst <= interp_tol
     all_pass = all_pass and ok
     checks.append({"name": "charpoly_interpolation", "cases": len(points),
                    "max_rel_err": worst, "tolerance": interp_tol,
                    "status": "pass" if ok else "fail"})
 
-    # one point at a time, each point's jets taken once for every alpha
-    worst = [0.0] * n
+    worst = []
     try:
-        for k in range(len(points)):
-            point_jets = jets[k]
-            for alpha in range(1, n + 1):
-                worst[alpha - 1] = max(worst[alpha - 1], _rel_err(
-                    delta_alpha_combinatorial(point_jets, alpha),
-                    fiv.delta[k, alpha - 1]))
+        for alpha in range(1, n + 1):
+            errs = _rel_err(delta_alpha_combinatorial(jets, alpha),
+                            fiv.delta[:, alpha - 1])
+            worst.append(max([0.0] + errs.tolist()))
     except OracleScopeExceeded as exc:
         checks.append({"name": "delta_combinatorial", "alpha": alpha,
                        "status": "skipped", "reason": str(exc)})

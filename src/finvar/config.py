@@ -65,6 +65,9 @@ class SampleSettings:
             raise ConfigError(f"box {self.box} is empty")
         if self.velocity_scale is not None:
             _check_number(self.velocity_scale, "samples.velocity_scale")
+            if self.velocity_scale == 0:
+                raise ConfigError("samples.velocity_scale must be nonzero: "
+                                  "every sampled velocity would vanish")
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,10 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
     sphere velocities. Each draw is tested against the domain before its
     velocity is drawn, an order every seeded report depends on."""
     n = pair.dim
+    if count > MAX_REJECTIONS:
+        # every point takes at least one draw
+        raise ConfigError(f"cannot draw {count} points in at most "
+                          f"{MAX_REJECTIONS} draws")
     xs = np.empty((count, n))
     ys = np.empty((count, n))
     k = tries = 0

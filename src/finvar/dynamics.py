@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import check_lanes, lane, xy_jet2
+from .autodiff import check_lanes, lane, lane_power, xy_jet2
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
@@ -310,8 +310,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:
     """F^2 of the integrated metric at every trajectory sample (conserved
     along its geodesics), from the jets the integrator evaluated."""
-    # a float power per sample: an array power rounds differently
-    return np.array([F ** 2 for F in traj.jets.F.tolist()])
+    return lane_power(traj.jets.F, 2)
 
 
 # -- projective equivalence test ---------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Lanes, check_lanes, lane
+from .autodiff import Lanes, check_lanes, lane, lane_power
 from .dynamics import GeodesicTrajectory
 from .errors import ConfigError, DegenerateAngularMetric
 from .metrics import (MetricJet, ProjectivePair, TangentPoint, _jet_arrays,
@@ -158,46 +158,50 @@ def first_integrals(jets: PairJets) -> FirstIntegralVector:
         delta=coeffs[..., 1:] * np.asarray(jets.base.det_g)[..., None])
 
 
-def f1_closed_form(jets: PairJets) -> float:
+def f1_closed_form(jets: PairJets) -> float | np.ndarray:
     """f_1 = (F/F~)^(n+1) det g~ / det g, bypassing the polynomial."""
     jet, jet_t = jets.base, jets.comparison
-    # one point: an array power would round differently in some lanes
-    return (jet.F / jet_t.F) ** (jets.dim + 1) * jet_t.det_g / jet.det_g
+    return (lane_power(jet.F / jet_t.F, jets.dim + 1) * jet_t.det_g
+            / jet.det_g)
 
 
-def fn1_closed_form(jets: PairJets) -> float:
+def fn1_closed_form(jets: PairJets) -> float | np.ndarray:
     """f_{n-1} = Tr H = (F/F~) g^{ij} h~_{ij}."""
     jet, jet_t = jets.base, jets.comparison
-    return (jet.F / jet_t.F) * float(np.trace(jet.g_inv @ jet_t.h))
+    return (jet.F / jet_t.F) * np.trace(jet.g_inv @ jet_t.h,
+                                        axis1=-2, axis2=-1)
 
 
-def _volume_ratio(det_g: float, det_g_t: float, n: int) -> float:
+def _volume_ratio(det_g, det_g_t, n: int):
     """(det g / det g~)^(1/(n+1)); both determinants are positive because
     every jet certifies that its metric is strongly convex."""
-    # one point: an array power would round differently in some lanes
-    return (det_g / det_g_t) ** (1.0 / (n + 1))
+    return lane_power(det_g / det_g_t, 1.0 / (n + 1))
 
 
-def mu(jets: PairJets) -> float:
+def mu(jets: PairJets) -> float | np.ndarray:
     """Volume-density ratio mu = (det g / det g~)^(1/(n+1))."""
     return _volume_ratio(jets.base.det_g, jets.comparison.det_g, jets.dim)
 
 
-def painleve_I0(jets: PairJets) -> float:
+def painleve_I0(jets: PairJets) -> float | np.ndarray:
     """Painleve-type integral I_0 = mu^2 F~^2 (equals F^2 / f_1^(2/(n+1)))."""
     jet, jet_t = jets.base, jets.comparison
-    # one point: an array power would round differently in some lanes
-    return _volume_ratio(jet.det_g, jet_t.det_g, jets.dim) ** 2 * jet_t.F ** 2
+    m = _volume_ratio(jet.det_g, jet_t.det_g, jets.dim)
+    return lane_power(m, 2) * lane_power(jet_t.F, 2)
 
 
-def tm_I1(jets: PairJets) -> float:
+def tm_I1(jets: PairJets) -> float | np.ndarray:
     """Quadratic-type integral I_1 = mu^3 g^{ij}(g~_{ij} g~_{kl} -
     g~_{ik} g~_{jl}) y^k y^l (equals f_{n-1} F~^3 mu^3 / F)."""
     jet, jet_t, y = jets.base, jets.comparison, jets.y
-    m3 = _volume_ratio(jet.det_g, jet_t.det_g, jets.dim) ** 3
-    gty = jet_t.g @ y
-    return m3 * (float(np.trace(jet.g_inv @ jet_t.g)) * float(y @ gty)
-                 - float(gty @ jet.g_inv @ gty))
+    m3 = lane_power(_volume_ratio(jet.det_g, jet_t.det_g, jets.dim), 3)
+    # vectors as (1, n) rows and (n, 1) columns: matmul then takes each
+    # lane through the matrix-vector and dot products of a 1-D operand
+    row, col = y[..., None, :], (jet_t.g @ y[..., :, None])
+    gty = col.swapaxes(-1, -2)
+    trace = np.trace(jet.g_inv @ jet_t.g, axis1=-2, axis2=-1)
+    return m3 * (trace * (row @ col)[..., 0, 0]
+                 - (gty @ jet.g_inv @ col)[..., 0, 0])
 
 
 def sarlet_K(jets: PairJets) -> np.ndarray:
@@ -208,7 +212,7 @@ def sarlet_K(jets: PairJets) -> np.ndarray:
     """
     jet, jet_t = jets.base, jets.comparison
     scale = 1.0 / _volume_ratio(jet.det_g, jet_t.det_g, jets.dim)
-    return scale * (jet_t.g_inv @ jet.g)
+    return _per_matrix(scale) * (jet_t.g_inv @ jet.g)
 
 
 def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarray:

@@ -48,11 +48,20 @@ from .errors import ConfigError, DegenerateVelocity, DomainError, FinvarError
 # catastrophic cancellation in terms like 1 - |x|^2.
 EPS_DOM = 1e-9
 
+# Far above the working range (n <= 8); bounds what a descriptor can make
+# the catalog allocate before anything else is checked.
+MAX_DIM = 64
+
 
 def finite_number(value) -> bool:
-    """A JSON number (an int or a float, not a bool) that is finite."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A JSON number (an int or a float, not a bool) that is finite; an
+    integer beyond the float range is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def finite_vector(values, where: str, n: int | None = None) -> list[float]:
@@ -333,19 +342,17 @@ def _randers_beta_norm2(a_field, beta, x: np.ndarray):
             a[..., i, j] = v
     for i, v in enumerate(beta(coords)):
         b[..., i] = v
-    try:
-        sol = np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if x.ndim == 1:
-            return float("inf")
-        return np.array([_randers_beta_norm2(a_field, beta, row) for row in x])
+    # catalog alpha fields are diagonal, with entries positive or non-finite,
+    # so the solve never meets a singular matrix
+    sol = np.linalg.solve(a, b[..., None])[..., 0]
     return gdot(b.T, sol.T)
 
 
 def _require_dim(desc: dict) -> int:
     n = desc.get("dim")
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"descriptor needs integer 'dim' >= 2, got {n!r}")
+    if not isinstance(n, int) or not 2 <= n <= MAX_DIM:
+        raise ConfigError(f"descriptor needs integer 'dim' in "
+                          f"2..{MAX_DIM}, got {n!r}")
     return n
 
 

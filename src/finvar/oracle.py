@@ -5,7 +5,8 @@ polynomials come from determinant interpolation (numpy determinants, not the
 recursion in :mod:`finvar.integrals`), the delta coefficients from a direct
 double sum over permutation pairs, derivatives from central finite
 differences, and Riemannian spray values from the Christoffel formula.
-Clarity over speed throughout; these run in tests, not in production loops.
+Clarity over speed throughout: ``finvar oracle`` runs the first two on
+the stacked jets of all its points, and the tests run all of them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from .autodiff import lane_power
 from .errors import ConfigError, DomainError, OracleScopeExceeded
 from .integrals import PairJets
 
@@ -25,25 +27,26 @@ PERMUTATION_CUTOFF = 3
 
 
 def charpoly_by_interpolation(M: np.ndarray) -> np.ndarray:
-    """Coefficients of det(M + Lambda I) via evaluation at n+1 nodes.
+    """Coefficients of det(M + Lambda I) via evaluation at n+1 nodes, for
+    one matrix (n, n) or each of a stack (N, n, n).
 
     The polynomial is solved in a rescaled variable Lambda = s u at integer
     nodes u = 0..n with s = ||M||_inf, which keeps the Vandermonde system
-    well conditioned regardless of the matrix scale.
+    well conditioned regardless of the matrix scale. A stack takes one
+    determinant pass over all (N, n+1) shifted matrices and one solve.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0] if M.ndim == 2 else 0
-    if M.ndim != 2 or M.shape != (n, n) or n < 2:
+    n = M.shape[-1] if M.ndim >= 2 else 0
+    if M.ndim < 2 or M.shape[-2] != n or n < 2:
         raise ConfigError(f"expected a square matrix of size >= 2, "
                           f"got shape {M.shape}")
-    eye = np.eye(n)
-    s = float(np.abs(M).max())
-    if s == 0.0:
-        s = 1.0
+    s = np.abs(M).max(axis=(-2, -1))
+    s = np.where(s == 0.0, 1.0, s)[..., None]
     u = np.arange(n + 1, dtype=float)
     V = np.vander(u, increasing=True)
-    dets = np.array([np.linalg.det(M + (s * uk) * eye) for uk in u])
-    q = np.linalg.solve(V, dets)
+    dets = np.linalg.det(M[..., None, :, :]
+                         + (s * u)[..., None, None] * np.eye(n))
+    q = np.linalg.solve(V, dets[..., None])[..., 0]
     return q / s ** np.arange(n + 1)
 
 
@@ -56,8 +59,10 @@ def _perm_sign(perm: tuple) -> int:
     return sign
 
 
-def delta_alpha_combinatorial(jets: PairJets, alpha: int) -> float:
-    """delta_alpha by direct enumeration of the permutation-pair sum.
+def delta_alpha_combinatorial(jets: PairJets,
+                              alpha: int) -> float | np.ndarray:
+    """delta_alpha by direct enumeration of the permutation-pair sum, at one
+    point or at each point of a stack.
 
     The coefficient of Lambda^alpha in det((F/F~) h~ + Lambda g) equals
 
@@ -67,7 +72,9 @@ def delta_alpha_combinatorial(jets: PairJets, alpha: int) -> float:
             h~[s1(alpha), s2(alpha)] ... h~[s1(n-1), s2(n-1)]
             dF/dy[s1(n)] dF/dy[s2(n)]
 
-    and must match f_alpha det g from the production path.
+    and must match f_alpha det g from the production path. Each term takes
+    its factors in the order written and the terms are added pair by pair,
+    so every lane of a stack gets the bits of its point alone.
     """
     n = jets.dim
     if n > PERMUTATION_CUTOFF:
@@ -77,19 +84,23 @@ def delta_alpha_combinatorial(jets: PairJets, alpha: int) -> float:
     if not 1 <= alpha <= n:
         raise ConfigError(f"alpha must lie in 1..{n}, got {alpha}")
     jet, jet_t = jets.base, jets.comparison
-    h, h_t, b = jet.h, jet_t.h, jet.F_y
-    perms = [(perm, _perm_sign(perm))
-             for perm in itertools.permutations(range(n))]
+    perms = list(itertools.permutations(range(n)))
+    signs = [_perm_sign(perm) for perm in perms]
+    # the pairs on a trailing axis, pair (a, b) at index a * n! + b: s1[i]
+    # and s2[i] hold sigma1(i) and sigma2(i) of every pair
+    s1 = np.repeat(perms, len(perms), axis=0).T
+    s2 = np.tile(perms, (len(perms), 1)).T
+    term = np.outer(signs, signs).ravel().astype(float)
+    for i in range(alpha - 1):
+        term = term * jet.h[..., s1[i], s2[i]]
+    for i in range(alpha - 1, n - 1):
+        term = term * jet_t.h[..., s1[i], s2[i]]
+    term = term * jet.F_y[..., s1[n - 1]] * jet.F_y[..., s2[n - 1]]
+    # summed pair by pair, in enumeration order, in every lane
     total = 0.0
-    for s1, sg1 in perms:
-        for s2, sg2 in perms:
-            term = float(sg1 * sg2)
-            for i in range(alpha - 1):
-                term *= h[s1[i], s2[i]]
-            for i in range(alpha - 1, n - 1):
-                term *= h_t[s1[i], s2[i]]
-            total += term * b[s1[n - 1]] * b[s2[n - 1]]
-    prefactor = ((jet.F / jet_t.F) ** (n - alpha)
+    for k in range(term.shape[-1]):
+        total += term[..., k]
+    prefactor = (lane_power(jet.F / jet_t.F, n - alpha)
                  / (math.factorial(alpha - 1) * math.factorial(n - alpha)))
     return prefactor * total
 

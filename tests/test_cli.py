@@ -250,6 +250,8 @@ class TestCliContract:
         ("evaluate", {"seed": -1}),
         ("evaluate", {"samples": {"count": "5"}}),
         ("evaluate", {"samples": {"box": ["a", 0.3]}}),
+        *((command, {"samples": {"velocity_scale": 0}})
+          for command in ("evaluate", "geodesic", "verify", "oracle")),
         ("evaluate", {"samples": 5}),
         ("geodesic", {"integrator": {"rtol": "x"}}),
         ("evaluate", {"tolerance": "loose"}),
@@ -292,7 +294,10 @@ class TestCliContract:
                                      "step": 1e-3}}),
         ("geodesic", {"integrator": {"method": "rk4", "t_end": 1.0,
                                      "step": 1e-320}}),
-    ], ids=["seed", "negative_seed", "count", "box", "samples", "rtol",
+    ], ids=["seed", "negative_seed", "count", "box",
+            "velocity_scale_zero_evaluate", "velocity_scale_zero_geodesic",
+            "velocity_scale_zero_verify", "velocity_scale_zero_oracle",
+            "samples", "rtol",
             "tolerance", "point_string", "point_nan_evaluate",
             "point_nan_geodesic", "const_diag_string",
             "const_diag_nan", "randers_beta_string", "randers_beta_nan",
@@ -304,6 +309,36 @@ class TestCliContract:
     def test_malformed_value_types(self, tmp_path, capsys, command,
                                    overrides):
         cfg = write_config(tmp_path, **overrides)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
+
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400],
+                             ids=["plus", "minus"])
+    @pytest.mark.parametrize("slot", [
+        "tolerance", "box", "velocity_scale", "t_end", "point", "factor",
+        "count", "dim"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, slot,
+                                        value):
+        # json reads the literal as an int that no float can hold
+        overrides = {
+            "tolerance": {"tolerance": value},
+            "box": {"samples": {"box": [-0.3, value]}},
+            "velocity_scale": {"samples": {"velocity_scale": value}},
+            "t_end": {"integrator": {"t_end": value}},
+            "point": {"points": [{"x": [0.1, value], "y": [1.0, 0.0]}]},
+            "factor": {"pair": {
+                "base": {"kind": "klein", "dim": 2},
+                "comparison": {"kind": "scaled", "factor": value,
+                               "base": {"kind": "klein", "dim": 2}}}},
+            "count": {"samples": {"count": value}},
+            "dim": {"pair": {
+                "base": {"kind": "euclidean", "dim": value},
+                "comparison": {"kind": "randers", "dim": value,
+                               "beta": {"covector": "x2_dx1"}}}},
+        }[slot]
+        cfg = write_config(tmp_path, **overrides)
+        command = "geodesic" if slot == "t_end" else "evaluate"
         code, out, err = run(capsys, command, "--config", cfg)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "config"
@@ -522,7 +557,7 @@ FUZZ_BASES = [
 ]
 
 FUZZ_VALUES = ["x", float("nan"), float("inf"), 1e308, 1e100, True, None,
-               [0.5]]
+               [0.5], 10 ** 400, -10 ** 400]
 
 
 def _fuzz_paths(node, path=()):

@@ -1,5 +1,7 @@
 """The stacked (N-lane) engine against N one-point evaluations, bitwise."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,17 +13,22 @@ import finvar.autodiff
 from finvar import (DegenerateAngularMetric, DegenerateVelocity, DomainError,
                     FirstIntegralVector, GeodesicTrajectory, HyperDual, Jet2,
                     MetricJet, PairJets, ProjectivePair, RapcsakReport,
-                    SingularMetric, build_H, charpoly_coefficients,
-                    first_integrals, integrate_geodesic, metric_jet,
-                    pair_jets, rapcsak_residual)
+                    SingularMetric, build_H, charpoly_by_interpolation,
+                    charpoly_coefficients, delta_alpha_combinatorial,
+                    f1_closed_form, first_integrals, fn1_closed_form,
+                    integrate_geodesic, metric_jet, mu, pair_jets,
+                    painleve_I0, rapcsak_residual, sarlet_K, tm_I1)
 from finvar.autodiff import seed_variables, xy_jet2
 from finvar.dynamics import _spray_vector
 from finvar.linalg import inverse
 from finvar.metrics import FinslerMetric, TangentPoint
+from finvar.oracle import PERMUTATION_CUTOFF, _perm_sign
 
 from conftest import JET_FIELDS, catalog_metrics, make_pair, sample_points
 
 FAMILIES = len(catalog_metrics(2))
+CLOSED_FORMS = (f1_closed_form, fn1_closed_form, mu, painleve_I0, tm_I1,
+                sarlet_K)
 
 
 def assert_same_jet(a, b):
@@ -62,6 +69,59 @@ def one_point_residual(pair, jets, p):
             - cjet.grad[:n])
 
 
+def one_point_closed_forms(jets):
+    """The closed forms at one point from Python floats and one-matrix
+    products (the reference for the stacked lanes)."""
+    jet, jet_t, y, n = jets.base, jets.comparison, jets.y, jets.dim
+    ratio = (jet.det_g / jet_t.det_g) ** (1.0 / (n + 1))
+    gty = jet_t.g @ y
+    return {
+        f1_closed_form: (jet.F / jet_t.F) ** (n + 1) * jet_t.det_g / jet.det_g,
+        fn1_closed_form: (jet.F / jet_t.F)
+        * float(np.trace(jet.g_inv @ jet_t.h)),
+        mu: ratio,
+        painleve_I0: ratio ** 2 * jet_t.F ** 2,
+        tm_I1: ratio ** 3 * (float(np.trace(jet.g_inv @ jet_t.g))
+                             * float(y @ gty) - float(gty @ jet.g_inv @ gty)),
+        sarlet_K: (1.0 / ratio) * (jet_t.g_inv @ jet.g),
+    }
+
+
+def one_matrix_interpolation(M):
+    """charpoly_by_interpolation of one matrix, one determinant at a time."""
+    n = M.shape[0]
+    s = float(np.abs(M).max())
+    if s == 0.0:
+        s = 1.0
+    u = np.arange(n + 1, dtype=float)
+    dets = np.array([np.linalg.det(M + (s * uk) * np.eye(n)) for uk in u])
+    return (np.linalg.solve(np.vander(u, increasing=True), dets)
+            / s ** np.arange(n + 1))
+
+
+def one_point_delta(jets, alpha):
+    """delta_alpha_combinatorial at one point, term by term on scalars."""
+    n = jets.dim
+    jet, jet_t = jets.base, jets.comparison
+    h, h_t, b = jet.h, jet_t.h, jet.F_y
+    total = 0.0
+    for s1 in itertools.permutations(range(n)):
+        for s2 in itertools.permutations(range(n)):
+            term = float(_perm_sign(s1) * _perm_sign(s2))
+            for i in range(alpha - 1):
+                term *= h[s1[i], s2[i]]
+            for i in range(alpha - 1, n - 1):
+                term *= h_t[s1[i], s2[i]]
+            total += term * b[s1[n - 1]] * b[s2[n - 1]]
+    return ((jet.F / jet_t.F) ** (n - alpha)
+            / (math.factorial(alpha - 1) * math.factorial(n - alpha))
+            * total)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 @pytest.mark.parametrize("lanes", [1, 3])
 @given(n=st.sampled_from([2, 3, 5, 8]),
        base=st.integers(0, FAMILIES - 1),
@@ -71,9 +131,10 @@ def one_point_residual(pair, jets, p):
 @settings(max_examples=40, deadline=None)
 def test_stacked_integrals_equal_one_point_integrals_bitwise(
         lanes, n, base, comparison, count, seed):
-    # H, its charpoly, the spray and the residual rows of a stack take only
-    # operations that keep each lane's one-point bits: this pins that
-    # property of the numpy/BLAS build
+    # H, its charpoly, the spray, the residual rows, the closed forms and
+    # the two charpoly oracles of a stack take only operations that keep
+    # each lane's one-point bits: this pins that property of the numpy/BLAS
+    # build
     metrics = catalog_metrics(n)
     pair = ProjectivePair(metrics[base], metrics[comparison])
     points = sample_points(pair, count, seed=seed, box=(-0.3, 0.3))
@@ -83,6 +144,10 @@ def test_stacked_integrals_equal_one_point_integrals_bitwise(
         fiv = first_integrals(jets)
         spray = _spray_vector(jets.base, jets.y)
         residuals = rapcsak_residual(pair, points).residuals
+        closed = {form: form(jets) for form in CLOSED_FORMS}
+        interpolated = charpoly_by_interpolation(fiv.H)
+        deltas = [delta_alpha_combinatorial(jets, alpha)
+                  for alpha in range(1, n + 1) if n <= PERMUTATION_CUTOFF]
     for k, p in enumerate(points):
         one = pair_jets(pair, p)
         assert_same_jet(jets[k].base, one.base)
@@ -97,6 +162,18 @@ def test_stacked_integrals_equal_one_point_integrals_bitwise(
                 == one_point_residual(pair, one, p).tobytes())
         assert (rapcsak_residual(pair, p).residuals.tobytes()
                 == residuals[k].tobytes())
+        # closed forms and oracles: lane k against the one-point formula,
+        # and the same function at one point
+        for form, value in one_point_closed_forms(one).items():
+            assert same_bits(closed[form][k], value), form.__name__
+            assert same_bits(form(one), value), form.__name__
+        value = one_matrix_interpolation(one_fiv.H)
+        assert same_bits(interpolated[k], value)
+        assert same_bits(charpoly_by_interpolation(one_fiv.H), value)
+        for alpha, delta in enumerate(deltas, start=1):
+            value = one_point_delta(one, alpha)
+            assert same_bits(delta[k], value), alpha
+            assert same_bits(delta_alpha_combinatorial(one, alpha), value)
 
 
 @pytest.mark.parametrize("lanes", [1, 3])

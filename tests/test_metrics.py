@@ -67,6 +67,40 @@ class TestCatalogValues:
                             "field": "const_diag", "params": [1.0, -2.0]})
 
 
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [
+    {"potential": "linear", "params": [0.1, 0.0, 0.2]},
+    {"potential": "quadratic", "params": [0.3, 0.3, 0.3]},
+    {"covector": "x2_dx1"},
+], ids=["linear", "quadratic", "x2_dx1"])
+@pytest.mark.parametrize("field, params", [
+    ("const_diag", [2.0, 0.5, 3.0]), ("curved_x1", [])])
+def test_randers_domain_answers_at_non_finite_points(field, params, beta, n):
+    # every catalog alpha field is diagonal, with entries positive or
+    # non-finite, so the domain's solve never meets a singular matrix: a
+    # base point holding nan or inf gets an answer, alone and in a stack
+    beta = dict(beta, **({"params": beta["params"][:n]}
+                         if "params" in beta else {}))
+    randers = catalog_metric({"kind": "randers", "dim": n,
+                              "alpha_field": field,
+                              "alpha_params": params[:n], "beta": beta})
+    points = []
+    for bad in NON_FINITE:
+        points.append(np.full(n, bad))
+        for j in range(n):
+            x = np.full(n, 0.1)
+            x[j] = bad
+            points.append(x)
+    mask = randers.domain(np.array(points))
+    assert mask.tolist() == [bool(randers.domain(x)) for x in points]
+    if beta.get("potential") == "quadratic":
+        # beta reads every coordinate: a non-finite one leaves the domain
+        assert not mask.any()
+
+
 class TestTangentPoint:
     def test_zero_velocity(self):
         with pytest.raises(DegenerateVelocity):
