@@ -105,11 +105,13 @@ class Lanes:
 
 
 def lane_power(a, p):
-    """``a ** p`` by Python's float power in each lane: numpy's array power
-    rounds differently in some lanes. A numpy scalar for one point, shape
+    """``a ** p`` by the power of a numpy scalar in each lane: numpy's array
+    power rounds differently in some lanes, and the scalar power has the
+    bits of Python's float power on a nonnegative base and gives nan, not a
+    complex number, on a negative one. A numpy scalar for one point, shape
     (N,) for N lanes."""
     a = np.asarray(a)
-    return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)[()]
+    return np.array([v ** p for v in a.ravel()]).reshape(a.shape)[()]
 
 
 def _item(v):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -43,6 +42,20 @@ def _rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.abs(b))
 
 
+def _pass_fail(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _report(cfg: RunConfig, command: str, verdict,
+            **body) -> tuple[dict, bool]:
+    """A command's report: what every report carries (the command, the
+    pair, the seed and the verdict) around the command's own fields."""
+    report = {"command": command,
+              "pair": {"base": cfg.base, "comparison": cfg.comparison},
+              "seed": cfg.seed, "verdict": _pass_fail(verdict), **body}
+    return report, verdict
+
+
 def _default_velocity_scale(cfg: RunConfig, command: str) -> float:
     if cfg.samples.velocity_scale is not None:
         return cfg.samples.velocity_scale
@@ -73,9 +86,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     i0 = painleve_I0(jets)
     i1 = tm_I1(jets)
     f1, fn1 = fiv.f[:, 0], fiv.f[:, n - 2]
-    # f_1 keeps the power of a numpy scalar (nan, not complex, below 0)
-    ri0 = (lane_power(jet.F, 2)
-           / np.array([v ** (2.0 / (n + 1)) for v in f1]))
+    ri0 = lane_power(jet.F, 2) / lane_power(f1, 2.0 / (n + 1))
     ri1 = fn1 * lane_power(jet_t.F, 3) * lane_power(m, 3) / jet.F
     checks = {
         "f1_rel_err": _rel_err(f1, f1_closed_form(jets)),
@@ -103,16 +114,8 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     verdict = (worst["f1_rel_err"] <= tol and worst["ri0_rel_err"] <= tol
                and worst["ri1_rel_err"] <= tol
                and worst["fn1_rel_err"] <= fn1_tol)
-    report = {
-        "command": "evaluate",
-        "pair": {"base": cfg.base, "comparison": cfg.comparison},
-        "seed": cfg.seed,
-        "tolerance": tol,
-        "records": records,
-        "worst": worst,
-        "verdict": "pass" if verdict else "fail",
-    }
-    return report, verdict
+    return _report(cfg, "evaluate", verdict, tolerance=tol, records=records,
+                   worst=worst)
 
 
 def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
@@ -158,25 +161,18 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
             "domain_exit": traj.domain_exit,
             "n_accepted": traj.n_accepted,
             "n_rejected": traj.n_rejected,
-            "verdict": "pass" if ok else "fail",
+            "verdict": _pass_fail(ok),
             "series": {
                 "t": traj.times, "x": traj.xs, "y": traj.ys,
                 "f": f_vals, "energy": energy,
             },
         })
-    report = {
-        "command": "geodesic",
-        "pair": {"base": cfg.base, "comparison": cfg.comparison},
-        "seed": cfg.seed,
-        "tolerance": tol,
-        "energy_tolerance": ENERGY_TOL,
-        "integrator": {"method": integ.method, "rtol": integ.rtol,
-                       "atol": integ.atol, "step": integ.step,
-                       "t_end": integ.t_end},
-        "trajectories": trajectories,
-        "verdict": "pass" if all_pass else "fail",
-    }
-    return report, all_pass
+    return _report(cfg, "geodesic", all_pass, tolerance=tol,
+                   energy_tolerance=ENERGY_TOL,
+                   integrator={"method": integ.method, "rtol": integ.rtol,
+                               "atol": integ.atol, "step": integ.step,
+                               "t_end": integ.t_end},
+                   trajectories=trajectories)
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
@@ -185,19 +181,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     tol = cfg.tolerance if cfg.tolerance is not None else RAPCSAK_TOL
     samples = _points(cfg, pair, "verify", cfg.samples.count)
     rep = rapcsak_residual(pair, samples)
-    verdict = rep.passes(tol)
-    report = {
-        "command": "verify",
-        "pair": {"base": cfg.base, "comparison": cfg.comparison},
-        "seed": cfg.seed,
-        "tolerance": tol,
-        "n_samples": len(samples),
-        "max_residual": rep.max_residual,
-        "mean_residual": rep.mean_residual,
-        "residual_norms": rep.norms,
-        "verdict": "pass" if verdict else "fail",
-    }
-    return report, verdict
+    return _report(cfg, "verify", rep.passes(tol), tolerance=tol,
+                   n_samples=len(samples), max_residual=rep.max_residual,
+                   mean_residual=rep.mean_residual,
+                   residual_norms=rep.norms)
 
 
 def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
@@ -221,7 +208,7 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     all_pass = all_pass and ok
     checks.append({"name": "charpoly_interpolation", "cases": len(points),
                    "max_rel_err": worst, "tolerance": interp_tol,
-                   "status": "pass" if ok else "fail"})
+                   "status": _pass_fail(ok)})
 
     worst = []
     try:
@@ -239,15 +226,8 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
             checks.append({"name": "delta_combinatorial", "alpha": alpha,
                            "cases": len(points), "max_rel_err": err,
                            "tolerance": comb_tol,
-                           "status": "pass" if ok else "fail"})
-    report = {
-        "command": "oracle",
-        "pair": {"base": cfg.base, "comparison": cfg.comparison},
-        "seed": cfg.seed,
-        "checks": checks,
-        "verdict": "pass" if all_pass else "fail",
-    }
-    return report, all_pass
+                           "status": _pass_fail(ok)})
+    return _report(cfg, "oracle", all_pass, checks=checks)
 
 
 COMMANDS = {
@@ -261,66 +241,57 @@ COMMANDS = {
 # -- output -------------------------------------------------------------------
 
 
+def _csv(header: list, rows) -> str:
+    """CSV text: the header line, then one line per row; a float is written
+    as its repr, anything else as its str."""
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                          else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _names(prefix: str, n: int) -> list:
+    return [f"{prefix}{i + 1}" for i in range(n)]
+
+
 def _csv_evaluate(report: dict) -> str:
-    buf = io.StringIO()
     records = report["records"]
-    if not records:
-        return ""
     n = len(records[0]["x"])
-    cols = (["index"] + [f"x{i + 1}" for i in range(n)]
-            + [f"y{i + 1}" for i in range(n)] + ["F", "F_comparison"]
-            + [f"f{i + 1}" for i in range(n)] + ["mu", "I0", "I1"]
-            + ["f1_rel_err", "fn1_rel_err", "ri0_rel_err", "ri1_rel_err"])
-    buf.write(",".join(cols) + "\n")
-    for r in records:
-        row = ([r["index"]] + list(r["x"]) + list(r["y"])
-               + [r["F"], r["F_comparison"]] + list(r["f"])
-               + [r["mu"], r["I0"], r["I1"]]
-               + [r["checks"][k] for k in ("f1_rel_err", "fn1_rel_err",
-                                           "ri0_rel_err", "ri1_rel_err")])
-        buf.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                           else str(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
-def _csv_trajectory(series: dict, n: int) -> str:
-    buf = io.StringIO()
-    cols = (["t"] + [f"x{i + 1}" for i in range(n)]
-            + [f"y{i + 1}" for i in range(n)]
-            + [f"f{i + 1}" for i in range(n)] + ["energy"])
-    buf.write(",".join(cols) + "\n")
-    t, xs, ys, fs, en = (series["t"], series["x"], series["y"],
-                         series["f"], series["energy"])
-    for k in range(len(t)):
-        row = ([t[k]] + list(xs[k]) + list(ys[k]) + list(fs[k]) + [en[k]])
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    checks = ("f1_rel_err", "fn1_rel_err", "ri0_rel_err", "ri1_rel_err")
+    header = ["index", *_names("x", n), *_names("y", n), "F", "F_comparison",
+              *_names("f", n), "mu", "I0", "I1", *checks]
+    return _csv(header, ([r["index"], *r["x"], *r["y"], r["F"],
+                          r["F_comparison"], *r["f"], r["mu"], r["I0"],
+                          r["I1"], *(r["checks"][key] for key in checks)]
+                         for r in records))
 
 
 def _csv_geodesic(report: dict) -> str:
     # One block per trajectory, each with its own header line.
-    n = len(report["trajectories"][0]["series"]["x"][0])
-    blocks = [_csv_trajectory(traj["series"], n)
-              for traj in report["trajectories"]]
+    n = len(report["trajectories"][0]["initial"]["x"])
+    header = ["t", *_names("x", n), *_names("y", n), *_names("f", n),
+              "energy"]
+    blocks = []
+    for traj in report["trajectories"]:
+        series = traj["series"]
+        rows = zip(series["t"], series["x"], series["y"], series["f"],
+                   series["energy"])
+        blocks.append(_csv(header, ([t, *x, *y, *f, e]
+                                    for t, x, y, f, e in rows)))
     return "\n".join(blocks)
 
 
 def _csv_verify(report: dict) -> str:
-    buf = io.StringIO()
-    buf.write("index,residual_norm\n")
-    for i, v in enumerate(report["residual_norms"]):
-        buf.write(f"{i},{float(v)!r}\n")
-    return buf.getvalue()
+    return _csv(["index", "residual_norm"],
+                enumerate(report["residual_norms"]))
 
 
 def _csv_oracle(report: dict) -> str:
-    buf = io.StringIO()
-    buf.write("name,alpha,cases,max_rel_err,tolerance,status\n")
-    for c in report["checks"]:
-        buf.write(",".join(str(c.get(k, "")) for k in
-                           ("name", "alpha", "cases", "max_rel_err",
-                            "tolerance", "status")) + "\n")
-    return buf.getvalue()
+    # a skipped check has no cases, error or tolerance: empty fields
+    columns = ["name", "alpha", "cases", "max_rel_err", "tolerance",
+               "status"]
+    return _csv(columns, ([check.get(key, "") for key in columns]
+                          for check in report["checks"]))
 
 
 _CSV_WRITERS = {

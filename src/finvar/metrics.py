@@ -158,8 +158,10 @@ class ProjectivePair:
     def dim(self) -> int:
         return self.base.dim
 
-    def in_domain(self, x: np.ndarray) -> bool:
-        return self.base.domain(x) and self.comparison.domain(x)
+    def in_domain(self, x: np.ndarray) -> bool | np.ndarray:
+        """Whether x lies in both domains: a bool for one base point (n,),
+        elementwise for a stack (N, n)."""
+        return self.base.domain(x) & self.comparison.domain(x)
 
 
 @dataclass(frozen=True, eq=False)

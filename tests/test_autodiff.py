@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finvar import DegenerateVelocity, DomainError
 from finvar.autodiff import (HyperDual, Jet2, _seed_pair_hessian,
-                             seed_variables, xy_jet2)
+                             lane_power, seed_variables, xy_jet2)
 from finvar.oracle import fd_derivative
 
 from conftest import catalog_metrics, make_metric, sample_points
@@ -291,3 +291,22 @@ def test_seed_product_rule_equals_the_general_rule_bytewise(a, b):
                         np.broadcast_to(got.grad, ref.grad.shape), ref.grad)
                     assert_same_bytes(
                         np.broadcast_to(got.hess, ref_hess.shape), ref_hess)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2.0 / 3.0, 0.25])
+def test_lane_power_takes_the_float_power_in_every_lane(p):
+    bases = np.random.default_rng(5).uniform(0.0, 10.0, size=200)
+    with np.errstate(invalid="ignore"):
+        powers = lane_power(np.append(bases, -2.0), p)
+        one = lane_power(np.float64(-2.0), p)
+    assert powers.dtype == np.float64 and powers.shape == (201,)
+    assert powers[:-1].tobytes() == np.array(
+        [v ** p for v in bases.tolist()]).tobytes()
+    # a negative base: an integer exponent gives the real power, a
+    # fractional one nan, not a complex number
+    for value in (powers[-1], one):
+        assert isinstance(value, np.float64)
+        if isinstance(p, int):
+            assert value == (-2.0) ** p
+        else:
+            assert np.isnan(value)

@@ -186,6 +186,19 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
 
+    def test_csv_format(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, samples={"count": 7})
+        code, out, _ = run(capsys, "verify", "--config", cfg)
+        norms = json.loads(out)["residual_norms"]
+        assert code == 0 and len(norms) == 7
+        code, out, _ = run(capsys, "verify", "--config", cfg,
+                           "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "index,residual_norm"
+        # one row per residual, its norm written as the float's repr
+        assert lines[1:] == [f"{i},{v!r}" for i, v in enumerate(norms)]
+
 
 class TestOracleCommand:
     def test_n2_all_checks_pass(self, tmp_path, capsys):
@@ -208,6 +221,64 @@ class TestOracleCommand:
         statuses = {c["name"]: c["status"] for c in report["checks"]}
         assert statuses["charpoly_interpolation"] == "pass"
         assert statuses["delta_combinatorial"] == "skipped"
+
+    @pytest.mark.parametrize("n, statuses", [(2, ["pass"] * 3),
+                                              (4, ["pass", "skipped"])])
+    def test_csv_format(self, tmp_path, capsys, n, statuses):
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": n},
+            "comparison": {"kind": "klein", "dim": n},
+        }, samples={"count": 5})
+        code, out, _ = run(capsys, "oracle", "--config", cfg)
+        checks = json.loads(out)["checks"]
+        assert [check["status"] for check in checks] == statuses
+        code, out, _ = run(capsys, "oracle", "--config", cfg,
+                           "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        columns = lines[0].split(",")
+        assert columns == ["name", "alpha", "cases", "max_rel_err",
+                           "tolerance", "status"]
+        # one row per check, in report order; a skipped check leaves its
+        # cases, error and tolerance empty
+        assert [line.split(",") for line in lines[1:]] == [
+            [str(check.get(key, "")) for key in columns] for check in checks]
+
+
+def _descriptor(kind, n):
+    if kind == "randers_df":
+        return {"kind": "randers", "dim": n,
+                "beta": {"potential": "linear",
+                         "params": [0.1] + [0.0] * (n - 1)}}
+    if kind == "scaled_klein":
+        return {"kind": "scaled", "factor": 2.0,
+                "base": {"kind": "klein", "dim": n}}
+    return {"kind": kind, "dim": n}
+
+
+# (base, comparison) catalog kinds that are projectively related
+RELATED_KINDS = [("klein", "funk"), ("funk", "klein"), ("klein", "klein"),
+                 ("klein", "scaled_klein"), ("euclidean", "klein"),
+                 ("euclidean", "funk"), ("euclidean", "randers_df")]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("base,comparison", RELATED_KINDS)
+def test_interpolation_oracle_is_exact_to_roundoff(tmp_path, capsys, base,
+                                                   comparison, n):
+    # the interpolation nodes stay well conditioned in n: at n = 8 integer
+    # nodes erred up to 3e-8, past the 1e-9 oracle tolerance
+    cfg = write_config(tmp_path, pair={"base": _descriptor(base, n),
+                                       "comparison": _descriptor(comparison,
+                                                                 n)},
+                       samples={"count": 100, "box": [-0.3, 0.3]},
+                       seed=12345)
+    code, out, _ = run(capsys, "oracle", "--config", cfg)
+    assert code == 0
+    (check,) = [c for c in json.loads(out)["checks"]
+                if c["name"] == "charpoly_interpolation"]
+    assert check["cases"] == 100
+    assert check["max_rel_err"] <= 1e-12
 
 
 class TestCliContract:

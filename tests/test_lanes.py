@@ -93,10 +93,9 @@ def one_matrix_interpolation(M):
     s = float(np.abs(M).max())
     if s == 0.0:
         s = 1.0
-    u = np.arange(n + 1, dtype=float)
-    dets = np.array([np.linalg.det(M + (s * uk) * np.eye(n)) for uk in u])
-    return (np.linalg.solve(np.vander(u, increasing=True), dets)
-            / s ** np.arange(n + 1))
+    nodes = s * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    dets = np.array([np.linalg.det(M + node * np.eye(n)) for node in nodes])
+    return np.fft.fft(dets).real / (n + 1) / s ** np.arange(n + 1)
 
 
 def one_point_delta(jets, alpha):

@@ -101,6 +101,21 @@ def test_randers_domain_answers_at_non_finite_points(field, params, beta, n):
         assert not mask.any()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_domain_answers_for_a_stack(n):
+    # as the metric predicates do: one answer per row of an (N, n) stack,
+    # the one each row gets alone; the stack has points in and out of the
+    # unit ball
+    xs = np.random.default_rng(31).uniform(-1.2, 1.2, size=(40, n))
+    xs[:3] = 0.0
+    metrics = catalog_metrics(n)
+    for base in metrics:
+        for comparison in metrics:
+            pair = ProjectivePair(base, comparison)
+            mask = np.broadcast_to(pair.in_domain(xs), (len(xs),))
+            assert mask.tolist() == [bool(pair.in_domain(x)) for x in xs]
+
+
 class TestTangentPoint:
     def test_zero_velocity(self):
         with pytest.raises(DegenerateVelocity):
