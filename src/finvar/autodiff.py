@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateVelocity, FinvarError
+from .errors import DegenerateVelocity, FinvarError, NonFiniteResult
 
 # Square-root arguments below this floor correspond to a metric value under
 # ~1e-13; differentiating through them yields NaN-contaminated jets, so the
@@ -129,6 +129,17 @@ def check_lanes(ok, error) -> None:
             raise error(int(np.argmin(ok)))
     elif not ok:
         raise error(None)
+
+
+def floor_error(what: str, value, point: int | None,
+                floor: str = "at the positivity floor") -> FinvarError:
+    """The error for ``value`` failing a positivity floor, described by
+    ``what.format(value)``: a collapsed velocity when the value is finite,
+    :class:`NonFiniteResult` when an overflow made it inf or NaN."""
+    what = what.format(value)
+    if math.isfinite(value):
+        return DegenerateVelocity(f"{what} {floor}", point=point)
+    return NonFiniteResult(f"{what} not finite", point=point)
 
 
 class HyperDual:
@@ -233,10 +244,10 @@ class HyperDual:
 
     def sqrt(self) -> "HyperDual":
         v = self.val
-        # NaN fails too, as it cannot be certified above the floor
-        check_lanes(v > SQRT_FLOOR, lambda i: DegenerateVelocity(
-            f"square root argument {np.ravel(v)[i or 0]:.3e} at the "
-            f"positivity floor", point=i))
+        # NaN fails too, as it cannot be certified above the floor, and is
+        # reported as a non-finite result
+        check_lanes(v > SQRT_FLOOR, lambda i: floor_error(
+            "square root argument {:.3e}", np.ravel(v)[i or 0], i))
         s = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
         d1 = 0.5 / s
         d2 = -0.25 / (v * s)
@@ -294,8 +305,7 @@ def gsqrt(z):
     if isinstance(z, HyperDual):
         return z.sqrt()
     if z <= SQRT_FLOOR:
-        raise DegenerateVelocity(
-            f"square root argument {z:.3e} at the positivity floor")
+        raise floor_error("square root argument {:.3e}", z, None)
     if isinstance(z, np.longdouble):
         return np.sqrt(z)
     return math.sqrt(z)

@@ -163,7 +163,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
             "n_rejected": traj.n_rejected,
             "verdict": _pass_fail(ok),
             "series": {
-                "t": traj.times, "x": traj.xs, "y": traj.ys,
+                "t": traj.times, "x": traj.jets.x, "y": traj.jets.y,
                 "f": f_vals, "energy": energy,
             },
         })

@@ -1,10 +1,8 @@
-"""Geodesic spray, geodesic integration, and the projective-equivalence test.
+"""Geodesic integration and the projective-equivalence test.
 
-The spray coefficients solve the Euler-Lagrange condition for F^2:
-
-    G^i = 1/4 g^{il} ( y^k d^2F^2/dy^l dx^k - dF^2/dx^l )
-
-and the geodesic flow is the first-order system (x', y') = (y, -2G).
+The geodesic flow is the first-order system (x', y') = (y, -2G). The jet
+of the metric at a state carries that state and its spray G, so the flow
+reads one jet and nothing else.
 Two integrators are provided: classical fixed-step RK4 and the adaptive
 Runge-Kutta-Fehlberg 4(5) pair, which propagates the fifth-order solution
 (local extrapolation) and uses the classical embedded error estimate for
@@ -30,7 +28,7 @@ from .autodiff import check_lanes, lane, lane_power, xy_jet2
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
-                      TangentPoint, _jet_arrays, metric_jet)
+                      TangentPoint, _jet_arrays, _matvec, metric_jet)
 
 # Step size floor for the adaptive integrator.
 H_MIN = 1e-12
@@ -39,19 +37,8 @@ H_MIN = 1e-12
 INTEGRATORS = ("rk4", "rkf45")
 
 
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a v for one matrix and vector, or lane by lane over stacks, with the
-    bits of the one-matrix product in every lane."""
-    return (a @ v[..., None])[..., 0]
-
-
-def _spray_vector(jet: MetricJet, y: np.ndarray) -> np.ndarray:
-    """The spray G at one point, or at every point of a stacked jet."""
-    return 0.25 * _matvec(jet.g_inv, _matvec(jet.F2_yx, y) - jet.F2_x)
-
-
-def _flow(jet: MetricJet, y: np.ndarray) -> np.ndarray:
-    return np.concatenate((y, -2.0 * _spray_vector(jet, y)))
+def _flow(jet: MetricJet) -> np.ndarray:
+    return np.concatenate((jet.y, -2.0 * jet.G))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,14 +46,12 @@ class GeodesicTrajectory:
     """Accepted integration samples of one geodesic.
 
     ``jets`` is the stacked jet of the integrated ``metric`` at the
-    samples, one lane per sample.
+    samples, one lane per sample: ``jets.x`` and ``jets.y`` are the states.
     ``domain_exit`` is set when the trajectory was truncated at the last
     fully in-domain accepted step instead of reaching the requested time.
     """
 
     times: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
     metric: FinslerMetric = field(repr=False)
     jets: MetricJet = field(repr=False)
     domain_exit: bool = False
@@ -97,13 +82,13 @@ class GeodesicTrajectory:
         the whole integration. ``domain`` tests all samples in one call on
         their stacked base points, as every metric's predicate can.
         """
-        inside = np.broadcast_to(domain(self.xs[1:]), (len(self) - 1,))
+        inside = np.broadcast_to(domain(self.jets.x[1:]), (len(self) - 1,))
         outside = np.flatnonzero(~inside)
         if not outside.size:
             return self
         k = int(outside[0]) + 1
-        return replace(self, times=self.times[:k], xs=self.xs[:k],
-                       ys=self.ys[:k], jets=self.jets[:k], domain_exit=True)
+        return replace(self, times=self.times[:k], jets=self.jets[:k],
+                       domain_exit=True)
 
 
 def _state_jet(metric: FinslerMetric, z: np.ndarray) -> MetricJet:
@@ -113,10 +98,8 @@ def _state_jet(metric: FinslerMetric, z: np.ndarray) -> MetricJet:
 
 
 def _make_rhs(metric: FinslerMetric):
-    n = metric.dim
-
     def rhs(z: np.ndarray) -> np.ndarray:
-        return _flow(_state_jet(metric, z), z[n:])
+        return _flow(_state_jet(metric, z))
 
     return rhs
 
@@ -127,7 +110,6 @@ def _state_ok(metric: FinslerMetric, z: np.ndarray) -> bool:
 
 
 # Fehlberg 4(5) tableau.
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 _RKF_A = (
     (),
     (1 / 4,),
@@ -200,18 +182,14 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
     else:
         raise ConfigError(f"unknown integrator '{method}'")
-    times, zs, jets, domain_exit, n_acc, n_rej = out
+    times, jets, domain_exit, n_acc, n_rej = out
     times = np.asarray(times)
-    zs = np.asarray(zs)
-    n = metric.dim
     if t_end < 0:  # store with increasing times
         times = times[::-1].copy()
-        zs = zs[::-1].copy()
         jets = jets[::-1]
     return GeodesicTrajectory(
-        times=times, xs=zs[:, :n].copy(), ys=zs[:, n:].copy(),
-        metric=metric, jets=_stack(jets), domain_exit=domain_exit,
-        n_accepted=n_acc, n_rejected=n_rej)
+        times=times, metric=metric, jets=_stack(jets),
+        domain_exit=domain_exit, n_accepted=n_acc, n_rejected=n_rej)
 
 
 def _stack(jets: list[MetricJet]) -> MetricJet:
@@ -224,19 +202,19 @@ def _stack(jets: list[MetricJet]) -> MetricJet:
 # Both integrators evaluate the jet once at each accepted state, the final
 # one included: it gives the first stage of the next step, also when that
 # step is rejected and retried, and it travels with the trajectory, stacked
-# once at the end, so that integrals along it need not evaluate the base
-# metric again.
+# once at the end. It holds the state itself, so the trajectory keeps no
+# other copy of its samples, and integrals along it need not evaluate the
+# base metric again.
 
 
 def _integrate_rk4(metric, rhs, z0, t_end, step):
-    n = metric.dim
     n_steps = max(1, math.ceil(abs(t_end) / step))
     h = t_end / n_steps
-    times, zs, jets = [0.0], [z0], [_state_jet(metric, z0)]
+    times, jets = [0.0], [_state_jet(metric, z0)]
     z = z0
     domain_exit = False
     for k in range(n_steps):
-        k1 = _flow(jets[-1], z[n:])
+        k1 = _flow(jets[-1])
         try:
             k2 = rhs(z + 0.5 * h * k1)
             k3 = rhs(z + 0.5 * h * k2)
@@ -250,17 +228,15 @@ def _integrate_rk4(metric, rhs, z0, t_end, step):
             break
         z = z_new
         times.append((k + 1) * h)
-        zs.append(z)
         jets.append(_state_jet(metric, z))
-    return times, zs, jets, domain_exit, len(times) - 1, 0
+    return times, jets, domain_exit, len(times) - 1, 0
 
 
 def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
-    n = metric.dim
     sign = 1.0 if t_end > 0 else -1.0
     h = sign * abs(t_end) / 100.0
     t, z = 0.0, z0
-    times, zs, jets = [0.0], [z0], [_state_jet(metric, z0)]
+    times, jets = [0.0], [_state_jet(metric, z0)]
     n_acc = n_rej = 0
     domain_exit = False
     boundary_pressure = False
@@ -268,7 +244,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         if sign * (t + h) > sign * t_end:
             h = t_end - t
         try:
-            z_new, err = _rkf45_step(rhs, z, _flow(jets[-1], z[n:]), h)
+            z_new, err = _rkf45_step(rhs, z, _flow(jets[-1]), h)
             failed = not np.all(np.isfinite(z_new))
         except DomainError:
             failed = True
@@ -293,7 +269,6 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
             t += h
             z = z_new
             times.append(t)
-            zs.append(z)
             jets.append(_state_jet(metric, z))
             n_acc += 1
             boundary_pressure = False
@@ -304,7 +279,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         if abs(h) < H_MIN:
             raise IntegratorStall(
                 f"step size fell below {H_MIN:.0e} at t={t:.6g}")
-    return times, zs, jets, domain_exit, n_acc, n_rej
+    return times, jets, domain_exit, n_acc, n_rej
 
 
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:
@@ -358,9 +333,9 @@ def rapcsak_residual(pair: ProjectivePair,
                 lambda i: NonFiniteResult("value or derivatives not finite",
                                           metric=pair.comparison.name,
                                           point=i))
-    G = _spray_vector(base_jets, samples.y)
     residuals = (_matvec(cjet.hess[..., :n], samples.y)
-                 - 2.0 * _matvec(cjet.hess[..., n:], G) - cjet.grad[..., :n])
+                 - 2.0 * _matvec(cjet.hess[..., n:], base_jets.G)
+                 - cjet.grad[..., :n])
     report = RapcsakReport(residuals=residuals)
     check_lanes(np.isfinite(report.norms), lambda i: NonFiniteResult(
         f"residual norm {lane(report.norms, i)} not finite", point=i))

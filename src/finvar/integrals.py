@@ -41,9 +41,9 @@ Q0_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class PairJets(Lanes):
-    """Both metric jets of a pair at one tangent point, with its velocity,
-    or at N points in the stacked layout of :class:`MetricJet` (y of shape
-    (N, n)); ``jets[i]`` is the pair of jets at point i.
+    """Both metric jets of a pair at one tangent point, or at N points in
+    the stacked layout of :class:`MetricJet`; ``jets[i]`` is the pair of
+    jets at point i.
 
     H, the f_alpha and every closed form below are functions of these two
     jets alone, so a caller computes them once per point and shares them.
@@ -51,18 +51,17 @@ class PairJets(Lanes):
 
     base: MetricJet
     comparison: MetricJet
-    y: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.y.shape[-1]
+        return self.base.dim
 
 
 def pair_jets(pair: ProjectivePair, points: TangentPoint) -> PairJets:
     """The jets of the base and of the comparison metric at one point, or
     stacked over a stack of points, with one pass per metric."""
     return PairJets(metric_jet(pair.base, points),
-                    metric_jet(pair.comparison, points), points.y)
+                    metric_jet(pair.comparison, points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +192,7 @@ def painleve_I0(jets: PairJets) -> float | np.ndarray:
 def tm_I1(jets: PairJets) -> float | np.ndarray:
     """Quadratic-type integral I_1 = mu^3 g^{ij}(g~_{ij} g~_{kl} -
     g~_{ik} g~_{jl}) y^k y^l (equals f_{n-1} F~^3 mu^3 / F)."""
-    jet, jet_t, y = jets.base, jets.comparison, jets.y
+    jet, jet_t, y = jets.base, jets.comparison, jets.base.y
     m3 = lane_power(_volume_ratio(jet.det_g, jet_t.det_g, jets.dim), 3)
     # vectors as (1, n) rows and (n, 1) columns: matmul then takes each
     # lane through the matrix-vector and dot products of a 1-D operand
@@ -224,10 +223,11 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
     the comparison jets always do. H and its characteristic polynomial are
     formed for all samples at once.
     """
-    if traj.xs.shape[1] != pair.dim:
-        raise ConfigError(f"trajectory has dimension {traj.xs.shape[1]}, "
+    if traj.jets.dim != pair.dim:
+        raise ConfigError(f"trajectory has dimension {traj.jets.dim}, "
                           f"pair has {pair.dim}")
+    x, y = traj.jets.x, traj.jets.y
     base = (traj.jets if traj.metric is pair.base
-            else _jet_arrays(pair.base, traj.xs, traj.ys))
-    comparison = _jet_arrays(pair.comparison, traj.xs, traj.ys)
-    return first_integrals(PairJets(base, comparison, traj.ys)).f
+            else _jet_arrays(pair.base, x, y))
+    comparison = _jet_arrays(pair.comparison, x, y)
+    return first_integrals(PairJets(base, comparison)).f

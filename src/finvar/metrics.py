@@ -40,8 +40,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .autodiff import (Jet2, Lanes, check_lanes, gdot, gsqrt, lane,
-                       lane_values, xy_jet2)
+from .autodiff import (Jet2, Lanes, check_lanes, floor_error, gdot, gsqrt,
+                       lane, lane_values, xy_jet2)
 from .errors import ConfigError, DegenerateVelocity, DomainError, FinvarError
 
 # Points closer to a domain boundary than this margin are rejected to avoid
@@ -166,28 +166,28 @@ class ProjectivePair:
 
 @dataclass(frozen=True, eq=False)
 class MetricJet(Lanes):
-    """All derivative data of one metric at one tangent point, or at N
-    points with the lanes on the leading axis of every field (F and det_g
-    of shape (N,)); ``jet[i]`` is the jet at point i.
+    """One metric at one tangent point (x, y), or at N points with the lanes
+    on the leading axis of every field (F and det_g of shape (N,)); ``jet[i]``
+    is the jet at point i.
 
     g is the velocity Hessian of F^2 / 2, h = F * (velocity Hessian of F) the
-    angular metric, and the F2_* blocks are the x-derivatives of F^2 needed
-    by the geodesic spray.
+    angular metric, and G the geodesic spray, so the jet carries everything
+    the geodesic flow (x', y') = (y, -2G) reads at its point.
     """
 
+    x: np.ndarray
+    y: np.ndarray
     F: float | np.ndarray
     F_y: np.ndarray
-    F_x: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     h: np.ndarray
     det_g: float | np.ndarray
-    F2_yx: np.ndarray
-    F2_x: np.ndarray
+    G: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.F_y.shape[-1]
+        return self.y.shape[-1]
 
 
 def metric_jet(metric: FinslerMetric, points: TangentPoint) -> MetricJet:
@@ -209,10 +209,19 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a v for one matrix and vector, or lane by lane over stacks, with the
+    bits of the one-matrix product in every lane."""
+    return (a @ v[..., None])[..., 0]
+
+
 def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
                 y: np.ndarray) -> MetricJet:
     """The :class:`MetricJet` at one point (x, y of shape (n,)), or the
-    stacked jet at the rows of stacks x, y of shape (N, n).
+    stacked jet at the rows of stacks x, y of shape (N, n). The spray solves
+    the Euler-Lagrange condition for F^2:
+
+        G^i = 1/4 g^{il} ( y^k d^2F^2/dy^l dx^k - dF^2/dx^l )
 
     Every failure names the metric, and in a stack the first failing point.
     """
@@ -220,9 +229,8 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
     try:
         jet: Jet2 = xy_jet2(metric, x, y)
         F = jet.value
-        check_lanes(np.isfinite(F) & (F >= F_FLOOR), lambda i: (
-            DegenerateVelocity(f"value {lane(F, i)} below the positivity "
-                               f"floor", point=i)))
+        check_lanes(np.isfinite(F) & (F >= F_FLOOR), lambda i: floor_error(
+            "value {}", lane(F, i), i, "below the positivity floor"))
         F_x = jet.grad[..., :n]
         F_y = jet.grad[..., n:]
         F_yy = jet.hess[..., :, n:]
@@ -239,8 +247,9 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
         raise
     F2_yx = 2.0 * (_outer(F_y, F_x) + F_m * F_yx)
     F2_x = 2.0 * F_v * F_x
-    return MetricJet(F=F, F_y=F_y.copy(), F_x=F_x.copy(), g=g, g_inv=g_inv,
-                     h=h, det_g=det_g, F2_yx=F2_yx, F2_x=F2_x)
+    G = 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
+    return MetricJet(x=x, y=y, F=F, F_y=F_y.copy(), g=g, g_inv=g_inv, h=h,
+                     det_g=det_g, G=G)
 
 
 # -- catalog ---------------------------------------------------------------

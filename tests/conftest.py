@@ -8,7 +8,7 @@ from finvar import ProjectivePair, catalog_metric
 from finvar.config import sample_tangent_points
 
 
-JET_FIELDS = ("F", "F_x", "F_y", "g", "g_inv", "h", "det_g", "F2_yx", "F2_x")
+JET_FIELDS = ("x", "y", "F", "F_y", "g", "g_inv", "h", "det_g", "G")
 
 
 def make_metric(kind, n, **kw):

@@ -472,6 +472,42 @@ class TestCliContract:
         assert payload["message"].startswith(where)
         assert payload["message"].endswith("(point 2)")
 
+    @pytest.mark.parametrize("command",
+                             ["evaluate", "verify", "oracle", "geodesic"])
+    @pytest.mark.parametrize("base, comparison, third, where", [
+        ("euclidean", "klein", {"x": [0.1, 0.2], "y": [1e200, 1e200]},
+         "euclidean: value inf not finite"),
+        ("curved_x1", "euclidean", {"x": [1e200, 0.0], "y": [1.0, 0.0]},
+         "riemannian[curved_x1]: square root argument nan not finite"),
+        ("euclidean", "curved_x1", {"x": [1e200, 0.0], "y": [1.0, 0.0]},
+         "riemannian[curved_x1]: square root argument nan not finite"),
+    ], ids=["overflowed_value", "nan_base", "nan_comparison"])
+    def test_non_finite_value_is_not_a_collapsed_velocity(
+            self, tmp_path, capsys, command, base, comparison, third, where):
+        # an inf or NaN metric value fails the positivity floor too, but is
+        # reported as what it is
+        def metric(kind):
+            if kind == "curved_x1":
+                return {"kind": "riemannian", "dim": 2, "field": kind}
+            return {"kind": kind, "dim": 2}
+
+        good = [{"x": [0.1, 0.2], "y": [1.0, 0.0]},
+                {"x": [-0.2, 0.1], "y": [0.3, 0.7]}]
+        cfg = write_config(tmp_path, pair={"base": metric(base),
+                                           "comparison": metric(comparison)},
+                           points=good + [third], integrator={"t_end": 0.2})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 3 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "NonFiniteResult"
+        if command != "geodesic":
+            where += " (point 2)"
+        elif comparison == "curved_x1":  # the comparison jets along it
+            where += " (trajectory 2, point 0)"
+        else:
+            where += " (trajectory 2)"
+        assert payload["message"] == where
+
     @pytest.mark.parametrize("base, comparison, message", [
         ("euclidean", "klein",
          "klein: base point [2. 0.] outside domain (trajectory 2, point 0)"),

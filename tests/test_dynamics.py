@@ -9,8 +9,7 @@ from finvar import (ConfigError, IntegratorStall, NonReversibleBackward,
                     ProjectivePair, TangentPoint, integrate_geodesic,
                     metric_jet, rapcsak_residual, trajectory_energy)
 from finvar.autodiff import gsqrt, scalar_value
-from finvar.dynamics import (_RKF_A, _RKF_B5, _RKF_ERR, _flow,
-                             _rkf45_step, _spray_vector)
+from finvar.dynamics import _RKF_A, _RKF_B5, _RKF_ERR, _flow, _rkf45_step
 from finvar.metrics import FinslerMetric
 from finvar.oracle import christoffel_oracle
 
@@ -26,7 +25,7 @@ CURVED = make_metric("curved", 2)
 class TestSpray:
     def test_euclid_spray_vanishes(self):
         p = TangentPoint([0.4, -0.2], [1.0, 2.0])
-        G = _spray_vector(metric_jet(EUCLID, p), p.y)
+        G = metric_jet(EUCLID, p).G
         assert np.abs(G).max() < 1e-14
 
     def test_constant_riemannian_spray_vanishes(self):
@@ -34,12 +33,12 @@ class TestSpray:
         m = catalog_metric({"kind": "riemannian", "dim": 3,
                             "field": "const_diag", "params": [2.0, 3.0, 5.0]})
         p = TangentPoint([0.1, 0.2, 0.3], [1.0, -1.0, 0.5])
-        G = _spray_vector(metric_jet(m, p), p.y)
+        G = metric_jet(m, p).G
         assert np.abs(G).max() < 1e-12
 
     def test_curved_riemannian_vs_christoffel(self):
         p = TangentPoint([1.0, 0.0], [1.0, 1.0])
-        G = _spray_vector(metric_jet(CURVED, p), p.y)
+        G = metric_jet(CURVED, p).G
         gamma = christoffel_oracle(CURVED.matrix_field, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
         assert np.abs(G - G_ref).max() / np.abs(G_ref).max() < 1e-6
@@ -52,7 +51,7 @@ class TestSpray:
             return ((w * np.eye(2) + np.outer(x, x)) / w ** 2).tolist()
 
         p = TangentPoint([0.3, 0.1], [0.5, -0.2])
-        G = _spray_vector(metric_jet(KLEIN, p), p.y)
+        G = metric_jet(KLEIN, p).G
         gamma = christoffel_oracle(klein_matrix, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
         assert np.abs(G - G_ref).max() / max(np.abs(G_ref).max(), 1e-12) < 1e-6
@@ -63,7 +62,7 @@ class TestSpray:
         for n in (2, 3):
             fk = make_metric("funk", n)
             for p in sample_points(make_pair("funk", "funk", n), 10, seed=37):
-                G = _spray_vector(metric_jet(fk, p), p.y)
+                G = metric_jet(fk, p).G
                 expect = 0.5 * metric_jet(fk, p).F * p.y
                 assert np.abs(G - expect).max() <= 1e-12 * np.abs(expect).max()
 
@@ -71,8 +70,8 @@ class TestSpray:
     def test_spray_two_homogeneous(self, lam):
         for p in sample_points(make_pair("klein", "klein", 2), 10, seed=41):
             q = TangentPoint(p.x, lam * p.y)
-            a = _spray_vector(metric_jet(KLEIN, p), p.y)
-            b = _spray_vector(metric_jet(KLEIN, q), q.y)
+            a = metric_jet(KLEIN, p).G
+            b = metric_jet(KLEIN, q).G
             assert np.abs(b - lam ** 2 * a).max() \
                 <= 1e-10 * max(1.0, np.abs(lam ** 2 * a).max())
 
@@ -80,22 +79,22 @@ class TestSpray:
 class TestGeodesicRhs:
     def test_euclid_rhs(self):
         p = TangentPoint([0.1, 0.3], [2.0, -1.0])
-        rhs = _flow(metric_jet(EUCLID, p), p.y)
+        rhs = _flow(metric_jet(EUCLID, p))
         assert np.allclose(rhs[:2], p.y, rtol=0, atol=0)
         assert np.abs(rhs[2:]).max() < 1e-14
 
     def test_klein_rhs_matches_spray(self):
         p = TangentPoint([0.2, 0.0], [0.0, 1.0])
-        rhs = _flow(metric_jet(KLEIN, p), p.y)
-        G = _spray_vector(metric_jet(KLEIN, p), p.y)
+        rhs = _flow(metric_jet(KLEIN, p))
+        G = metric_jet(KLEIN, p).G
         assert np.allclose(rhs[2:], -2.0 * G, rtol=0, atol=0)
 
     def test_rhs_velocity_scaling(self):
         p = TangentPoint([0.1, -0.2], [0.5, 0.3])
         lam = 2.0
         q = TangentPoint(p.x, lam * p.y)
-        a = _flow(metric_jet(FUNK, p), p.y)
-        b = _flow(metric_jet(FUNK, q), q.y)
+        a = _flow(metric_jet(FUNK, p))
+        b = _flow(metric_jet(FUNK, q))
         assert np.abs(b[:2] - lam * a[:2]).max() < 1e-12
         assert np.abs(b[2:] - lam ** 2 * a[2:]).max() <= 1e-10 * np.abs(a[2:]).max()
 
@@ -104,7 +103,7 @@ class TestIntegration:
     def test_euclid_rk4_is_exact(self):
         traj = integrate_geodesic(EUCLID, TangentPoint([0.0, 0.0], [1.0, 2.0]),
                                   1.0, method="rk4", step=1e-2)
-        assert np.abs(traj.xs[-1] - [1.0, 2.0]).max() < 1e-13
+        assert np.abs(traj.jets.x[-1] - [1.0, 2.0]).max() < 1e-13
         assert traj.times[-1] == pytest.approx(1.0, abs=0)
 
     def test_initial_condition_is_one_point(self):
@@ -113,12 +112,12 @@ class TestIntegration:
             integrate_geodesic(EUCLID, stack, 1.0)
         traj = integrate_geodesic(EUCLID, stack[1], 1.0, method="rk4",
                                   step=1e-2)
-        assert np.abs(traj.xs[-1] - [1.0, 2.0]).max() < 1e-13
+        assert np.abs(traj.jets.x[-1] - [1.0, 2.0]).max() < 1e-13
 
     def test_klein_geodesic_is_straight_line(self):
         traj = integrate_geodesic(KLEIN, TangentPoint([0.0, 0.1], [1.0, 0.0]),
                                   1.0)
-        assert np.abs(traj.xs[:, 1] - 0.1).max() <= 1e-8
+        assert np.abs(traj.jets.x[:, 1] - 0.1).max() <= 1e-8
         assert len(traj) > 3 and not traj.domain_exit
 
     @pytest.mark.parametrize("metric", [KLEIN, FUNK, CURVED],
@@ -139,20 +138,20 @@ class TestIntegration:
         a = integrate_geodesic(metric, p0, 1.0, method="rkf45",
                                rtol=1e-10, atol=1e-10)
         b = integrate_geodesic(metric, p0, 1.0, method="rk4", step=1e-3)
-        end_diff = np.abs(np.concatenate([a.xs[-1] - b.xs[-1],
-                                          a.ys[-1] - b.ys[-1]])).max()
+        end_diff = np.abs(np.concatenate([a.jets.x[-1] - b.jets.x[-1],
+                                          a.jets.y[-1] - b.jets.y[-1]])).max()
         assert end_diff <= 1e-7
 
     def test_reparameterization_same_path(self):
         p0 = TangentPoint([0.1, 0.15], [0.3, -0.2])
         a = integrate_geodesic(KLEIN, p0, 1.0)
         b = integrate_geodesic(KLEIN, TangentPoint(p0.x, 2.0 * p0.y), 0.5)
-        assert path_distance(a.xs, b.xs) <= 1e-7
+        assert path_distance(a.jets.x, b.jets.x) <= 1e-7
         # non-power-of-two factor on a curved metric, fine fixed steps
         a = integrate_geodesic(CURVED, p0, 0.9, method="rk4", step=1e-3)
         b = integrate_geodesic(CURVED, TangentPoint(p0.x, 3.0 * p0.y), 0.3,
                                method="rk4", step=1e-3 / 3.0)
-        assert path_distance(a.xs, b.xs) <= 1e-7
+        assert path_distance(a.jets.x, b.jets.x) <= 1e-7
 
     @pytest.mark.parametrize("comp_kind", ["klein", "funk", "randers_df"])
     def test_pair_paths_coincide(self, comp_kind):
@@ -160,7 +159,7 @@ class TestIntegration:
         p0 = TangentPoint([0.1, 0.15], [0.3, -0.2])
         a = integrate_geodesic(EUCLID, p0, 1.0)
         b = integrate_geodesic(comp, p0, 1.0)
-        assert path_distance(a.xs, b.xs) <= 1e-6
+        assert path_distance(a.jets.x, b.jets.x) <= 1e-6
 
     def test_funk_backward_rejected(self):
         with pytest.raises(NonReversibleBackward):
@@ -194,7 +193,7 @@ class TestIntegration:
         traj = integrate_geodesic(m, TangentPoint([0.5, 0.0], [1.0, 0.0]), 1.0)
         assert traj.domain_exit
         assert traj.t_final < 1.0
-        assert m.domain(traj.xs[-1])  # last sample still strictly in-domain
+        assert m.domain(traj.jets.x[-1])  # last sample still strictly in-domain
 
     def test_integrator_stall_on_rough_field(self):
         def kinked(xs, ys):
@@ -256,7 +255,7 @@ def test_within_truncates_at_the_first_sample_outside():
 
     cut = traj.within(ball)
     first_out = next(k for k in range(1, len(traj))
-                     if not KLEIN.domain(traj.xs[k]))
+                     if not KLEIN.domain(traj.jets.x[k]))
     assert calls == [(len(traj) - 1, 2)]     # one stacked call
     assert cut.domain_exit and len(cut) == first_out
     assert cut.times.tobytes() == traj.times[:first_out].tobytes()

@@ -241,7 +241,7 @@ class TestClosedForms:
         traj = integrate_geodesic(base, TangentPoint([0.0, 0.0], [0.4, 0.3]),
                                   1.0)
         vals = [painleve_I0(pair_jets(pair, TangentPoint(x, y)))
-                for x, y in zip(traj.xs, traj.ys)]
+                for x, y in zip(traj.jets.x, traj.jets.y)]
         assert np.abs(np.array(vals) - vals[0]).max() <= 1e-10 * abs(vals[0])
 
     def test_tm_i1_identity_pair(self):

@@ -122,7 +122,7 @@ def test_oracle_forms_first_integrals_once_per_point(tmp_path, capsys,
     # guard of first_integrals still runs at every point, in one stacked call
     calls = count_calls("first_integrals")
     run_command(tmp_path, capsys, "oracle", n)
-    assert [jets.y.shape for jets in calls] == [(POINTS, n)]
+    assert [jets.base.y.shape for jets in calls] == [(POINTS, n)]
 
 
 def test_geodesic_evaluates_the_base_metric_only_in_jets(tmp_path, capsys,
@@ -166,10 +166,18 @@ def test_integrals_along_makes_one_comparison_jet_per_sample(jet_calls,
     assert jet_calls == [("funk", len(traj))]
 
 
-@pytest.mark.parametrize("method", ["rkf45", "rk4"])
-def test_integrals_along_equals_fresh_jets_bitwise(method):
-    pair = make_pair("klein", "funk", 3)
-    traj = _trajectory(pair, method)
+@pytest.mark.parametrize("method, kinds, along", [
+    ("rkf45", ("klein", "funk"), None),
+    ("rk4", ("klein", "funk"), None),
+    ("rkf45", ("euclidean", "klein"), "funk"),
+], ids=["rkf45", "rk4", "third_metric"])
+def test_integrals_along_equals_fresh_jets_bitwise(method, kinds, along):
+    # along a geodesic of the base metric its jets are reused; along one of
+    # a third metric of the projective class both jets are evaluated afresh
+    pair = make_pair(*kinds, 3)
+    traj = _trajectory(pair if along is None else make_pair(along, along, 3),
+                       method)
+    assert (traj.metric is pair.base) == (along is None)
     fresh = np.array([first_integrals(pair_jets(pair, TangentPoint(x, y))).f
-                      for x, y in zip(traj.xs, traj.ys)])
+                      for x, y in zip(traj.jets.x, traj.jets.y)])
     assert np.array_equal(integrals_along(pair, traj), fresh)

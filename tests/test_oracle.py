@@ -8,7 +8,6 @@ from finvar import (ConfigError, DomainError, OracleScopeExceeded,
                     charpoly_coefficients,
                     christoffel_oracle, delta_alpha_combinatorial,
                     fd_derivative, first_integrals, metric_jet, pair_jets)
-from finvar.dynamics import _spray_vector
 from finvar.metrics import FinslerMetric
 
 from conftest import make_metric, make_pair, sample_points
@@ -169,7 +168,7 @@ class TestChristoffel:
         p = TangentPoint([0.7, -0.2, 0.3], [0.5, 1.0, -0.8])
         gamma = christoffel_oracle(m.matrix_field, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
-        G = _spray_vector(metric_jet(m, p), p.y)
+        G = metric_jet(m, p).G
         assert np.abs(G - G_ref).max() <= 1e-6 * max(1.0, np.abs(G_ref).max())
 
     def test_non_positive_definite_rejected(self):

@@ -63,5 +63,13 @@ def test_traced_cli_run(tmp_path, capsys, command):
     assert not any(tracer.errors)
     key = "trajectories" if command == "geodesic" else "count"
     assert tracer.sampled_points == SAMPLES[key]
+    if command == "geodesic":
+        # the integrator's own jets, outside the traced metric_jet: five
+        # stages per attempted step and one at each sample, the initial
+        # state included
+        accepted = tracer.steps["rkf45", "accepted"]
+        attempted = accepted + tracer.steps["rkf45", "rejected"]
+        assert tracer.rhs_calls()["rkf45"] == (5 * attempted + accepted
+                                               + SAMPLES["trajectories"])
     assert [getattr(importlib.import_module(m), a)
             for m, a in TARGETS] == originals
