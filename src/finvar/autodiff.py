@@ -7,9 +7,9 @@ in the package: fields are written once against generic scalars and
 evaluated with plain floats or with hyper-duals.
 
 It keeps the Hessian rows of the last ``r`` variables, as many as its seeds
-have: all of them from :func:`seed_variables`, and from :func:`xy_jet2` the
-velocity rows ``[F_yx | F_yy]`` (r = n, m = 2n), all the package reads. One
-class and one arithmetic code path serve two lane layouts:
+have: from :func:`xy_jet2` the velocity rows ``[F_yx | F_yy]`` (r = n,
+m = 2n), all the package reads. One class and one arithmetic code path serve
+two lane layouts:
 
 * **one point:** ``val`` is a Python float, ``grad`` has shape (1, m) and
   ``hess`` (r, m);
@@ -17,8 +17,8 @@ class and one arithmetic code path serve two lane layouts:
   (N, r, m), one lane per point (seeds keep lane-free ones, which broadcast).
 
 A product adds the kept rows of the outer product ``grad.swapaxes(-1, -2) *
-other.grad``, (m, m) in either layout, and of its transpose; ``sqrt``,
-``reciprocal`` and powers form their self-outer product over the kept rows.
+other.grad``, (m, m) in either layout, and of its transpose; ``sqrt`` and
+``reciprocal`` form their self-outer product over the kept rows.
 So each kept entry takes the floating-point operations of a full Hessian in
 the same order, and lane k of a stacked pass those of a one-point pass at
 point k: the two agree bitwise. Evaluating N points at once, the
@@ -157,11 +157,6 @@ class HyperDual:
         self.grad = grad
         self.hess = hess
 
-    @classmethod
-    def constant(cls, value: float, m: int) -> "HyperDual":
-        """A one-point constant with all Hessian rows; it broadcasts."""
-        return cls(float(value), np.zeros((1, m)), np.zeros((m, m)))
-
     def __repr__(self) -> str:
         return f"HyperDual({self.val!r}, grad={self.grad!r})"
 
@@ -226,22 +221,6 @@ class HyperDual:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            return NotImplemented
-        if p == 0:
-            return HyperDual(1.0, np.zeros_like(self.grad),
-                             np.zeros_like(self.hess))
-        if p == 1:
-            return HyperDual(self.val, self.grad, self.hess)
-        if p == 2:
-            return self * self
-        v = self.val
-        d1 = p * v ** (p - 1)
-        d2 = p * (p - 1) * v ** (p - 2)
-        return HyperDual(v ** p, d1 * self.grad,
-                         d1 * self.hess + d2 * self._outer_rows())
-
     def sqrt(self) -> "HyperDual":
         v = self.val
         # NaN fails too, as it cannot be certified above the floor, and is
@@ -275,25 +254,10 @@ def _seeds(values, m: int, offset: int, rows: int) -> list[HyperDual]:
             for i in range(values.shape[-1])]
 
 
-def seed_variables(values, m: int, offset: int = 0) -> list[HyperDual]:
-    """Lift ``values`` to hyper-duals seeded as variables offset..offset+k-1.
-
-    ``values`` of shape (k,) gives one-point hyper-duals and a stack of shape
-    (N, k) hyper-duals over N lanes, all with full Hessian rows.
-    """
-    return _seeds(values, m, offset, m)
-
-
-def scalar_value(z):
-    """Value of a generic scalar: a float, or the lane values of a stacked
-    hyper-dual."""
-    return z.val if isinstance(z, HyperDual) else float(z)
-
-
 def lane_values(zs) -> np.ndarray:
     """Values of a sequence of generic scalars: shape (n,) for one point,
     (N, n) for hyper-duals over N lanes."""
-    vals = [scalar_value(z) for z in zs]
+    vals = [z.val if isinstance(z, HyperDual) else float(z) for z in zs]
     if any(isinstance(v, np.ndarray) for v in vals):
         lanes = np.broadcast_arrays(*vals)
         return np.concatenate([v.reshape(-1, 1) for v in lanes], axis=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .dynamics import INTEGRATORS
 from .errors import ConfigError
 from .metrics import (ProjectivePair, TangentPoint, catalog_metric,
-                      finite_number, finite_vector)
+                      check_keys, finite_number, finite_vector)
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 12345
@@ -63,6 +64,8 @@ class SampleSettings:
         _check_number(self.box[1], "samples.box[1]")
         if not self.box[0] < self.box[1]:
             raise ConfigError(f"box {self.box} is empty")
+        if not math.isfinite(float(self.box[1]) - float(self.box[0])):
+            raise ConfigError(f"box {self.box} is wider than the float range")
         if self.velocity_scale is not None:
             _check_number(self.velocity_scale, "samples.velocity_scale")
             if self.velocity_scale == 0:
@@ -123,13 +126,6 @@ class RunConfig:
             np.array([pt["y"] for pt in self.points], dtype=float))
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"expected a subset of {sorted(allowed)}")
-
-
 def load_config(path: str) -> RunConfig:
     """Parse a JSON config file into a :class:`RunConfig`."""
     try:
@@ -142,7 +138,7 @@ def load_config(path: str) -> RunConfig:
                           f"{exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL_KEYS, "config")
+    check_keys(raw, _TOP_LEVEL_KEYS, "config")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config field 'schema_version' must be {SCHEMA_VERSION}, "
@@ -155,14 +151,14 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(raw.get(key, {}), dict):
             raise ConfigError(f"config field '{key}' must be a JSON object")
     sample_kwargs = dict(raw.get("samples", {}))
-    _check_keys(sample_kwargs, _SAMPLE_KEYS, "config field 'samples'")
+    check_keys(sample_kwargs, _SAMPLE_KEYS, "config field 'samples'")
     if "box" in sample_kwargs:
         box = sample_kwargs["box"]
         if not (isinstance(box, (list, tuple)) and len(box) == 2):
             raise ConfigError(f"samples.box must be [lo, hi], got {box!r}")
         sample_kwargs["box"] = tuple(box)
     integ_kwargs = dict(raw.get("integrator", {}))
-    _check_keys(integ_kwargs, _INTEGRATOR_KEYS, "config field 'integrator'")
+    check_keys(integ_kwargs, _INTEGRATOR_KEYS, "config field 'integrator'")
     points = raw.get("points", [])
     if not isinstance(points, list):
         raise ConfigError(f"config field 'points' must be a list, got "

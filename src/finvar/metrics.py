@@ -5,8 +5,8 @@ with a domain predicate on the base point. The catalog provides:
 
 ====================  =======================================================
 euclidean(n)          F = |y|
-riemannian(A)         F = sqrt(y^T A(x) y) for a named matrix field A
-randers(A, beta)      F = sqrt(y^T A(x) y) + beta_i(x) y^i
+riemannian(a)         F = sqrt(sum_i a_i(x) (y^i)^2) for a named diagonal field
+randers(a, beta)      F = sqrt(sum_i a_i(x) (y^i)^2) + beta_i(x) y^i
 klein(n)              sqrt(|y|^2 (1-|x|^2) + <x,y>^2) / (1-|x|^2), |x| < 1
 funk(n)               (sqrt((1-|x|^2)|y|^2 + <x,y>^2) + <x,y>) / (1-|x|^2)
 scaled(base, c)       c * F_base, c > 0
@@ -18,7 +18,8 @@ a Randers metric with closed beta (here: beta = df for a named potential) is
 projectively related to its underlying Riemannian alpha. Both facts are used
 by the verification suites and are themselves re-checked dynamically.
 
-Named matrix fields for ``riemannian``/``randers``:
+Named matrix fields for ``riemannian``/``randers``, both diagonal, so a
+field is its diagonal a_1(x)..a_n(x) and ||beta||_alpha^2 = sum beta_i^2 / a_i:
 
 * ``const_diag``  params [a_1..a_n], constant diag(a_1..a_n), a_i > 0
 * ``curved_x1``   diag(1, 1 + (x^1)^2, 1, ...) - curved, not projectively
@@ -29,6 +30,12 @@ Named 1-form choices for ``randers``:
 * potential ``linear``    params c, f(x) = c . x, beta = c (closed)
 * potential ``quadratic`` params c, f(x) = sum c_i (x^i)^2 / 2, beta_i = c_i x^i
 * covector ``x2_dx1``     beta = (x^2, 0, ..., 0) - not closed; negative control
+
+A descriptor takes only the keys of its kind: ``kind`` and ``dim`` for
+euclidean, klein and funk; also ``field`` and ``params`` for riemannian, and
+``alpha_field``, ``alpha_params`` and ``beta`` for randers; ``kind``,
+``factor`` and ``base`` for scaled. A beta object is ``potential`` with
+``params``, or ``covector`` alone.
 """
 
 from __future__ import annotations
@@ -74,6 +81,14 @@ def finite_vector(values, where: str, n: int | None = None) -> list[float]:
     if n is not None and len(values) != n:
         raise ConfigError(f"{where} needs {n} entries, got {len(values)}")
     return [float(v) for v in values]
+
+
+def check_keys(mapping: dict, allowed: set, where: str) -> None:
+    """:class:`ConfigError` unless every key of ``mapping`` is allowed."""
+    unknown = set(mapping) - allowed
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
+                          f"expected a subset of {sorted(allowed)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +141,6 @@ class FinslerMetric:
     evaluator: Callable
     domain: Callable[[np.ndarray], bool]
     reversible: bool = True
-    matrix_field: Callable | None = None
 
     def __call__(self, xs, ys):
         x = lane_values(xs)
@@ -284,38 +298,30 @@ def _funk_field(xs, ys):
     return (gsqrt(yy * w + xy * xy) + xy) / w
 
 
-def _quadratic_form(a_rows, ys):
-    acc = None
-    for i, row in enumerate(a_rows):
-        term = ys[i] * gdot(row, ys)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _matrix_field(name: str, params, n: int) -> Callable:
+def _diagonal_field(name: str, params, n: int) -> Callable:
+    """The diagonal a_1(x)..a_n(x) of a named matrix field."""
     if name == "const_diag":
         diag = finite_vector(params, "const_diag params", n)
         if any(v <= 0.0 for v in diag):
             raise ConfigError("const_diag entries must be positive")
-        rows = [[diag[i] if i == j else 0.0 for j in range(n)]
-                for i in range(n)]
-
-        def const_field(xs):
-            return rows
-
-        return const_field
+        return lambda xs: diag
     if name == "curved_x1":
         if params:
             raise ConfigError("curved_x1 takes no parameters")
-
-        def curved_field(xs):
-            rows = [[1.0 if i == j else 0.0 for j in range(n)]
-                    for i in range(n)]
-            rows[1][1] = 1.0 + xs[0] * xs[0]
-            return rows
-
-        return curved_field
+        return lambda xs: [1.0, 1.0 + xs[0] * xs[0]] + [1.0] * (n - 2)
     raise ConfigError(f"unknown matrix field '{name}'")
+
+
+def _alpha(diag_field: Callable) -> Callable:
+    """alpha = sqrt(sum_i y^i (a_i y^i)) of a diagonal field."""
+    def alpha(xs, ys):
+        a = diag_field(xs)
+        acc = ys[0] * (a[0] * ys[0])
+        for i in range(1, len(ys)):
+            acc = acc + ys[i] * (a[i] * ys[i])
+        return gsqrt(acc)
+
+    return alpha
 
 
 def _beta_field(beta_desc: dict, n: int) -> Callable:
@@ -323,6 +329,7 @@ def _beta_field(beta_desc: dict, n: int) -> Callable:
     if not isinstance(beta_desc, dict):
         raise ConfigError(f"randers beta must be an object, got {beta_desc!r}")
     if "potential" in beta_desc:
+        check_keys(beta_desc, {"potential", "params"}, "randers beta")
         pot = beta_desc["potential"]
         params = finite_vector(beta_desc.get("params", []),
                                f"potential '{pot}' params", n)
@@ -332,6 +339,7 @@ def _beta_field(beta_desc: dict, n: int) -> Callable:
             return lambda xs: [params[i] * xs[i] for i in range(n)]
         raise ConfigError(f"unknown potential '{pot}'")
     if "covector" in beta_desc:
+        check_keys(beta_desc, {"covector"}, "randers beta")
         cov = beta_desc["covector"]
         if cov == "x2_dx1":
             if n < 2:
@@ -341,22 +349,15 @@ def _beta_field(beta_desc: dict, n: int) -> Callable:
     raise ConfigError("randers beta needs a 'potential' or 'covector' entry")
 
 
-def _randers_beta_norm2(a_field, beta, x: np.ndarray):
-    """||beta||_alpha^2 at a base point of shape (n,), or at each row of a
-    stack of shape (N, n) through one batched solve."""
-    n = x.shape[-1]
+def _randers_beta_norm2(diag_field, beta, x: np.ndarray):
+    """||beta||_alpha^2 = sum beta_i^2 / a_i at a base point of shape (n,),
+    or at each row of a stack of shape (N, n) as an (N,) array. A
+    non-finite coordinate may make it nan, which no comparison admits."""
     coords = list(x.T)
-    a = np.empty(x.shape[:-1] + (n, n))
-    b = np.empty(x.shape)
-    for i, row in enumerate(a_field(coords)):
-        for j, v in enumerate(row):
-            a[..., i, j] = v
-    for i, v in enumerate(beta(coords)):
-        b[..., i] = v
-    # catalog alpha fields are diagonal, with entries positive or non-finite,
-    # so the solve never meets a singular matrix
-    sol = np.linalg.solve(a, b[..., None])[..., 0]
-    return gdot(b.T, sol.T)
+    b = beta(coords)
+    with np.errstate(all="ignore"):
+        norm2 = gdot(b, [v / a for v, a in zip(b, diag_field(coords))])
+    return np.broadcast_to(norm2, x.shape[:-1])
 
 
 def _require_dim(desc: dict) -> int:
@@ -376,52 +377,56 @@ def catalog_metric(desc: dict) -> FinslerMetric:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"metric descriptor needs a 'kind': {desc!r}")
     kind = desc["kind"]
+    where = f"metric descriptor of kind {kind!r}"
+    plain = {"kind", "dim"}
 
     if kind == "euclidean":
+        check_keys(desc, plain, where)
         n = _require_dim(desc)
         return FinslerMetric("euclidean", n, _euclidean_field, _all_space)
     if kind == "klein":
+        check_keys(desc, plain, where)
         n = _require_dim(desc)
         return FinslerMetric("klein", n, _klein_field, _unit_ball)
     if kind == "funk":
+        check_keys(desc, plain, where)
         n = _require_dim(desc)
         return FinslerMetric("funk", n, _funk_field, _unit_ball,
                              reversible=False)
     if kind == "riemannian":
+        check_keys(desc, plain | {"field", "params"}, where)
         n = _require_dim(desc)
-        a_field = _matrix_field(desc.get("field", "const_diag"),
-                                desc.get("params"), n)
-
-        def riemann_eval(xs, ys, _a=a_field):
-            return gsqrt(_quadratic_form(_a(xs), ys))
-
-        return FinslerMetric(f"riemannian[{desc.get('field')}]", n,
-                             riemann_eval, _all_space, matrix_field=a_field)
+        field = desc.get("field", "const_diag")
+        alpha = _alpha(_diagonal_field(field, desc.get("params"), n))
+        return FinslerMetric(f"riemannian[{field}]", n, alpha, _all_space)
     if kind == "randers":
+        check_keys(desc, plain | {"alpha_field", "alpha_params", "beta"},
+                   where)
         n = _require_dim(desc)
-        a_field = _matrix_field(desc.get("alpha_field", "const_diag"),
-                                desc.get("alpha_params", [1.0] * n), n)
+        a_field = _diagonal_field(desc.get("alpha_field", "const_diag"),
+                                  desc.get("alpha_params", [1.0] * n), n)
         beta = _beta_field(desc.get("beta", {}), n)
-        probes = [np.zeros(n)]
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 0.5
-            probes.extend([e, -e])
-        for x in probes:
-            if _randers_beta_norm2(a_field, beta, x) >= 1.0:
-                raise ConfigError(
-                    f"randers: ||beta||_alpha >= 1 at probe point {x}")
+        # the origin, then +-0.5 e_i for each i
+        probes = np.zeros((2 * n + 1, n))
+        probes[1::2] = 0.5 * np.eye(n)
+        probes[2::2] = -probes[1::2]
+        bad = np.flatnonzero(_randers_beta_norm2(a_field, beta, probes) >= 1.0)
+        if bad.size:
+            raise ConfigError(f"randers: ||beta||_alpha >= 1 at probe point "
+                              f"{probes[bad[0]]}")
 
-        def randers_domain(x, _a=a_field, _b=beta):
-            return _randers_beta_norm2(_a, _b, x) < (1.0 - EPS_DOM) ** 2
+        alpha = _alpha(a_field)
 
-        def randers_eval(xs, ys, _a=a_field, _b=beta):
-            return gsqrt(_quadratic_form(_a(xs), ys)) + gdot(_b(xs), ys)
+        def randers_domain(x):
+            return _randers_beta_norm2(a_field, beta, x) < (1.0 - EPS_DOM) ** 2
+
+        def randers_eval(xs, ys):
+            return alpha(xs, ys) + gdot(beta(xs), ys)
 
         return FinslerMetric(f"randers[{desc.get('beta')}]", n, randers_eval,
-                             randers_domain, reversible=False,
-                             matrix_field=a_field)
+                             randers_domain, reversible=False)
     if kind == "scaled":
+        check_keys(desc, {"kind", "factor", "base"}, where)
         factor = desc.get("factor")
         if not (finite_number(factor) and factor > 0):
             raise ConfigError(
@@ -433,6 +438,5 @@ def catalog_metric(desc: dict) -> FinslerMetric:
             return _c * _base(xs, ys)
 
         return FinslerMetric(f"scaled[{c}]{base.name}", base.dim, scaled_eval,
-                             base.domain, reversible=base.reversible,
-                             matrix_field=base.matrix_field)
+                             base.domain, reversible=base.reversible)
     raise ConfigError(f"unknown metric kind '{kind}'")

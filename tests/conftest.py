@@ -4,7 +4,7 @@ the unparameterized distance of two sampled paths."""
 import numpy as np
 import pytest
 
-from finvar import ProjectivePair, catalog_metric
+from finvar import ProjectivePair, catalog_metric, xy_jet2
 from finvar.config import sample_tangent_points
 
 
@@ -25,6 +25,28 @@ def make_metric(kind, n, **kw):
         return catalog_metric({"kind": "scaled", "factor": kw["factor"],
                                "base": kw["base"]})
     return catalog_metric({"kind": kind, "dim": n})
+
+
+def curved_matrix(xs):
+    """The matrix field of ``curved_x1`` written out as rows,
+    diag(1, 1 + (x^1)^2, 1, ...), for the Christoffel oracle."""
+    n = len(xs)
+    rows = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    rows[1][1] = 1.0 + xs[0] * xs[0]
+    return rows
+
+
+def jet_seeds(x, y):
+    """The seeds of a pass of :func:`xy_jet2`: variables x then y, with
+    velocity Hessian rows."""
+    seeds = []
+
+    def field(xs, ys):
+        seeds.extend(xs + ys)
+        return xs[0]
+
+    xy_jet2(field, x, y)
+    return seeds
 
 
 def make_pair(base_kind, comp_kind, n, **kw):

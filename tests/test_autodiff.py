@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from finvar import DegenerateVelocity, DomainError
 from finvar.autodiff import (HyperDual, Jet2, _seed_pair_hessian,
-                             lane_power, seed_variables, xy_jet2)
+                             lane_power, xy_jet2)
 from finvar.oracle import fd_derivative
 
-from conftest import catalog_metrics, make_metric, sample_points
+from conftest import catalog_metrics, jet_seeds, make_metric, sample_points
 
 EUCLID = make_metric("euclidean", 2)
 FUNK = make_metric("funk", 2)
@@ -31,9 +31,16 @@ def test_euclid_value_and_gradient():
     assert jet.grad == pytest.approx([0.6, 0.8], abs=1e-14)
 
 
+def squared(metric):
+    def f(xs, ys):
+        value = metric(xs, ys)
+        return value * value
+
+    return f
+
+
 def test_hessian_of_squared_euclid_is_2I():
-    jet = velocity_jet(lambda xs, ys: EUCLID(xs, ys) ** 2, [0.0, 0.0],
-                       [3.0, 4.0])
+    jet = velocity_jet(squared(EUCLID), [0.0, 0.0], [3.0, 4.0])
     assert np.abs(jet.hess - 2.0 * np.eye(2)).max() < 1e-12
 
 
@@ -102,7 +109,7 @@ def test_chain_rule_square_assembly(metric):
     from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 25, seed=5):
         jet = velocity_jet(metric, p.x, p.y)
-        jet2 = velocity_jet(lambda xs, ys: metric(xs, ys) ** 2, p.x, p.y)
+        jet2 = velocity_jet(squared(metric), p.x, p.y)
         grad_ref = 2.0 * jet.value * jet.grad
         hess_ref = 2.0 * np.outer(jet.grad, jet.grad) + 2.0 * jet.value * jet.hess
         assert np.abs(jet2.grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
@@ -153,17 +160,22 @@ def test_affine_composition_applies_jacobian_rule():
     assert np.abs(outer.hess - A.T @ inner.hess @ A).max() < 1e-13
 
 
-def test_hyperdual_quotient_and_power_consistency():
-    u, v = seed_variables([1.7, -0.6], 2)
+def test_hyperdual_quotient_against_hand_values():
+    # w = p / q with p = u^2 + 3, q = v^2 + 2
+    a, b = 1.7, -0.6
+    u, v = fresh_seeds([a, b], 2, 0)
     w = (u * u + 3.0) / (v * v + 2.0)
-    w_ref = (u * u + 3.0) * ((v * v + 2.0) ** -1.0)
-    assert w.val == pytest.approx(w_ref.val, rel=1e-14)
-    assert np.abs(w.grad - w_ref.grad).max() < 1e-13
-    assert np.abs(w.hess - w_ref.hess).max() < 1e-13
+    p, q = a * a + 3.0, b * b + 2.0
+    grad = [2.0 * a / q, -2.0 * b * p / q ** 2]
+    hess = [[2.0 / q, -4.0 * a * b / q ** 2],
+            [-4.0 * a * b / q ** 2, p * (6.0 * b * b - 4.0) / q ** 3]]
+    assert w.val == pytest.approx(p / q, rel=1e-14)
+    assert np.abs(w.grad[0] - grad).max() < 1e-13
+    assert np.abs(w.hess - hess).max() < 1e-13
 
 
 def test_hyperdual_hessian_is_symmetric_bitwise():
-    u, v = seed_variables([0.9, 2.3], 2)
+    u, v = fresh_seeds([0.9, 2.3], 2, 0)
     w = (u * v + u.sqrt() * 3.1) / (v + 2.0)
     assert np.array_equal(w.hess, w.hess.T)
 
@@ -172,7 +184,7 @@ def test_degenerate_velocity_raises():
     with pytest.raises(DegenerateVelocity):
         velocity_jet(EUCLID, [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(DegenerateVelocity):
-        HyperDual.constant(1e-30, 2).sqrt()
+        HyperDual(1e-30, np.zeros((1, 2)), np.zeros((2, 2))).sqrt()
 
 
 def test_domain_violation_raises():
@@ -184,7 +196,7 @@ def test_velocity_jet_matches_joint_jet_blocks():
     # seeding only y, with a float base point, must reproduce the y blocks
     # of the joint (x, y) pass, and a plain float evaluation its value
     x, y = [0.1, 0.2], [1.0, -0.5]
-    velocity = FUNK(x, seed_variables(y, 2))
+    velocity = FUNK(x, fresh_seeds(y, 2, 0))
     joint = xy_jet2(FUNK, x, y)
     assert np.allclose(joint.grad[2:], velocity.grad, rtol=0, atol=1e-15)
     assert np.allclose(joint.hess[:, 2:], velocity.hess, rtol=0, atol=1e-15)
@@ -247,35 +259,21 @@ def test_velocity_rows_equal_the_full_hessian_rows_bitwise(case, family):
     assert_same_bytes(jet.hess, full[..., n:, :])
 
 
-def jet_seeds(x, y) -> list[HyperDual]:
-    """The seeds of a pass of :func:`xy_jet2`: variables x then y, with
-    velocity Hessian rows."""
-    seeds = []
-
-    def field(xs, ys):
-        seeds.extend(xs + ys)
-        return xs[0]
-
-    xy_jet2(field, x, y)
-    return seeds
-
-
 @pytest.mark.parametrize("a", [-1.5, -0.0, 0.0, 2.0])
 @pytest.mark.parametrize("b", [-0.25, -0.0, 0.0, 3.0])
 def test_seed_product_rule_equals_the_general_rule_bytewise(a, b):
     one = [a, b, -a, 1.0]
     stack = [one, [b, a, -b, 2.0], [-0.0, 1.0, a, b]]   # velocities x[1:]
-    # (seeds, reference seeds, rows kept), m = 4 with all rows and m = 6
-    # with the 3 velocity rows, at one point and over a stack
+    # (seeds, reference seeds): m = 6 variables with the 3 velocity rows,
+    # at one point and over a stack
+    rows = 3
     cases = []
     for values in (one, stack):
         values = np.array(values)
-        cases.append((seed_variables(values, 4), fresh_seeds(values, 4, 0),
-                      4))
         x, y = values[..., :3], values[..., 1:]
         cases.append((jet_seeds(x, y),
-                      fresh_seeds(x, 6, 0) + fresh_seeds(y, 6, 3), 3))
-    for seeds, fresh, rows in cases:
+                      fresh_seeds(x, 6, 0) + fresh_seeds(y, 6, 3)))
+    for seeds, fresh in cases:
         m = len(seeds)
         for i in range(m):
             for j in range(m):

@@ -16,6 +16,32 @@ from finvar.cli import _build_parser, main
 NAN = float("nan")
 
 
+COMMANDS = ("evaluate", "geodesic", "verify", "oracle")
+
+# boxes whose width hi - lo overflows the float range
+WIDE_BOXES = {"box_width_1e308": [-1e308, 1e308],
+              "box_width_9e307": [-9e307, 9e307]}
+
+# descriptors with a key their kind does not take
+DESCRIPTOR_TYPOS = {
+    "randers_alpha_feild": {"kind": "randers", "dim": 2,
+                            "alpha_feild": "curved_x1",
+                            "beta": {"potential": "linear",
+                                     "params": [0.1, 0.0]}},
+    "randers_beta_parms": {"kind": "randers", "dim": 2,
+                           "beta": {"potential": "linear",
+                                    "params": [0.1, 0.0],
+                                    "parms": [0.2, 0.0]}},
+    "randers_covector_params": {"kind": "randers", "dim": 2,
+                                "beta": {"covector": "x2_dx1",
+                                         "params": [0.1, 0.0]}},
+    "klein_factor": {"kind": "klein", "dim": 2, "factor": 2.0},
+    "funk_field": {"kind": "funk", "dim": 2, "field": "curved_x1"},
+    "scaled_dim": {"kind": "scaled", "dim": 2, "factor": 2.0,
+                   "base": {"kind": "klein", "dim": 2}},
+}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "schema_version": 1,
@@ -322,7 +348,7 @@ class TestCliContract:
         ("evaluate", {"samples": {"count": "5"}}),
         ("evaluate", {"samples": {"box": ["a", 0.3]}}),
         *((command, {"samples": {"velocity_scale": 0}})
-          for command in ("evaluate", "geodesic", "verify", "oracle")),
+          for command in COMMANDS),
         ("evaluate", {"samples": 5}),
         ("geodesic", {"integrator": {"rtol": "x"}}),
         ("evaluate", {"tolerance": "loose"}),
@@ -360,11 +386,16 @@ class TestCliContract:
         ("evaluate", {"out": True}),
         *((command, {"points": [{"x": [0.1, 0.2], "y": [1.0, 0.0]},
                                 {"x": [0.1, 0.2, 0.3], "y": [1.0, 0.0, 0.0]}]})
-          for command in ("evaluate", "geodesic", "verify", "oracle")),
+          for command in COMMANDS),
         ("geodesic", {"integrator": {"method": "rk4", "t_end": 1e308,
                                      "step": 1e-3}}),
         ("geodesic", {"integrator": {"method": "rk4", "t_end": 1.0,
                                      "step": 1e-320}}),
+        *((command, {"samples": {"box": box}})
+          for box in WIDE_BOXES.values() for command in COMMANDS),
+        *(("verify", {"pair": {"base": {"kind": "euclidean", "dim": 2},
+                               "comparison": desc}})
+          for desc in DESCRIPTOR_TYPOS.values()),
     ], ids=["seed", "negative_seed", "count", "box",
             "velocity_scale_zero_evaluate", "velocity_scale_zero_geodesic",
             "velocity_scale_zero_verify", "velocity_scale_zero_oracle",
@@ -376,7 +407,10 @@ class TestCliContract:
             "method_verify", "out", "point_lengths_evaluate",
             "point_lengths_geodesic", "point_lengths_verify",
             "point_lengths_oracle", "rk4_steps_huge_t_end",
-            "rk4_steps_tiny_step"])
+            "rk4_steps_tiny_step",
+            *(f"{box}_{command}" for box in WIDE_BOXES
+              for command in COMMANDS),
+            *DESCRIPTOR_TYPOS])
     def test_malformed_value_types(self, tmp_path, capsys, command,
                                    overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -554,8 +588,7 @@ class TestCliContract:
         assert code == 0 and err == ""
         assert json.loads(out)["verdict"] == "pass"
 
-    @pytest.mark.parametrize("command",
-                             ["evaluate", "geodesic", "verify", "oracle"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("factor", [1e100, 1e130])
     def test_overflowing_scale_keeps_exit_code_contract(self, tmp_path,
                                                         capsys, command,

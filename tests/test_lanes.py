@@ -18,12 +18,13 @@ from finvar import (DegenerateAngularMetric, DegenerateVelocity, DomainError,
                     f1_closed_form, first_integrals, fn1_closed_form,
                     integrate_geodesic, metric_jet, mu, pair_jets,
                     painleve_I0, rapcsak_residual, sarlet_K, tm_I1)
-from finvar.autodiff import seed_variables, xy_jet2
+from finvar.autodiff import xy_jet2
 from finvar.linalg import inverse
 from finvar.metrics import FinslerMetric, TangentPoint
 from finvar.oracle import PERMUTATION_CUTOFF, _perm_sign
 
-from conftest import JET_FIELDS, catalog_metrics, make_pair, sample_points
+from conftest import (JET_FIELDS, catalog_metrics, jet_seeds, make_pair,
+                      sample_points)
 
 FAMILIES = len(catalog_metrics(2))
 CLOSED_FORMS = (f1_closed_form, fn1_closed_form, mu, painleve_I0, tm_I1,
@@ -203,17 +204,19 @@ def test_q0_guard_names_the_failing_point():
 
 
 def test_lane_layouts():
-    one = seed_variables([0.3, 0.4], 4)
-    stack = seed_variables([[0.3, 0.4], [0.1, 0.2], [0.5, 0.6]], 4)
-    w = one[0] * one[1] + one[0].sqrt()
+    # the seeds of xy_jet2 at n = 2: m = 4 variables, 2 velocity rows
+    one = jet_seeds([0.3, 0.4], [0.5, 0.6])
+    stack = jet_seeds([[0.3, 0.4], [0.1, 0.2], [0.5, 0.6]],
+                      [[0.5, 0.6], [0.7, 0.8], [0.9, 1.0]])
+    w = one[0] * one[3] + one[2].sqrt()
     assert type(w.val) is float
-    assert w.grad.shape == (1, 4) and w.hess.shape == (4, 4)
-    w = stack[0] * stack[1] + stack[0].sqrt()
+    assert w.grad.shape == (1, 4) and w.hess.shape == (2, 4)
+    w = stack[0] * stack[3] + stack[2].sqrt()
     assert w.val.shape == (3, 1, 1)
-    assert w.grad.shape == (3, 1, 4) and w.hess.shape == (3, 4, 4)
+    assert w.grad.shape == (3, 1, 4) and w.hess.shape == (3, 2, 4)
     # a one-point constant broadcasts against stacked lanes
-    c = w + HyperDual.constant(2.0, 4)
-    assert c.hess.shape == (3, 4, 4)
+    c = w + HyperDual(2.0, np.zeros((1, 4)), np.zeros((2, 4)))
+    assert c.hess.shape == (3, 2, 4)
 
 
 def test_constant_field_in_a_stack():

@@ -66,6 +66,25 @@ class TestCatalogValues:
             catalog_metric({"kind": "riemannian", "dim": 2,
                             "field": "const_diag", "params": [1.0, -2.0]})
 
+    def test_randers_error_names_the_first_failing_probe(self):
+        # ||beta||^2 = (x^2)^2 / 0.1: the probes are the origin, then
+        # +-0.5 e_1 and +-0.5 e_2, and 0.5 e_2 is the first to reach 1
+        # (-0.5 e_2, printed [-0.  -0.5], fails after it)
+        with pytest.raises(ConfigError) as info:
+            catalog_metric({"kind": "randers", "dim": 2,
+                            "alpha_field": "const_diag",
+                            "alpha_params": [0.1, 1.0],
+                            "beta": {"covector": "x2_dx1"}})
+        assert str(info.value) == (
+            "randers: ||beta||_alpha >= 1 at probe point [0.  0.5]")
+
+    def test_riemannian_is_named_by_the_field_it_uses(self):
+        m = catalog_metric({"kind": "riemannian", "dim": 2,
+                            "params": [1.0, 2.0]})
+        assert m.name == "riemannian[const_diag]"
+        with pytest.raises(DegenerateVelocity, match=r"^riemannian\[const_"):
+            metric_jet(m, TangentPoint([0.0, 0.0], [1e-20, 0.0]))
+
 
 NON_FINITE = (float("nan"), float("inf"), -float("inf"))
 
@@ -79,9 +98,9 @@ NON_FINITE = (float("nan"), float("inf"), -float("inf"))
 @pytest.mark.parametrize("field, params", [
     ("const_diag", [2.0, 0.5, 3.0]), ("curved_x1", [])])
 def test_randers_domain_answers_at_non_finite_points(field, params, beta, n):
-    # every catalog alpha field is diagonal, with entries positive or
-    # non-finite, so the domain's solve never meets a singular matrix: a
-    # base point holding nan or inf gets an answer, alone and in a stack
+    # ||beta||^2 = sum beta_i^2 / a_i is formed elementwise, so a base point
+    # holding nan or inf gets an answer, alone and in a stack, and raises no
+    # floating-point warning
     beta = dict(beta, **({"params": beta["params"][:n]}
                          if "params" in beta else {}))
     randers = catalog_metric({"kind": "randers", "dim": n,
@@ -242,7 +261,7 @@ class TestMetricJet:
         # F^2 = (y1 + y2)^2 has a rank-one velocity Hessian
         degenerate = FinslerMetric(
             "rank-one", 2,
-            lambda xs, ys: gsqrt((ys[0] + ys[1]) ** 2),
+            lambda xs, ys: gsqrt((ys[0] + ys[1]) * (ys[0] + ys[1])),
             lambda x: True)
         with pytest.raises(SingularMetric):
             metric_jet(degenerate, TangentPoint([0.0, 0.0], [1.0, 0.5]))

@@ -10,7 +10,7 @@ from finvar import (ConfigError, DomainError, OracleScopeExceeded,
                     fd_derivative, first_integrals, metric_jet, pair_jets)
 from finvar.metrics import FinslerMetric
 
-from conftest import make_metric, make_pair, sample_points
+from conftest import curved_matrix, make_metric, make_pair, sample_points
 
 
 class TestInterpolationCharpoly:
@@ -153,8 +153,7 @@ class TestChristoffel:
         assert np.abs(gamma).max() < 1e-12
 
     def test_curved_hand_values(self):
-        m = make_metric("curved", 2)
-        gamma = christoffel_oracle(m.matrix_field, [1.0, 0.0])
+        gamma = christoffel_oracle(curved_matrix, [1.0, 0.0])
         # nonzero entries of diag(1, 1 + (x1)^2) at x1 = 1
         assert gamma[1, 0, 1] == pytest.approx(0.5, abs=1e-6)
         assert gamma[1, 1, 0] == pytest.approx(0.5, abs=1e-6)
@@ -166,7 +165,7 @@ class TestChristoffel:
     def test_spray_consistency(self):
         m = make_metric("curved", 3)
         p = TangentPoint([0.7, -0.2, 0.3], [0.5, 1.0, -0.8])
-        gamma = christoffel_oracle(m.matrix_field, p.x)
+        gamma = christoffel_oracle(curved_matrix, p.x)
         G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
         G = metric_jet(m, p).G
         assert np.abs(G - G_ref).max() <= 1e-6 * max(1.0, np.abs(G_ref).max())
