@@ -248,20 +248,22 @@ class _Seed(HyperDual):
 def _seeds(values, m: int, offset: int, rows: int) -> list[HyperDual]:
     values = np.asarray(values, dtype=float)
     grads, hess = _seed_arrays(rows, m)
-    return [_Seed(float(values[i]) if values.ndim == 1
-                  else values[:, i, None, None],
-                  grads[offset + i], hess, offset + i)
-            for i in range(values.shape[-1])]
+    if values.ndim == 1:
+        lanes = values.tolist()
+    else:
+        lanes = [values[:, i, None, None] for i in range(values.shape[-1])]
+    return [_Seed(v, grads[offset + i], hess, offset + i)
+            for i, v in enumerate(lanes)]
 
 
 def lane_values(zs) -> np.ndarray:
     """Values of a sequence of generic scalars: shape (n,) for one point,
     (N, n) for hyper-duals over N lanes."""
     vals = [z.val if isinstance(z, HyperDual) else float(z) for z in zs]
-    if any(isinstance(v, np.ndarray) for v in vals):
-        lanes = np.broadcast_arrays(*vals)
-        return np.concatenate([v.reshape(-1, 1) for v in lanes], axis=1)
-    return np.array(vals)
+    if all(isinstance(v, float) for v in vals):
+        return np.array(vals)
+    lanes = np.broadcast_arrays(*vals)
+    return np.concatenate([v.reshape(-1, 1) for v in lanes], axis=1)
 
 
 def gsqrt(z):
@@ -298,7 +300,7 @@ class Jet2:
 
 
 def _check_velocity(y: np.ndarray) -> None:
-    check_lanes(np.any(y != 0.0, axis=-1), lambda i: DegenerateVelocity(
+    check_lanes((y != 0.0).any(axis=-1), lambda i: DegenerateVelocity(
         "velocity is exactly zero", point=i))
 
 

@@ -82,8 +82,7 @@ class GeodesicTrajectory:
         the whole integration. ``domain`` tests all samples in one call on
         their stacked base points, as every metric's predicate can.
         """
-        inside = np.broadcast_to(domain(self.jets.x[1:]), (len(self) - 1,))
-        outside = np.flatnonzero(~inside)
+        outside = np.flatnonzero(~domain(self.jets.x[1:]))
         if not outside.size:
             return self
         k = int(outside[0]) + 1

@@ -8,7 +8,11 @@ singular g raises :class:`SingularMetric` here, before any quantity that
 assumes convexity (the volume ratio mu, the first integrals) is formed.
 A stack of tensors, one per point, goes through one stacked factorization
 that numpy runs matrix by matrix, so each matrix gets exactly the result it
-gets alone.
+gets alone. Both layouts share these LAPACK calls, the Cholesky factor and
+its inverse; only the certificate differs. One matrix, the integrator's
+case, is certified in Python floats: numpy's per-call cost would exceed the
+arithmetic on its n pivots, and a float has a numpy scalar's bits. A stack
+is certified in numpy arrays. Both give the same verdicts and messages.
 
 The oracles in :mod:`finvar.oracle` stay independent of this path because
 they use different algorithms, not a different library: the characteristic
@@ -40,13 +44,16 @@ def inverse(a: np.ndarray):
     positive. On a stack the error names the first failing matrix.
     """
     a = np.asarray(a)
+    one = a.ndim == 2
+    finite = np.isfinite(a)
     # numpy's Cholesky passes NaN through and factors inf without complaint
-    check_lanes(np.isfinite(a).all(axis=(-2, -1)), lambda i: SingularMetric(
-        f"non-finite entries in {lane(a, i).tolist()}", point=i))
+    check_lanes(finite.all() if one else finite.all(axis=(-2, -1)),
+                lambda i: SingularMetric(
+                    f"non-finite entries in {lane(a, i).tolist()}", point=i))
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        if a.ndim == 2:
+        if one:
             raise SingularMetric(f"not positive definite: {exc}") from exc
         for i, ai in enumerate(a):  # a stack fails as a whole; find where
             try:
@@ -55,19 +62,24 @@ def inverse(a: np.ndarray):
                 raise SingularMetric(f"not positive definite: {exc_i}",
                                      point=i) from exc_i
         raise
-    piv = np.diagonal(L, axis1=-2, axis2=-1) ** 2
-    lo, hi = piv.min(axis=-1), piv.max(axis=-1)
-    check_lanes(~(lo < PIVOT_RTOL * hi), lambda i: SingularMetric(
-        f"pivot ratio {lane(lo, i) / lane(hi, i):.3e} below "
-        f"{PIVOT_RTOL:.0e}", point=i))
     # the product of the pivots may leave the floating-point range: a float
     # product overflows silently, and a stack's under a local errstate
-    if a.ndim == 2:
-        det = math.prod(piv.tolist())
+    if one:
+        piv = [d * d for d in L.diagonal().tolist()]
+        lo, hi, det = min(piv), max(piv), math.prod(piv)
+        pivots_ok = not lo < PIVOT_RTOL * hi
+        det_ok = math.isfinite(det) and det > 0.0
     else:
+        piv = np.diagonal(L, axis1=-2, axis2=-1) ** 2
+        lo, hi = piv.min(axis=-1), piv.max(axis=-1)
+        pivots_ok = ~(lo < PIVOT_RTOL * hi)
         with np.errstate(over="ignore"):
             det = np.prod(piv, axis=-1)
-    check_lanes(np.isfinite(det) & (det > 0.0), lambda i: SingularMetric(
+        det_ok = np.isfinite(det) & (det > 0.0)
+    check_lanes(pivots_ok, lambda i: SingularMetric(
+        f"pivot ratio {lane(lo, i) / lane(hi, i):.3e} below "
+        f"{PIVOT_RTOL:.0e}", point=i))
+    check_lanes(det_ok, lambda i: SingularMetric(
         f"determinant {lane(det, i):.3e} outside the floating-point range",
         point=i))
     L_inv = np.linalg.inv(L)

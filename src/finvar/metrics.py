@@ -35,7 +35,8 @@ A descriptor takes only the keys of its kind: ``kind`` and ``dim`` for
 euclidean, klein and funk; also ``field`` and ``params`` for riemannian, and
 ``alpha_field``, ``alpha_params`` and ``beta`` for randers; ``kind``,
 ``factor`` and ``base`` for scaled. A beta object is ``potential`` with
-``params``, or ``covector`` alone.
+``params``, or ``covector`` alone. Without ``alpha_params`` a Randers alpha
+takes [1.0] * n for ``const_diag`` and no parameters for ``curved_x1``.
 """
 
 from __future__ import annotations
@@ -243,7 +244,11 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
     try:
         jet: Jet2 = xy_jet2(metric, x, y)
         F = jet.value
-        check_lanes(np.isfinite(F) & (F >= F_FLOOR), lambda i: floor_error(
+        if x.ndim == 1:  # a Python float
+            F_ok = math.isfinite(F) and F >= F_FLOOR
+        else:
+            F_ok = np.isfinite(F) & (F >= F_FLOOR)
+        check_lanes(F_ok, lambda i: floor_error(
             "value {}", lane(F, i), i, "below the positivity floor"))
         F_x = jet.grad[..., :n]
         F_y = jet.grad[..., n:]
@@ -269,8 +274,8 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
 # -- catalog ---------------------------------------------------------------
 
 
-def _all_space(_x: np.ndarray) -> bool:
-    return True
+def _all_space(x: np.ndarray) -> bool | np.ndarray:
+    return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
 
 def _unit_ball(x: np.ndarray):
@@ -403,8 +408,10 @@ def catalog_metric(desc: dict) -> FinslerMetric:
         check_keys(desc, plain | {"alpha_field", "alpha_params", "beta"},
                    where)
         n = _require_dim(desc)
-        a_field = _diagonal_field(desc.get("alpha_field", "const_diag"),
-                                  desc.get("alpha_params", [1.0] * n), n)
+        a_name = desc.get("alpha_field", "const_diag")
+        a_params = desc.get("alpha_params",
+                            [] if a_name == "curved_x1" else [1.0] * n)
+        a_field = _diagonal_field(a_name, a_params, n)
         beta = _beta_field(desc.get("beta", {}), n)
         # the origin, then +-0.5 e_i for each i
         probes = np.zeros((2 * n + 1, n))

@@ -279,19 +279,25 @@ def test_stacked_inverse_equals_one_matrix_at_a_time():
 
 @pytest.mark.parametrize("bad", [
     [[np.nan, 0.0], [0.0, 1.0]],          # non-finite entry
+    [[1.0, 0.0], [0.0, np.inf]],          # infinite entry
     [[1.0, 2.0], [2.0, 1.0]],             # indefinite
     [[1.0, 0.0], [0.0, 1e-14]],           # pivot ratio
     [[1e200, 0.0], [0.0, 1e200]],         # det overflows
     [[1e-170, 0.0], [0.0, 1e-170]],       # det underflows to 0
-], ids=["nan", "indefinite", "pivot", "det_overflow", "det_underflow"])
+], ids=["nan", "inf", "indefinite", "pivot", "det_overflow",
+        "det_underflow"])
 def test_stacked_inverse_names_the_failing_matrix(bad):
+    # one matrix is certified in Python floats and a stack in numpy arrays:
+    # both give the same verdict and the same message
     stack = np.array([np.eye(2), 2.0 * np.eye(2), bad, np.eye(2)])
-    with pytest.raises(SingularMetric) as info:
+    with pytest.raises(SingularMetric) as stacked:
         inverse(stack)
-    assert info.value.point == 2
-    with pytest.raises(SingularMetric) as info:
+    assert stacked.value.point == 2
+    with pytest.raises(SingularMetric) as single:
         inverse(np.array(bad))
-    assert info.value.point is None
+    assert single.value.point is None
+    assert str(stacked.value).endswith(" (point 2)")
+    assert str(single.value) == str(stacked.value)[:-len(" (point 2)")]
 
 
 def _equal_valued(kind):

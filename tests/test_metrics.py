@@ -7,7 +7,7 @@ from finvar import (ConfigError, DegenerateVelocity, DomainError,
                     ProjectivePair, TangentPoint, catalog_metric, metric_jet)
 from finvar.oracle import fd_derivative
 
-from conftest import catalog_metrics, make_metric, sample_points
+from conftest import JET_FIELDS, catalog_metrics, make_metric, sample_points
 
 
 class TestCatalogValues:
@@ -78,6 +78,21 @@ class TestCatalogValues:
         assert str(info.value) == (
             "randers: ||beta||_alpha >= 1 at probe point [0.  0.5]")
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_randers_curved_alpha_needs_no_params(self, n):
+        # curved_x1 takes no parameters, so none is the default
+        desc = {"kind": "randers", "dim": n, "alpha_field": "curved_x1",
+                "beta": {"potential": "linear",
+                         "params": [0.1] + [0.0] * (n - 1)}}
+        implicit = catalog_metric(desc)
+        explicit = catalog_metric({**desc, "alpha_params": []})
+        points = sample_points(ProjectivePair(implicit, implicit), 5, seed=2)
+        for at in (points, points[0]):
+            a, b = metric_jet(implicit, at), metric_jet(explicit, at)
+            for name in JET_FIELDS:
+                assert (np.asarray(getattr(a, name)).tobytes()
+                        == np.asarray(getattr(b, name)).tobytes()), name
+
     def test_riemannian_is_named_by_the_field_it_uses(self):
         m = catalog_metric({"kind": "riemannian", "dim": 2,
                             "params": [1.0, 2.0]})
@@ -131,7 +146,8 @@ def test_pair_domain_answers_for_a_stack(n):
     for base in metrics:
         for comparison in metrics:
             pair = ProjectivePair(base, comparison)
-            mask = np.broadcast_to(pair.in_domain(xs), (len(xs),))
+            mask = pair.in_domain(xs)
+            assert mask.shape == (len(xs),)
             assert mask.tolist() == [bool(pair.in_domain(x)) for x in xs]
 
 
