@@ -110,7 +110,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
                          jet_t.F.tolist(), jet.g, jet.h, fiv.H, fiv.f,
                          fiv.delta, m.tolist(), i0.tolist(), i1.tolist(),
                          sarlet_K(jets)))]
-    fn1_tol = min(tol, FN1_TOL) if cfg.tolerance is None else tol
+    fn1_tol = FN1_TOL if cfg.tolerance is None else tol
     verdict = (worst["f1_rel_err"] <= tol and worst["ri0_rel_err"] <= tol
                and worst["ri1_rel_err"] <= tol
                and worst["fn1_rel_err"] <= fn1_tol)

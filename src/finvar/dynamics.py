@@ -43,12 +43,14 @@ def _flow(jet: MetricJet) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTrajectory:
-    """Accepted integration samples of one geodesic.
+    """Accepted integration samples of one geodesic, in integration order.
 
-    ``jets`` is the stacked jet of the integrated ``metric`` at the
-    samples, one lane per sample: ``jets.x`` and ``jets.y`` are the states.
-    ``domain_exit`` is set when the trajectory was truncated at the last
-    fully in-domain accepted step instead of reaching the requested time.
+    ``times`` start at 0.0 and move strictly toward the requested time:
+    they decrease for a backward run. ``jets`` is the stacked jet of the
+    integrated ``metric`` at the samples, one lane per sample: ``jets.x``
+    and ``jets.y`` are the states. ``domain_exit`` is set when the
+    trajectory was truncated at the last fully in-domain accepted step
+    instead of reaching the requested time.
     """
 
     times: np.ndarray
@@ -60,8 +62,8 @@ class GeodesicTrajectory:
 
     def __post_init__(self):
         dt = np.diff(self.times)
-        if dt.size and not np.all(dt > 0):
-            raise ConfigError("trajectory times must be strictly increasing")
+        if dt.size and not (np.all(dt > 0) or np.all(dt < 0)):
+            raise ConfigError("trajectory times must be strictly monotone")
         if self.jets.F.shape != self.times.shape:
             raise ConfigError(f"jets of shape {self.jets.F.shape} for "
                               f"{len(self.times)} trajectory samples")
@@ -73,16 +75,17 @@ class GeodesicTrajectory:
     def t_final(self) -> float:
         return float(self.times[-1])
 
-    def within(self, domain: Callable[[np.ndarray], bool]
+    def within(self, domain: Callable[[np.ndarray], np.ndarray | bool]
                ) -> "GeodesicTrajectory":
         """The samples before the first base point outside ``domain``, with
         ``domain_exit`` set; the trajectory itself when no sample is outside.
 
-        The first sample is always kept. The step counters still describe
-        the whole integration. ``domain`` tests all samples in one call on
-        their stacked base points, as every metric's predicate can.
+        The first sample, the initial point, is always kept. The step
+        counters still describe the whole integration. ``domain`` tests all
+        samples in one call on their stacked base points, as every metric's
+        predicate can; a bare bool answers for every sample at once.
         """
-        outside = np.flatnonzero(~domain(self.jets.x[1:]))
+        outside = np.flatnonzero(np.logical_not(domain(self.jets.x[1:])))
         if not outside.size:
             return self
         k = int(outside[0]) + 1
@@ -94,18 +97,6 @@ def _state_jet(metric: FinslerMetric, z: np.ndarray) -> MetricJet:
     """Jet of ``metric`` at the state z = (x, y)."""
     n = metric.dim
     return _jet_arrays(metric, z[:n], z[n:])
-
-
-def _make_rhs(metric: FinslerMetric):
-    def rhs(z: np.ndarray) -> np.ndarray:
-        return _flow(_state_jet(metric, z))
-
-    return rhs
-
-
-def _state_ok(metric: FinslerMetric, z: np.ndarray) -> bool:
-    n = metric.dim
-    return bool(metric.domain(z[:n]) and np.any(z[n:]))
 
 
 # Fehlberg 4(5) tableau.
@@ -149,8 +140,11 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
 
     ``p0`` is one point, not a stack. ``method`` is ``rk4`` (fixed step
     ``step``) or ``rkf45`` (adaptive with ``rtol``/``atol``). Samples are
-    the accepted steps. Approaching the domain boundary truncates the
-    trajectory (``domain_exit``); a step rejection cascade below the hard
+    the initial point and the accepted steps, in integration order, so
+    times decrease when ``t_end < 0``. A :class:`DomainError` from any jet
+    of a step, a stage or the candidate state, is the domain boundary: it
+    truncates the trajectory (``domain_exit``), for rkf45 once halving the
+    step no longer keeps it inside. A step rejection cascade below the hard
     floor raises :class:`IntegratorStall`; a non-reversible metric rejects
     ``t_end < 0`` with :class:`NonReversibleBackward`.
     """
@@ -165,7 +159,10 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     if not metric.domain(p0.x):
         raise DomainError(f"initial point {p0.x} outside domain",
                           metric=metric.name)
-    rhs = _make_rhs(metric)
+
+    def rhs(z: np.ndarray) -> np.ndarray:
+        return _flow(_state_jet(metric, z))
+
     z0 = np.concatenate((p0.x, p0.y))
     if method == "rk4":
         if not (isinstance(step, (int, float)) and step > 0):
@@ -181,14 +178,10 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
     else:
         raise ConfigError(f"unknown integrator '{method}'")
-    times, jets, domain_exit, n_acc, n_rej = out
-    times = np.asarray(times)
-    if t_end < 0:  # store with increasing times
-        times = times[::-1].copy()
-        jets = jets[::-1]
+    times, jets, domain_exit, n_rej = out
     return GeodesicTrajectory(
-        times=times, metric=metric, jets=_stack(jets),
-        domain_exit=domain_exit, n_accepted=n_acc, n_rejected=n_rej)
+        times=np.asarray(times), metric=metric, jets=_stack(jets),
+        domain_exit=domain_exit, n_accepted=len(times) - 1, n_rejected=n_rej)
 
 
 def _stack(jets: list[MetricJet]) -> MetricJet:
@@ -198,12 +191,14 @@ def _stack(jets: list[MetricJet]) -> MetricJet:
                        for f in fields(MetricJet)))
 
 
-# Both integrators evaluate the jet once at each accepted state, the final
-# one included: it gives the first stage of the next step, also when that
-# step is rejected and retried, and it travels with the trajectory, stacked
-# once at the end. It holds the state itself, so the trajectory keeps no
-# other copy of its samples, and integrals along it need not evaluate the
-# base metric again.
+# Both integrators evaluate the jet once at each candidate state they may
+# accept, the final one included. That jet is the state's domain check: a
+# DomainError from it, as from a stage, is the boundary. An accepted jet
+# gives the first stage of the next step, also when that step is rejected
+# and retried, and it travels with the trajectory, stacked once at the end
+# in integration order. It holds the state itself, so the trajectory keeps
+# no other copy of its samples, and integrals along it need not evaluate
+# the base metric again.
 
 
 def _integrate_rk4(metric, rhs, z0, t_end, step):
@@ -218,17 +213,13 @@ def _integrate_rk4(metric, rhs, z0, t_end, step):
             k2 = rhs(z + 0.5 * h * k1)
             k3 = rhs(z + 0.5 * h * k2)
             k4 = rhs(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            jets.append(_state_jet(metric, z))
         except DomainError:
             domain_exit = True
             break
-        z_new = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _state_ok(metric, z_new):
-            domain_exit = True
-            break
-        z = z_new
         times.append((k + 1) * h)
-        jets.append(_state_jet(metric, z))
-    return times, jets, domain_exit, len(times) - 1, 0
+    return times, jets, domain_exit, 0
 
 
 def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
@@ -236,7 +227,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
     h = sign * abs(t_end) / 100.0
     t, z = 0.0, z0
     times, jets = [0.0], [_state_jet(metric, z0)]
-    n_acc = n_rej = 0
+    n_rej = 0
     domain_exit = False
     boundary_pressure = False
     while sign * (t_end - t) > 0.0:
@@ -245,15 +236,14 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         try:
             z_new, err = _rkf45_step(rhs, z, _flow(jets[-1]), h)
             failed = not np.all(np.isfinite(z_new))
+            if not failed:
+                scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
+                err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+                if err_norm <= 1.0:
+                    jet = _state_jet(metric, z_new)
         except DomainError:
             failed = True
             boundary_pressure = True
-        if not failed:
-            scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if err_norm <= 1.0 and not _state_ok(metric, z_new):
-                failed = True
-                boundary_pressure = True
         if failed:
             n_rej += 1
             h *= 0.5
@@ -268,8 +258,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
             t += h
             z = z_new
             times.append(t)
-            jets.append(_state_jet(metric, z))
-            n_acc += 1
+            jets.append(jet)
             boundary_pressure = False
         else:
             n_rej += 1
@@ -278,7 +267,7 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         if abs(h) < H_MIN:
             raise IntegratorStall(
                 f"step size fell below {H_MIN:.0e} at t={t:.6g}")
-    return times, jets, domain_exit, n_acc, n_rej
+    return times, jets, domain_exit, n_rej
 
 
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:

@@ -172,6 +172,35 @@ class TestGeodesic:
             assert traj["t_final"] < 3.0
             assert np.linalg.norm(traj["series"]["x"], axis=1).max() < 1.0
 
+    @pytest.mark.parametrize("integrator", [
+        {"t_end": 3.0}, {"method": "rk4", "step": 0.02, "t_end": 3.0}],
+        ids=["rkf45", "rk4"])
+    def test_backward_run_mirrors_the_forward_one(self, tmp_path, capsys,
+                                                  integrator):
+        # a euclidean line run backward is the line run forward with the
+        # opposite velocity: it leaves the klein ball at the same point,
+        # and its report starts at the initial point with times negated
+        reports = []
+        for sign in (1.0, -1.0):
+            cfg = write_config(
+                tmp_path, points=[{"x": [0.5, 0.0],
+                                   "y": [-sign, -0.2 * sign]}],
+                integrator={**integrator,
+                            "t_end": sign * integrator["t_end"]})
+            code, out, _ = run(capsys, "geodesic", "--config", cfg)
+            assert code == 0
+            reports.append(json.loads(out)["trajectories"][0])
+        forward, backward = reports
+        assert forward["domain_exit"] is backward["domain_exit"] is True
+        assert backward["series"]["t"][0] == 0.0
+        assert backward["series"]["t"] == [-t for t in forward["series"]["t"]]
+        assert backward["t_final"] == -forward["t_final"] < 0.0
+        for key in ("n_samples", "n_accepted", "n_rejected", "f_initial",
+                    "energy_initial", "max_abs_drift"):
+            assert backward[key] == forward[key], key
+        for key in ("x", "f"):
+            assert backward["series"][key] == forward["series"][key], key
+
     def test_out_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out_path = tmp_path / "report.json"

@@ -1,14 +1,17 @@
 """Spray coefficients, geodesic integration, and the Rapcsak residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finvar.metrics
 from finvar import (ConfigError, IntegratorStall, NonReversibleBackward,
                     ProjectivePair, TangentPoint, integrate_geodesic,
                     metric_jet, rapcsak_residual, trajectory_energy)
-from finvar.autodiff import gsqrt
+from finvar.autodiff import gsqrt, xy_jet2
 from finvar.dynamics import _RKF_A, _RKF_B5, _RKF_ERR, _flow, _rkf45_step
 from finvar.metrics import FinslerMetric
 from finvar.oracle import christoffel_oracle
@@ -168,9 +171,11 @@ class TestIntegration:
     def test_reversible_backward_supported(self):
         traj = integrate_geodesic(KLEIN, TangentPoint([0.0, 0.1], [1.0, 0.0]),
                                   -0.5)
-        assert traj.times[0] == pytest.approx(-0.5)
-        assert traj.times[-1] == 0.0
-        assert np.all(np.diff(traj.times) > 0)
+        # samples in integration order: from the initial point backward
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == pytest.approx(-0.5)
+        assert np.all(np.diff(traj.times) < 0)
+        assert traj.jets.x[0].tobytes() == np.array([0.0, 0.1]).tobytes()
 
     def test_bad_settings_rejected(self):
         p0 = TangentPoint([0.0, 0.0], [1.0, 0.0])
@@ -194,6 +199,32 @@ class TestIntegration:
         assert traj.domain_exit
         assert traj.t_final < 1.0
         assert m.domain(traj.jets.x[-1])  # last sample still strictly in-domain
+
+    @pytest.mark.parametrize("method", ["rkf45", "rk4"])
+    def test_one_domain_check_per_jet(self, monkeypatch, method):
+        # every state the integrator may keep is certified by its own jet,
+        # whose metric call checks the domain; the only other check is the
+        # one on the initial point
+        from finvar import catalog_metric
+        m = catalog_metric({"kind": "randers", "dim": 2,
+                            "beta": {"potential": "quadratic",
+                                     "params": [1.0, 1.0]}})
+        counts = {"domain": 0, "jet": 0}
+
+        def domain(x):
+            counts["domain"] += 1
+            return m.domain(x)
+
+        def jet(f, x, y):
+            counts["jet"] += 1
+            return xy_jet2(f, x, y)
+
+        monkeypatch.setattr(finvar.metrics, "xy_jet2", jet)
+        traj = integrate_geodesic(replace(m, domain=domain),
+                                  TangentPoint([0.5, 0.0], [1.0, 0.0]), 1.0,
+                                  method=method, step=0.02)
+        assert traj.domain_exit
+        assert counts["domain"] == counts["jet"] + 1
 
     def test_integrator_stall_on_rough_field(self):
         def kinked(xs, ys):
@@ -265,6 +296,16 @@ def test_within_truncates_at_the_first_sample_outside():
     assert (cut.n_accepted, cut.n_rejected) == (traj.n_accepted,
                                                 traj.n_rejected)
     assert traj.within(EUCLID.domain) is traj   # a predicate giving True
+
+
+def test_within_takes_a_bare_bool():
+    traj = integrate_geodesic(EUCLID, TangentPoint([0.5, 0.0], [1.0, 0.2]),
+                              0.5, method="rk4", step=0.05)
+    assert len(traj) == 11
+    assert traj.within(lambda x: True) is traj
+    cut = traj.within(lambda x: False)
+    assert cut.domain_exit and len(cut) == 1
+    assert cut.jets.x.tobytes() == traj.jets.x[:1].tobytes()
 
 
 class TestRapcsak:

@@ -79,6 +79,24 @@ def geodesic_configs() -> dict[str, dict]:
         "euclidean", "klein", 2,
         samples={"trajectories": 2, "velocity_scale": 1.0},
         integrator={"t_end": 3.0})
+    # the base metric's own boundary: a Randers base whose beta = d(|x|^2/2)
+    # has |beta|_alpha = |x| < 1, so the second trajectory of each run meets
+    # it and ends in domain_exit (the rkf45 runs also reject steps there)
+    for n in (2, 3):
+        for method, integrator in (
+                ("rkf45", {"t_end": 1.0}),
+                ("rk4", {"method": "rk4", "step": 0.02, "t_end": 1.0})):
+            out[f"randers_quadratic_euclidean_n{n}_{method}_t1"] = {
+                "schema_version": 1,
+                "pair": {"base": {"kind": "randers", "dim": n,
+                                  "beta": {"potential": "quadratic",
+                                           "params": [1.0] * n}},
+                         "comparison": {"kind": "euclidean", "dim": n}},
+                "samples": {"trajectories": 2, "velocity_scale": 1.0,
+                            "box": [-0.5, 0.5]},
+                "integrator": integrator,
+                "seed": 7,
+            }
     return out
 
 
