@@ -241,12 +241,17 @@ class _Seed(HyperDual):
     __slots__ = ("index",)
 
     def __init__(self, val, grad: np.ndarray, hess: np.ndarray, index: int):
-        super().__init__(val, grad, hess)
+        # not through super().__init__: every pass makes 2n seeds
+        self.val = val
+        self.grad = grad
+        self.hess = hess
         self.index = index
 
 
-def _seeds(values, m: int, offset: int, rows: int) -> list[HyperDual]:
-    values = np.asarray(values, dtype=float)
+def _seeds(values: np.ndarray, m: int, offset: int,
+           rows: int) -> list[HyperDual]:
+    """Seeds ``offset``.. of the float values of shape (n,), or of the
+    lanes of a stack of shape (N, n)."""
     grads, hess = _seed_arrays(rows, m)
     if values.ndim == 1:
         lanes = values.tolist()
@@ -300,7 +305,10 @@ class Jet2:
 
 
 def _check_velocity(y: np.ndarray) -> None:
-    check_lanes((y != 0.0).any(axis=-1), lambda i: DegenerateVelocity(
+    # at one point in Python floats, where a NaN is nonzero and -0.0 zero,
+    # as in numpy
+    ok = any(y.tolist()) if y.ndim == 1 else (y != 0.0).any(axis=-1)
+    check_lanes(ok, lambda i: DegenerateVelocity(
         "velocity is exactly zero", point=i))
 
 

@@ -199,17 +199,18 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
                           box: tuple[float, float] = (-0.35, 0.35),
                           velocity_scale: float = 1.0) -> TangentPoint:
     """Seeded in-domain samples, as one stack: box-uniform base points,
-    sphere velocities. Each draw is tested against the domain before its
-    velocity is drawn, an order every seeded report depends on."""
+    sphere velocities. Each draw is tested against the domain, by the
+    pair's one-point predicate in Python floats, before its velocity is
+    drawn, an order every seeded report depends on; drawing in batches
+    would reorder the random stream. The accepted rows are stacked once."""
     n = pair.dim
     if count > MAX_REJECTIONS:
         # every point takes at least one draw
         raise ConfigError(f"cannot draw {count} points in at most "
                           f"{MAX_REJECTIONS} draws")
-    xs = np.empty((count, n))
-    ys = np.empty((count, n))
-    k = tries = 0
-    while k < count:
+    xs, ys = [], []
+    tries = 0
+    while len(xs) < count:
         tries += 1
         if tries > MAX_REJECTIONS:
             raise ConfigError(
@@ -219,9 +220,10 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
         if not pair.in_domain(x):
             continue
         y = rng.normal(size=n)
-        norm = np.linalg.norm(y)
+        # np.linalg.norm's own arithmetic for a vector
+        norm = math.sqrt(y.dot(y))
         if norm < 1e-12:
             continue
-        xs[k], ys[k] = x, velocity_scale * y / norm
-        k += 1
-    return TangentPoint(xs, ys)
+        xs.append(x)
+        ys.append(velocity_scale * y / norm)
+    return TangentPoint(np.array(xs), np.array(ys))

@@ -10,9 +10,11 @@ A stack of tensors, one per point, goes through one stacked factorization
 that numpy runs matrix by matrix, so each matrix gets exactly the result it
 gets alone. Both layouts share these LAPACK calls, the Cholesky factor and
 its inverse; only the certificate differs. One matrix, the integrator's
-case, is certified in Python floats: numpy's per-call cost would exceed the
-arithmetic on its n pivots, and a float has a numpy scalar's bits. A stack
-is certified in numpy arrays. Both give the same verdicts and messages.
+case, is certified in Python floats, its entries and its n squared pivots
+each from one ``tolist()``: numpy's per-call cost would exceed the
+arithmetic on so few numbers, and a float has a numpy scalar's bits. A
+stack is certified in numpy arrays. Both give the same verdicts and
+messages.
 
 The oracles in :mod:`finvar.oracle` stay independent of this path because
 they use different algorithms, not a different library: the characteristic
@@ -45,11 +47,13 @@ def inverse(a: np.ndarray):
     """
     a = np.asarray(a)
     one = a.ndim == 2
-    finite = np.isfinite(a)
     # numpy's Cholesky passes NaN through and factors inf without complaint
-    check_lanes(finite.all() if one else finite.all(axis=(-2, -1)),
-                lambda i: SingularMetric(
-                    f"non-finite entries in {lane(a, i).tolist()}", point=i))
+    if one:
+        finite = all(map(math.isfinite, a.ravel().tolist()))
+    else:
+        finite = np.isfinite(a).all(axis=(-2, -1))
+    check_lanes(finite, lambda i: SingularMetric(
+        f"non-finite entries in {lane(a, i).tolist()}", point=i))
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

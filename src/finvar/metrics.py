@@ -132,9 +132,10 @@ class FinslerMetric:
     Calling the metric with generic scalars (floats or hyper-duals) first
     checks the domain of the underlying float base point, so every
     differentiation pass enforces the same boundary. The predicate takes a
-    base point of shape (n,) and returns a bool, or a stack of shape (N, n)
-    and returns a mask over its rows; both forms run the same arithmetic,
-    so a point gets the same answer alone and in a stack.
+    base point of shape (n,) and returns a Python bool, computed in Python
+    floats, or a stack of shape (N, n) and returns a mask over its rows,
+    computed in numpy arrays; both forms run the same operations in the
+    same order, so a point gets the same answer alone and in a stack.
     """
 
     name: str
@@ -174,8 +175,8 @@ class ProjectivePair:
         return self.base.dim
 
     def in_domain(self, x: np.ndarray) -> bool | np.ndarray:
-        """Whether x lies in both domains: a bool for one base point (n,),
-        elementwise for a stack (N, n)."""
+        """Whether x lies in both domains: a Python bool for one base point
+        (n,), elementwise for a stack (N, n)."""
         return self.base.domain(x) & self.comparison.domain(x)
 
 
@@ -278,8 +279,8 @@ def _all_space(x: np.ndarray) -> bool | np.ndarray:
     return True if x.ndim == 1 else np.ones(len(x), dtype=bool)
 
 
-def _unit_ball(x: np.ndarray):
-    xt = x.T
+def _unit_ball(x: np.ndarray) -> bool | np.ndarray:
+    xt = x.tolist() if x.ndim == 1 else x.T
     return gdot(xt, xt) < (1.0 - EPS_DOM) ** 2
 
 
@@ -356,8 +357,13 @@ def _beta_field(beta_desc: dict, n: int) -> Callable:
 
 def _randers_beta_norm2(diag_field, beta, x: np.ndarray):
     """||beta||_alpha^2 = sum beta_i^2 / a_i at a base point of shape (n,),
-    or at each row of a stack of shape (N, n) as an (N,) array. A
+    a float, or at each row of a stack of shape (N, n) as an (N,) array. A
     non-finite coordinate may make it nan, which no comparison admits."""
+    if x.ndim == 1:
+        # Python floats overflow to inf and form nan without a warning
+        coords = x.tolist()
+        b = beta(coords)
+        return gdot(b, [v / a for v, a in zip(b, diag_field(coords))])
     coords = list(x.T)
     b = beta(coords)
     with np.errstate(all="ignore"):

@@ -20,7 +20,7 @@ from finvar import (DegenerateAngularMetric, DegenerateVelocity, DomainError,
                     painleve_I0, rapcsak_residual, sarlet_K, tm_I1)
 from finvar.autodiff import xy_jet2
 from finvar.linalg import inverse
-from finvar.metrics import FinslerMetric, TangentPoint
+from finvar.metrics import FinslerMetric, TangentPoint, catalog_metric
 from finvar.oracle import PERMUTATION_CUTOFF, _perm_sign
 
 from conftest import (JET_FIELDS, catalog_metrics, jet_seeds, make_pair,
@@ -225,24 +225,84 @@ def test_constant_field_in_a_stack():
     assert not jet.grad.any() and jet.hess.shape == (3, 2, 4)
 
 
-def test_stacked_domain_agrees_with_the_one_point_predicate():
-    # points straddling the ball boundary, some within rounding of it
-    metric = catalog_metrics(3)[1]
+DOMAIN_METRICS = [{"kind": "klein", "dim": 3}, {"kind": "funk", "dim": 3}] + [
+    {"kind": "randers", "dim": 3, "alpha_field": field,
+     "alpha_params": params, "beta": beta}
+    for field, params in [("const_diag", [2.0, 0.5, 3.0]), ("curved_x1", [])]
+    for beta in [{"potential": "linear", "params": [0.3, 0.2, 0.1]},
+                 {"potential": "quadratic", "params": [0.9, 0.6, 0.3]},
+                 {"covector": "x2_dx1"}]]
+
+
+def boundary_rows(domain, directions, far=1e3, ulps=3):
+    """Rows t * d within a few ulps of t either side of the last in-domain
+    scale along each direction d that crosses the boundary, found by
+    bisection on the stacked predicate."""
+    d = directions[domain(0.0 * directions) & ~domain(far * directions)]
+    lo, hi = np.zeros(len(d)), np.full(len(d), far)
+    for _ in range(200):  # until lo and hi are adjacent floats
+        mid = 0.5 * (lo + hi)
+        inside = domain(mid[:, None] * d)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    t = lo
+    for _ in range(ulps):
+        t = np.nextafter(t, -np.inf)
+    scales = [t]
+    for _ in range(2 * ulps):
+        scales.append(np.nextafter(scales[-1], np.inf))
+    return np.concatenate([s[:, None] * d for s in scales])
+
+
+@pytest.mark.parametrize("desc", DOMAIN_METRICS,
+                         ids=lambda d: d["kind"] if d["kind"] != "randers"
+                         else f"randers-{d['alpha_field']}-"
+                         f"{d['beta'].get('potential', 'x2_dx1')}")
+def test_one_point_domain_is_its_lane_of_the_stack(desc):
+    # one point is answered in Python floats and a stack in numpy arrays:
+    # rows within rounding of the boundary, rows far in and out, and rows
+    # holding nan, +-inf or +-1e200 (whose square overflows) get the same
+    # answer either way, and one point gets a Python bool
+    metric = catalog_metric(desc)
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(200, 3))
-    x *= ((1.0 - 1e-9) * (1.0 + rng.uniform(-1e-15, 1e-15, (200, 1)))
-          / np.linalg.norm(x, axis=1, keepdims=True))
-    mask = metric.domain(x)
-    assert 0 < mask.sum() < 200
-    assert mask.tolist() == [bool(metric.domain(row)) for row in x]
+    directions = rng.normal(size=(40, 3))
+    special = []
+    for bad in (math.nan, math.inf, -math.inf, 1e200, -1e200):
+        special.append(np.full(3, bad))
+        for j in range(3):
+            x = np.full(3, 0.1)
+            x[j] = bad
+            special.append(x)
+    edge = boundary_rows(metric.domain, directions)
+    x = np.concatenate([edge, rng.uniform(-2.5, 2.5, size=(100, 3)),
+                        np.array(special)])
+    with np.errstate(over="ignore"):  # a stack's 1e200 ** 2 warns
+        mask = metric.domain(x)
+    one = [metric.domain(row) for row in x]
+    assert all(type(v) is bool for v in one)
+    assert mask.tolist() == one
+    if desc.get("beta", {}).get("potential") == "linear":
+        # ||beta||_alpha stays below 0.4 everywhere: no boundary to straddle
+        assert edge.size == 0
+    else:
+        assert 0 < mask[:len(edge)].sum() < len(edge)
 
 
-def test_randers_domain_batched_solve_agrees():
-    randers = catalog_metrics(3)[5]
-    x = np.random.default_rng(2).uniform(-2.5, 2.5, size=(100, 3))
-    mask = randers.domain(x)
-    assert 0 < mask.sum() < 100
-    assert mask.tolist() == [bool(randers.domain(row)) for row in x]
+def test_zero_velocity_at_one_point_and_in_a_stack():
+    # -0.0 is zero and nan is nonzero, alone and in a stack
+    def field(xs, ys):
+        return ys[0] * ys[0] + ys[1] * ys[1]
+
+    x = np.zeros(2)
+    with pytest.raises(DegenerateVelocity, match="^velocity is exactly "
+                       "zero$") as single:
+        xy_jet2(field, x, np.array([0.0, -0.0]))
+    assert single.value.point is None
+    with pytest.raises(DegenerateVelocity, match=r"\(point 1\)$") as stacked:
+        xy_jet2(field, np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, -0.0]]))
+    assert stacked.value.point == 1
+    y = np.array([math.nan, 0.0])
+    assert math.isnan(xy_jet2(field, x, y).value)
+    assert math.isnan(xy_jet2(field, x[None], y[None]).value[0])
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 64])
