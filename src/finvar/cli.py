@@ -313,21 +313,45 @@ def _block(items, indent: str, brackets: str) -> str:
             + indent + brackets[1])
 
 
-def _encode_rows(rows: list, indent: str) -> str:
-    """Nested lists of finite floats, one join per innermost row."""
-    if not rows:
-        return "[]"
-    if isinstance(rows[0], list):
-        inner = indent + "  "
-        return _block((_encode_rows(row, inner) for row in rows), indent, "[]")
-    return _block(map(float.__repr__, rows), indent, "[]")
+@functools.lru_cache(maxsize=64)
+def _array_template(shape: tuple, indent: str) -> str:
+    """The JSON text of a float array of ``shape`` (no side 0) starting on a
+    line indented by ``indent``, with one ``%s`` per entry in C order.
+    Bounded: a geodesic series brings a new length with every trajectory."""
+    if len(shape) == 1:
+        return _block(("%s",) * shape[0], indent, "[]")
+    row = _array_template(shape[1:], indent + "  ")
+    return _block((row,) * shape[0], indent, "[]")
 
 
 def _encode(obj, indent: str) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte, with
     numpy arrays and scalars written as the lists and numbers they hold;
     ``indent`` is the indentation of the line ``obj`` starts on. Dict keys
-    must be strings."""
+    must be strings.
+
+    A non-empty float64 array of one or more dimensions is written by one
+    ``%`` of its shape's cached template with the reprs of its entries. No
+    finite float's repr contains an "n", while "nan" and "inf" do, so a
+    text without one is final; a non-finite array, like an empty, 0-d or
+    non-float64 one, is written from its ``tolist()``."""
+    kind = type(obj)
+    if kind is float:
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        return _block((encode_basestring_ascii(key) + ": "
+                       + _encode(value, inner)
+                       for key, value in sorted(obj.items())), indent, "{}")
+    if (kind is np.ndarray and obj.ndim and obj.size
+            and obj.dtype == np.float64):
+        text = _array_template(obj.shape, indent) % tuple(
+            map(float.__repr__, obj.ravel().tolist()))
+        if "n" not in text:
+            return text
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -339,22 +363,13 @@ def _encode(obj, indent: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
-    inner = indent + "  "
+        return _encode(float.__float__(obj), indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return _block((encode_basestring_ascii(key) + ": "
-                       + _encode(value, inner)
-                       for key, value in sorted(obj.items())), indent, "{}")
+        return _encode(dict(obj), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         return _block((_encode(value, inner) for value in obj), indent, "[]")
-    if (isinstance(obj, np.ndarray) and obj.ndim
-            and obj.dtype == np.float64 and np.isfinite(obj).all()):
-        return _encode_rows(obj.tolist(), indent)
     if isinstance(obj, (np.ndarray, np.generic)):
         return _encode(obj.tolist(), indent)
     raise TypeError(

@@ -141,7 +141,7 @@ class FinslerMetric:
     name: str
     dim: int
     evaluator: Callable
-    domain: Callable[[np.ndarray], bool]
+    domain: Callable[[np.ndarray], bool | np.ndarray]
     reversible: bool = True
 
     def __call__(self, xs, ys):
@@ -280,8 +280,13 @@ def _all_space(x: np.ndarray) -> bool | np.ndarray:
 
 
 def _unit_ball(x: np.ndarray) -> bool | np.ndarray:
-    xt = x.tolist() if x.ndim == 1 else x.T
-    return gdot(xt, xt) < (1.0 - EPS_DOM) ** 2
+    if x.ndim == 1:
+        xt = x.tolist()
+        return gdot(xt, xt) < (1.0 - EPS_DOM) ** 2
+    # a square that overflows to inf is outside, as Python floats answer
+    # one point, without numpy's warning
+    with np.errstate(over="ignore"):
+        return gdot(x.T, x.T) < (1.0 - EPS_DOM) ** 2
 
 
 def _euclidean_field(xs, ys):

@@ -275,8 +275,7 @@ def test_one_point_domain_is_its_lane_of_the_stack(desc):
     edge = boundary_rows(metric.domain, directions)
     x = np.concatenate([edge, rng.uniform(-2.5, 2.5, size=(100, 3)),
                         np.array(special)])
-    with np.errstate(over="ignore"):  # a stack's 1e200 ** 2 warns
-        mask = metric.domain(x)
+    mask = metric.domain(x)  # silent under the suite's RuntimeWarning filter
     one = [metric.domain(row) for row in x]
     assert all(type(v) is bool for v in one)
     assert mask.tolist() == one
