@@ -261,16 +261,6 @@ def _seeds(values: np.ndarray, m: int, offset: int,
             for i, v in enumerate(lanes)]
 
 
-def lane_values(zs) -> np.ndarray:
-    """Values of a sequence of generic scalars: shape (n,) for one point,
-    (N, n) for hyper-duals over N lanes."""
-    vals = [z.val if isinstance(z, HyperDual) else float(z) for z in zs]
-    if all(isinstance(v, float) for v in vals):
-        return np.array(vals)
-    lanes = np.broadcast_arrays(*vals)
-    return np.concatenate([v.reshape(-1, 1) for v in lanes], axis=1)
-
-
 def gsqrt(z):
     """Square root of a generic scalar, guarded near zero."""
     if isinstance(z, HyperDual):
@@ -313,7 +303,9 @@ def _check_velocity(y: np.ndarray) -> None:
 
 
 def xy_jet2(f, x, y) -> Jet2:
-    """One joint pass over (x, y): variables 0..n-1 are x, n..2n-1 are y.
+    """One joint pass of the field ``f`` over (x, y): variables 0..n-1 are
+    x, n..2n-1 are y. No domain is checked here; a metric's checked entry is
+    :meth:`~finvar.metrics.FinslerMetric.jet2`.
 
     ``hess`` holds the velocity rows ``[F_yx | F_yy]``, of shape (n, 2n).
     ``x`` and ``y`` of shape (n,) give the jet at one point; stacks of shape

@@ -39,6 +39,7 @@ def _check_point(pt, where: str, n: int | None) -> int:
     ``n`` if given; returns that length."""
     if not isinstance(pt, dict) or "x" not in pt or "y" not in pt:
         raise ConfigError(f"{where} must be an object with 'x' and 'y'")
+    check_keys(pt, {"x", "y"}, where)
     x = finite_vector(pt["x"], f"{where}.x", n)
     finite_vector(pt["y"], f"{where}.y", len(x))
     return len(x)
@@ -136,13 +137,16 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line "
                           f"{exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     check_keys(raw, _TOP_LEVEL_KEYS, "config")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if not (_is_int(version) and version == SCHEMA_VERSION):
         raise ConfigError(
             f"config field 'schema_version' must be {SCHEMA_VERSION}, "
-            f"got {raw.get('schema_version')!r}")
+            f"got {version!r}")
     pair = raw.get("pair")
     if not isinstance(pair, dict) or "base" not in pair or "comparison" not in pair:
         raise ConfigError("config field 'pair' needs 'base' and 'comparison' "

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import check_lanes, lane, lane_power, xy_jet2
+from .autodiff import check_lanes, lane, lane_power
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
@@ -80,7 +80,7 @@ class GeodesicTrajectory:
         """The samples before the first base point outside ``domain``, with
         ``domain_exit`` set; the trajectory itself when no sample is outside.
 
-        The first sample, the initial point, is always kept. The step
+        The first sample, at t = 0, is always kept. The step
         counters still describe the whole integration. ``domain`` tests all
         samples in one call on their stacked base points, as every metric's
         predicate can; a bare bool answers for every sample at once.
@@ -140,13 +140,15 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
 
     ``p0`` is one point, not a stack. ``method`` is ``rk4`` (fixed step
     ``step``) or ``rkf45`` (adaptive with ``rtol``/``atol``). Samples are
-    the initial point and the accepted steps, in integration order, so
-    times decrease when ``t_end < 0``. A :class:`DomainError` from any jet
-    of a step, a stage or the candidate state, is the domain boundary: it
-    truncates the trajectory (``domain_exit``), for rkf45 once halving the
-    step no longer keeps it inside. A step rejection cascade below the hard
-    floor raises :class:`IntegratorStall`; a non-reversible metric rejects
-    ``t_end < 0`` with :class:`NonReversibleBackward`.
+    ``p0`` and the accepted steps, in integration order, so
+    times decrease when ``t_end < 0``. The first jet, at ``p0``, raises
+    :class:`DomainError` when ``p0`` is outside the domain. A
+    :class:`DomainError` from any later jet, of a stage or of a candidate
+    state, is the domain boundary: it truncates the trajectory
+    (``domain_exit``), for rkf45 once halving the step no longer keeps it
+    inside. A step below the hard floor short of ``t_end`` raises
+    :class:`IntegratorStall`; a non-reversible metric rejects ``t_end < 0``
+    with :class:`NonReversibleBackward`.
     """
     if p0.x.shape != (metric.dim,):
         raise ConfigError(f"initial condition has shape {p0.x.shape}, "
@@ -156,9 +158,6 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     if t_end < 0.0 and not metric.reversible:
         raise NonReversibleBackward(
             f"{metric.name} is not reversible; integrate forward only")
-    if not metric.domain(p0.x):
-        raise DomainError(f"initial point {p0.x} outside domain",
-                          metric=metric.name)
 
     def rhs(z: np.ndarray) -> np.ndarray:
         return _flow(_state_jet(metric, z))
@@ -264,7 +263,9 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
             n_rej += 1
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        if abs(h) < H_MIN:
+        # a clamped last step may round to one ulp short of t_end: the
+        # sliver step after it is below the floor but ends the run
+        if abs(h) < H_MIN and sign * (t_end - t) > 0.0:
             raise IntegratorStall(
                 f"step size fell below {H_MIN:.0e} at t={t:.6g}")
     return times, jets, domain_exit, n_rej
@@ -313,7 +314,7 @@ def rapcsak_residual(pair: ProjectivePair,
     """
     n = pair.dim
     base_jets = metric_jet(pair.base, samples)
-    cjet = xy_jet2(pair.comparison, samples.x, samples.y)
+    cjet = pair.comparison.jet2(samples.x, samples.y)
     # the raw jet enters the residual directly: an overflow there, or in
     # the residual norm, must not pass for a large residual
     check_lanes(np.isfinite(cjet.value) & np.isfinite(cjet.grad).all(axis=-1)

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import linalg
 from .autodiff import (Jet2, Lanes, check_lanes, floor_error, gdot, gsqrt,
-                       lane, lane_values, xy_jet2)
+                       lane, xy_jet2)
 from .errors import ConfigError, DegenerateVelocity, DomainError, FinvarError
 
 # Points closer to a domain boundary than this margin are rejected to avoid
@@ -59,6 +59,10 @@ EPS_DOM = 1e-9
 # Far above the working range (n <= 8); bounds what a descriptor can make
 # the catalog allocate before anything else is checked.
 MAX_DIM = 64
+
+# Bounds how deep ``scaled`` descriptors nest: building the metric and
+# echoing its descriptor in a report recurse once per level.
+MAX_NESTING = 16
 
 
 def finite_number(value) -> bool:
@@ -129,13 +133,13 @@ class TangentPoint(Lanes):
 class FinslerMetric:
     """Evaluatable metric: closed-form field plus domain predicate.
 
-    Calling the metric with generic scalars (floats or hyper-duals) first
-    checks the domain of the underlying float base point, so every
-    differentiation pass enforces the same boundary. The predicate takes a
-    base point of shape (n,) and returns a Python bool, computed in Python
-    floats, or a stack of shape (N, n) and returns a mask over its rows,
-    computed in numpy arrays; both forms run the same operations in the
-    same order, so a point gets the same answer alone and in a stack.
+    ``evaluator`` is the field, written against generic scalars (floats or
+    hyper-duals); it checks no domain. :meth:`jet2` is the checked entry to
+    its jet. The predicate takes a base point of shape (n,) and returns a
+    Python bool, computed in Python floats, or a stack of shape (N, n) and
+    returns a mask over its rows, computed in numpy arrays; both forms run
+    the same operations in the same order, so a point gets the same answer
+    alone and in a stack.
     """
 
     name: str
@@ -144,13 +148,17 @@ class FinslerMetric:
     domain: Callable[[np.ndarray], bool | np.ndarray]
     reversible: bool = True
 
-    def __call__(self, xs, ys):
-        x = lane_values(xs)
-        check_lanes(self.domain(x), lambda i: DomainError(
-            f"base point {lane(x, i)} outside domain", metric=self.name,
-            point=i))
+    def jet2(self, x, y) -> Jet2:
+        """:func:`xy_jet2` of the field at x, y of shape (n,), or at the
+        rows of stacks of shape (N, n), once the domain holds at every base
+        point: one call of the predicate on the float base points, before
+        any pass. Every failure names the metric, and in a stack the first
+        failing point."""
+        x = np.asarray(x, dtype=float)
         try:
-            return self.evaluator(xs, ys)
+            check_lanes(self.domain(x), lambda i: DomainError(
+                f"base point {lane(x, i)} outside domain", point=i))
+            return xy_jet2(self.evaluator, x, y)
         except FinvarError as exc:
             if exc.metric is None:
                 exc.metric = self.name
@@ -243,7 +251,7 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
     """
     n = x.shape[-1]
     try:
-        jet: Jet2 = xy_jet2(metric, x, y)
+        jet: Jet2 = metric.jet2(x, y)
         F = jet.value
         if x.ndim == 1:  # a Python float
             F_ok = math.isfinite(F) and F >= F_FLOOR
@@ -449,6 +457,13 @@ def catalog_metric(desc: dict) -> FinslerMetric:
         if not (finite_number(factor) and factor > 0):
             raise ConfigError(
                 f"scaled needs a finite factor > 0, got {factor!r}")
+        inner, depth = desc, 0
+        while isinstance(inner, dict) and inner.get("kind") == "scaled":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ConfigError(f"scaled descriptors nest more than "
+                                  f"{MAX_NESTING} deep")
+            inner = inner.get("base")
         base = catalog_metric(desc.get("base", {}))
         c = float(factor)
 

@@ -12,10 +12,10 @@ from finvar.oracle import fd_derivative
 
 from conftest import catalog_metrics, jet_seeds, make_metric, sample_points
 
-EUCLID = make_metric("euclidean", 2)
-FUNK = make_metric("funk", 2)
-KLEIN = make_metric("klein", 2)
-CURVED = make_metric("curved", 2)
+EUCLID = make_metric("euclidean", 2).evaluator
+FUNK = make_metric("funk", 2).evaluator
+KLEIN = make_metric("klein", 2).evaluator
+CURVED = make_metric("curved", 2).evaluator
 
 
 def velocity_jet(f, x, y) -> Jet2:
@@ -97,8 +97,8 @@ def test_catalog_hessian_matches_fd_on_random_points(metric):
     pts = sample_points(ProjectivePair(metric, metric), 100, seed=11)
     worst = 0.0
     for p in pts:
-        jet = velocity_jet(metric, p.x, p.y)
-        fd = fd_derivative(metric, p.x, p.y, "y_hess")
+        jet = velocity_jet(metric.evaluator, p.x, p.y)
+        fd = fd_derivative(metric.evaluator, p.x, p.y, "y_hess")
         worst = max(worst, np.abs(jet.hess - fd).max() / np.abs(fd).max())
     assert worst < 1e-6
 
@@ -108,8 +108,8 @@ def test_catalog_hessian_matches_fd_on_random_points(metric):
 def test_chain_rule_square_assembly(metric):
     from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 25, seed=5):
-        jet = velocity_jet(metric, p.x, p.y)
-        jet2 = velocity_jet(squared(metric), p.x, p.y)
+        jet = velocity_jet(metric.evaluator, p.x, p.y)
+        jet2 = velocity_jet(squared(metric.evaluator), p.x, p.y)
         grad_ref = 2.0 * jet.value * jet.grad
         hess_ref = 2.0 * np.outer(jet.grad, jet.grad) + 2.0 * jet.value * jet.hess
         assert np.abs(jet2.grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
@@ -121,8 +121,8 @@ def test_chain_rule_square_assembly(metric):
 def test_positive_homogeneity_of_value(metric, lam):
     from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 10, seed=3):
-        f1 = velocity_jet(metric, p.x, p.y).value
-        f2 = velocity_jet(metric, p.x, lam * p.y).value
+        f1 = velocity_jet(metric.evaluator, p.x, p.y).value
+        f2 = velocity_jet(metric.evaluator, p.x, lam * p.y).value
         assert abs(f2 - lam * f1) <= 1e-12 * abs(lam * f1)
 
 
@@ -189,7 +189,7 @@ def test_degenerate_velocity_raises():
 
 def test_domain_violation_raises():
     with pytest.raises(DomainError):
-        velocity_jet(KLEIN, [1.5, 0.0], [1.0, 0.0])
+        make_metric("klein", 2).jet2([1.5, 0.0], [1.0, 0.0])
 
 
 def test_velocity_jet_matches_joint_jet_blocks():
@@ -250,8 +250,8 @@ def jet_case(draw):
 def test_velocity_rows_equal_the_full_hessian_rows_bitwise(case, family):
     n, x, y = case
     metric = catalog_metrics(n)[family]
-    jet = xy_jet2(metric, x, y)
-    ref = metric(fresh_seeds(x, 2 * n, 0), fresh_seeds(y, 2 * n, n))
+    jet = xy_jet2(metric.evaluator, x, y)
+    ref = metric.evaluator(fresh_seeds(x, 2 * n, 0), fresh_seeds(y, 2 * n, n))
     lanes = x.shape[:-1]
     assert_same_bytes(jet.value, np.reshape(ref.val, lanes))
     assert_same_bytes(jet.grad, np.reshape(ref.grad, lanes + (2 * n,)))

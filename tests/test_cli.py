@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finvar.cli import _build_parser, main
+from finvar.metrics import MAX_NESTING
 
 NAN = float("nan")
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 COMMANDS = ("evaluate", "geodesic", "verify", "oracle")
@@ -40,6 +44,14 @@ DESCRIPTOR_TYPOS = {
     "scaled_dim": {"kind": "scaled", "dim": 2, "factor": 2.0,
                    "base": {"kind": "klein", "dim": 2}},
 }
+
+
+def scaled_chain(depth):
+    """``depth`` scaled descriptors nested over klein."""
+    desc = {"kind": "klein", "dim": 2}
+    for _ in range(depth):
+        desc = {"kind": "scaled", "factor": 1.0, "base": desc}
+    return desc
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -201,6 +213,18 @@ class TestGeodesic:
         for key in ("x", "f"):
             assert backward["series"][key] == forward["series"][key], key
 
+    @pytest.mark.parametrize("t_end", [0.93, 1.53, -3.06])
+    def test_shipped_config_reaches_t_end(self, tmp_path, capsys, t_end):
+        # rkf45 runs whose clamped last step rounds one ulp short of t_end
+        cfg = json.loads((ROOT / "configs" / "randers_df_n3.json").read_text())
+        cfg["integrator"] = {"t_end": t_end}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "geodesic", "--config", str(path))
+        assert code == 0
+        for traj in json.loads(out)["trajectories"]:
+            assert traj["t_final"] == t_end and not traj["domain_exit"]
+
     def test_out_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out_path = tmp_path / "report.json"
@@ -358,6 +382,21 @@ class TestCliContract:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "config"
 
+    def test_scaled_chain_at_the_nesting_limit_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": scaled_chain(MAX_NESTING)},
+            samples={"count": 2, "trajectories": 1})
+        for command in COMMANDS:
+            assert run(capsys, command, "--config", cfg)[0] == 0, command
+
+    def test_json_nested_too_deeply_to_parse(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"schema_version": 1, "pair": ' + "[" * 100000 + "}")
+        code, out, err = run(capsys, "evaluate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
+
     def test_unknown_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=1)
         code, _, err = run(capsys, "evaluate", "--config", cfg)
@@ -425,6 +464,13 @@ class TestCliContract:
         *(("verify", {"pair": {"base": {"kind": "euclidean", "dim": 2},
                                "comparison": desc}})
           for desc in DESCRIPTOR_TYPOS.values()),
+        ("evaluate", {"schema_version": True}),
+        ("evaluate", {"schema_version": 1.0}),
+        ("evaluate", {"points": [{"x": [0.1, 0.2], "y": [1.0, 0.0],
+                                  "weight": 3}]}),
+        *((command, {"pair": {"base": {"kind": "euclidean", "dim": 2},
+                              "comparison": scaled_chain(depth)}})
+          for depth in (MAX_NESTING + 1, 300) for command in COMMANDS),
     ], ids=["seed", "negative_seed", "count", "box",
             "velocity_scale_zero_evaluate", "velocity_scale_zero_geodesic",
             "velocity_scale_zero_verify", "velocity_scale_zero_oracle",
@@ -439,7 +485,10 @@ class TestCliContract:
             "rk4_steps_tiny_step",
             *(f"{box}_{command}" for box in WIDE_BOXES
               for command in COMMANDS),
-            *DESCRIPTOR_TYPOS])
+            *DESCRIPTOR_TYPOS, "schema_version_true",
+            "schema_version_float", "point_unknown_key",
+            *(f"scaled_depth_{depth}_{command}"
+              for depth in (MAX_NESTING + 1, 300) for command in COMMANDS)])
     def test_malformed_value_types(self, tmp_path, capsys, command,
                                    overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -575,7 +624,7 @@ class TestCliContract:
         ("euclidean", "klein",
          "klein: base point [2. 0.] outside domain (trajectory 2, point 0)"),
         ("klein", "funk",
-         "klein: initial point [2. 0.] outside domain (trajectory 2)"),
+         "klein: base point [2. 0.] outside domain (trajectory 2)"),
     ], ids=["comparison_domain", "base_domain"])
     def test_geodesic_error_names_the_trajectory(self, tmp_path, capsys,
                                                  base, comparison, message):

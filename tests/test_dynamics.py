@@ -203,28 +203,35 @@ class TestIntegration:
     @pytest.mark.parametrize("method", ["rkf45", "rk4"])
     def test_one_domain_check_per_jet(self, monkeypatch, method):
         # every state the integrator may keep is certified by its own jet,
-        # whose metric call checks the domain; the only other check is the
-        # one on the initial point
+        # and FinslerMetric.jet2 checks the domain once per jet, on the float
+        # base point, before any pass: a state outside never enters xy_jet2
         from finvar import catalog_metric
         m = catalog_metric({"kind": "randers", "dim": 2,
                             "beta": {"potential": "quadratic",
                                      "params": [1.0, 1.0]}})
-        counts = {"domain": 0, "jet": 0}
+        counts = {"domain": 0, "jet2": 0, "xy_jet2": 0}
+        jet2 = FinslerMetric.jet2
 
         def domain(x):
             counts["domain"] += 1
             return m.domain(x)
 
-        def jet(f, x, y):
-            counts["jet"] += 1
+        def counted_jet2(metric, x, y):
+            counts["jet2"] += 1
+            return jet2(metric, x, y)
+
+        def counted_xy_jet2(f, x, y):
+            counts["xy_jet2"] += 1
             return xy_jet2(f, x, y)
 
-        monkeypatch.setattr(finvar.metrics, "xy_jet2", jet)
+        monkeypatch.setattr(FinslerMetric, "jet2", counted_jet2)
+        monkeypatch.setattr(finvar.metrics, "xy_jet2", counted_xy_jet2)
         traj = integrate_geodesic(replace(m, domain=domain),
                                   TangentPoint([0.5, 0.0], [1.0, 0.0]), 1.0,
                                   method=method, step=0.02)
         assert traj.domain_exit
-        assert counts["domain"] == counts["jet"] + 1
+        assert counts["domain"] == counts["jet2"]
+        assert counts["xy_jet2"] < counts["domain"]
 
     def test_integrator_stall_on_rough_field(self):
         def kinked(xs, ys):

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import finvar.config
-import finvar.dynamics
 import finvar.integrals
-import finvar.metrics
-from finvar import (HyperDual, TangentPoint, first_integrals,
-                    integrals_along, integrate_geodesic, pair_jets)
+from finvar import (FinslerMetric, HyperDual, TangentPoint,
+                    first_integrals, integrals_along, integrate_geodesic,
+                    pair_jets)
 from finvar.cli import main
 
 from conftest import make_pair, sample_points
@@ -29,18 +28,17 @@ def lanes(calls, name):
 
 @pytest.fixture
 def jet_calls(monkeypatch):
-    """(metric name, number of points) of every xy_jet2 call, from every
-    module using it."""
+    """(metric name, number of points) of every FinslerMetric.jet2 call,
+    the one checked entry to a metric's jet."""
     calls = []
-    original = finvar.metrics.xy_jet2
+    original = FinslerMetric.jet2
 
-    def counted(f, x, y):
+    def counted(metric, x, y):
         y = np.asarray(y)
-        calls.append((f.name, 1 if y.ndim == 1 else y.shape[0]))
-        return original(f, x, y)
+        calls.append((metric.name, 1 if y.ndim == 1 else y.shape[0]))
+        return original(metric, x, y)
 
-    monkeypatch.setattr(finvar.metrics, "xy_jet2", counted)
-    monkeypatch.setattr(finvar.dynamics, "xy_jet2", counted)
+    monkeypatch.setattr(FinslerMetric, "jet2", counted)
     return calls
 
 

@@ -63,7 +63,7 @@ def one_point_residual(pair, jets, p):
     """The projective-equivalence residual at one point, from one-point
     products (the reference for the stacked rows)."""
     n = pair.dim
-    cjet = xy_jet2(pair.comparison, p.x, p.y)
+    cjet = pair.comparison.jet2(p.x, p.y)
     G = jets.base.G
     return (cjet.hess[:, :n] @ p.y - 2.0 * (cjet.hess[:, n:] @ G)
             - cjet.grad[:n])
@@ -313,15 +313,51 @@ def test_stacked_errors_name_the_first_failing_point(monkeypatch, lanes):
     x = np.array([[0.1, 0.0], [0.2, 0.0], [1.5, 0.0], [2.0, 0.0]])
     y = np.ones((4, 2))
     with pytest.raises(DomainError) as info:
-        xy_jet2(klein, x, y)
+        klein.jet2(x, y)
     assert info.value.point == 2 and info.value.metric == "klein"
     assert "(point 2)" in str(info.value)
     # the square-root floor inside the field, past the first chunk
     x[2:] = 0.0
     y[3] = 1e-20
     with pytest.raises(DegenerateVelocity) as info:
-        xy_jet2(klein, x, y)
+        klein.jet2(x, y)
     assert info.value.point == 3 and info.value.metric == "klein"
+
+
+@pytest.mark.parametrize("count", [None, 2 * finvar.autodiff.LANES + 1],
+                         ids=["one_point", "three_chunks"])
+def test_one_domain_call_per_jet_pass(count):
+    # the predicate sees the float base points once, whole, before any pass
+    klein = catalog_metrics(2)[1]
+    shapes = []
+
+    def domain(x):
+        shapes.append(x.shape)
+        return klein.domain(x)
+
+    shape = (2,) if count is None else (count, 2)
+    x = np.full(shape, 0.1)
+    replace(klein, domain=domain).jet2(x, np.ones(shape))
+    assert shapes == [shape]
+
+
+def test_a_failure_in_the_third_chunk_names_its_global_index():
+    klein = catalog_metrics(2)[1]
+    last = 2 * finvar.autodiff.LANES
+    x = np.zeros((last + 1, 2))
+    y = np.ones((last + 1, 2))
+    y[last] = 1e-20   # the square-root floor inside the field
+    with pytest.raises(DegenerateVelocity) as info:
+        klein.jet2(x, y)
+    assert info.value.point == last and info.value.metric == "klein"
+    # outside the domain, the same point fails first, before any chunk is
+    # evaluated: ahead of a floor failure in the first chunk
+    y[0] = 1e-20
+    x[last, 0] = 1.5
+    with pytest.raises(DomainError) as info:
+        klein.jet2(x, y)
+    assert info.value.point == last and info.value.metric == "klein"
+    assert str(info.value).endswith(f"outside domain (point {last})")
 
 
 def test_stacked_inverse_equals_one_matrix_at_a_time():
@@ -367,7 +403,7 @@ def _equal_valued(kind):
     if kind is TangentPoint:
         return TangentPoint(points.x, points.y)
     if kind is Jet2:
-        return xy_jet2(pair.base, points.x, points.y)
+        return pair.base.jet2(points.x, points.y)
     if kind is MetricJet:
         return metric_jet(pair.base, points)
     if kind is PairJets:

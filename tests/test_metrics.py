@@ -225,8 +225,8 @@ class TestMetricJet:
         m = make_metric("klein", 2)
         x, y = [0.3, 0.0], [0.0, 1.0]
         jet = metric_jet(m, TangentPoint(x, y))
-        fd_g = 0.5 * fd_derivative(lambda xs, ys: m(xs, ys) ** 2, x, y,
-                                   "y_hess")
+        fd_g = 0.5 * fd_derivative(
+            lambda xs, ys: m.evaluator(xs, ys) ** 2, x, y, "y_hess")
         assert np.abs(jet.g - fd_g).max() / np.abs(fd_g).max() < 1e-6
 
     @pytest.mark.parametrize("metric", catalog_metrics(2) + catalog_metrics(3),

@@ -86,8 +86,8 @@ class TestCombinatorialDelta:
         def relabel(m):
             return FinslerMetric(
                 m.name + "-perm", 3,
-                lambda xs, ys, _m=m: _m([xs[i] for i in perm],
-                                        [ys[i] for i in perm]),
+                lambda xs, ys, _m=m: _m.evaluator([xs[i] for i in perm],
+                                                  [ys[i] for i in perm]),
                 lambda x, _m=m: _m.domain(x[perm]))
 
         from finvar import ProjectivePair
@@ -106,43 +106,44 @@ class TestCombinatorialDelta:
 class TestFiniteDifferences:
     def test_euclid_gradient(self):
         m = make_metric("euclidean", 2)
-        grad = fd_derivative(m, [0.0, 0.0], [3.0, 4.0], "y_grad")
+        grad = fd_derivative(m.evaluator, [0.0, 0.0], [3.0, 4.0], "y_grad")
         assert grad == pytest.approx([0.6, 0.8], abs=1e-10)
 
     def test_funk_hessian_matches_ad(self):
         from finvar import xy_jet2
         m = make_metric("funk", 2)
         x, y = [0.1, 0.1], [1.0, 0.0]
-        fd = fd_derivative(m, x, y, "y_hess")
-        hess = xy_jet2(m, x, y).hess[:, 2:]
+        fd = fd_derivative(m.evaluator, x, y, "y_hess")
+        hess = xy_jet2(m.evaluator, x, y).hess[:, 2:]
         assert np.abs(fd - hess).max() / np.abs(fd).max() <= 1e-6
 
     def test_klein_x_gradient_at_origin(self):
         m = make_metric("klein", 2)
-        grad = fd_derivative(m, [0.0, 0.0], [1.0, 2.0], "x_grad")
+        grad = fd_derivative(m.evaluator, [0.0, 0.0], [1.0, 2.0], "x_grad")
         assert np.abs(grad).max() <= 1e-9
 
     def test_value_selector(self):
         m = make_metric("euclidean", 2)
-        assert fd_derivative(m, [0.0, 0.0], [3.0, 4.0], "value") == \
+        assert fd_derivative(m.evaluator, [0.0, 0.0], [3.0, 4.0], "value") == \
             pytest.approx(5.0)
 
     def test_step_range_guard(self):
         m = make_metric("euclidean", 2)
         for bad in (1e-9, 1e-2):
             with pytest.raises(ConfigError):
-                fd_derivative(m, [0.0, 0.0], [1.0, 0.0], "y_grad", step=bad)
+                fd_derivative(m.evaluator, [0.0, 0.0], [1.0, 0.0], "y_grad",
+                              step=bad)
 
     def test_unknown_selector(self):
         m = make_metric("euclidean", 2)
         with pytest.raises(ConfigError):
-            fd_derivative(m, [0.0, 0.0], [1.0, 0.0], "y_jerk")
+            fd_derivative(m.evaluator, [0.0, 0.0], [1.0, 0.0], "y_jerk")
 
     def test_domain_margin_guard(self):
         m = make_metric("klein", 2)
         x = [1.0 - 1e-6, 0.0]  # in-domain, but 2*step crosses the boundary
         with pytest.raises(DomainError):
-            fd_derivative(m, x, [1.0, 0.0], "x_grad", step=1e-5,
+            fd_derivative(m.evaluator, x, [1.0, 0.0], "x_grad", step=1e-5,
                           domain=m.domain)
 
 
