@@ -30,7 +30,8 @@ from .errors import (ConfigError, DomainError, IntegratorStall,
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
                       TangentPoint, _jet_arrays, _matvec, metric_jet)
 
-# Step size floor for the adaptive integrator.
+# Step size floor of rkf45, lowered to its first step |t_end| / 100 when
+# that is smaller: a step below it short of t_end ends the run.
 H_MIN = 1e-12
 
 # Names accepted by integrate_geodesic's ``method``.
@@ -144,11 +145,13 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     times decrease when ``t_end < 0``. The first jet, at ``p0``, raises
     :class:`DomainError` when ``p0`` is outside the domain. A
     :class:`DomainError` from any later jet, of a stage or of a candidate
-    state, is the domain boundary: it truncates the trajectory
-    (``domain_exit``), for rkf45 once halving the step no longer keeps it
-    inside. A step below the hard floor short of ``t_end`` raises
-    :class:`IntegratorStall`; a non-reversible metric rejects ``t_end < 0``
-    with :class:`NonReversibleBackward`.
+    state, is the domain boundary: rk4 truncates the trajectory there
+    (``domain_exit``). For rkf45 it rejects the step, and every rejected
+    step shrinks h by its factor. A step below the floor (``H_MIN``, or the
+    first step if smaller) short of ``t_end`` ends the run: as
+    ``domain_exit`` if a :class:`DomainError` came since the last accepted
+    step, else as :class:`IntegratorStall`. A non-reversible metric rejects
+    ``t_end < 0`` with :class:`NonReversibleBackward`.
     """
     if p0.x.shape != (metric.dim,):
         raise ConfigError(f"initial condition has shape {p0.x.shape}, "
@@ -192,12 +195,13 @@ def _stack(jets: list[MetricJet]) -> MetricJet:
 
 # Both integrators evaluate the jet once at each candidate state they may
 # accept, the final one included. That jet is the state's domain check: a
-# DomainError from it, as from a stage, is the boundary. An accepted jet
-# gives the first stage of the next step, also when that step is rejected
-# and retried, and it travels with the trajectory, stacked once at the end
-# in integration order. It holds the state itself, so the trajectory keeps
-# no other copy of its samples, and integrals along it need not evaluate
-# the base metric again.
+# DomainError from it, as from a stage, is the boundary, where rk4 stops
+# and rkf45 rejects the step and halves it. An accepted jet gives the first
+# stage of the next step, also when that step is rejected and retried, and
+# it travels with the trajectory, stacked once at the end in integration
+# order. It holds the state itself, so the trajectory keeps no other copy
+# of its samples, and integrals along it need not evaluate the base metric
+# again.
 
 
 def _integrate_rk4(metric, rhs, z0, t_end, step):
@@ -224,51 +228,45 @@ def _integrate_rk4(metric, rhs, z0, t_end, step):
 def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
     sign = 1.0 if t_end > 0 else -1.0
     h = sign * abs(t_end) / 100.0
+    # the floor never exceeds the first step, so a short horizon starts; a
+    # first step that underflows to 0 stalls at once
+    h_min = min(H_MIN, abs(h)) or H_MIN
     t, z = 0.0, z0
     times, jets = [0.0], [_state_jet(metric, z0)]
     n_rej = 0
-    domain_exit = False
     boundary_pressure = False
     while sign * (t_end - t) > 0.0:
+        # checked only short of t_end, so the sliver step after a clamped
+        # last step that rounds one ulp short of it may lie below the floor
+        if abs(h) < h_min:
+            if boundary_pressure:
+                break
+            raise IntegratorStall(
+                f"step size fell below {h_min:.0e} at t={t:.6g}")
         if sign * (t + h) > sign * t_end:
             h = t_end - t
+        jet, factor = None, 0.5
         try:
             z_new, err = _rkf45_step(rhs, z, _flow(jets[-1]), h)
-            failed = not np.all(np.isfinite(z_new))
-            if not failed:
+            if np.all(np.isfinite(z_new)):
                 scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
                 err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
                 if err_norm <= 1.0:
                     jet = _state_jet(metric, z_new)
+                factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         except DomainError:
-            failed = True
             boundary_pressure = True
-        if failed:
+        if jet is None:
             n_rej += 1
-            h *= 0.5
-            if abs(h) < H_MIN:
-                if boundary_pressure:
-                    domain_exit = True
-                    break
-                raise IntegratorStall(
-                    f"step size fell below {H_MIN:.0e} at t={t:.6g}")
-            continue
-        if err_norm <= 1.0:
+        else:
             t += h
             z = z_new
             times.append(t)
             jets.append(jet)
             boundary_pressure = False
-        else:
-            n_rej += 1
-        factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
-        # a clamped last step may round to one ulp short of t_end: the
-        # sliver step after it is below the floor but ends the run
-        if abs(h) < H_MIN and sign * (t_end - t) > 0.0:
-            raise IntegratorStall(
-                f"step size fell below {H_MIN:.0e} at t={t:.6g}")
-    return times, jets, domain_exit, n_rej
+    # reaching t_end takes an accepted step, which clears boundary pressure
+    return times, jets, boundary_pressure, n_rej
 
 
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:

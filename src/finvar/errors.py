@@ -58,7 +58,8 @@ class DegenerateAngularMetric(FinvarError):
 
 
 class IntegratorStall(FinvarError):
-    """Adaptive step size shrank below the hard floor without making progress."""
+    """Adaptive step size shrank below its floor short of ``t_end``, with no
+    domain boundary hit since the last accepted step."""
 
 
 class NonReversibleBackward(FinvarError):

@@ -225,6 +225,18 @@ class TestGeodesic:
         for traj in json.loads(out)["trajectories"]:
             assert traj["t_final"] == t_end and not traj["domain_exit"]
 
+    @pytest.mark.parametrize("t_end", [1e-11, 1e-13, 1e-300])
+    def test_short_horizon_reaches_t_end(self, tmp_path, capsys, t_end):
+        # rkf45's first step, |t_end| / 100, lies below its 1e-12 floor
+        cfg = json.loads((ROOT / "configs" / "euclid_klein_n2.json").read_text())
+        cfg["integrator"]["t_end"] = t_end
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "geodesic", "--config", str(path))
+        assert code == 0
+        for traj in json.loads(out)["trajectories"]:
+            assert traj["t_final"] == t_end and not traj["domain_exit"]
+
     def test_out_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out_path = tmp_path / "report.json"

@@ -244,6 +244,56 @@ class TestIntegration:
             integrate_geodesic(metric, TangentPoint([0.0, 0.0], [1.0, 0.5]),
                                1.0)
 
+    def test_floor_under_boundary_pressure_is_domain_exit(self):
+        # the kink of the rough field above, with the domain cut 1e-12 past
+        # it: error-norm rejections drive the step below the floor after a
+        # stage left the domain, which ends the run at the boundary
+        def kinked(xs, ys):
+            x1 = getattr(xs[0], "val", xs[0])
+            a11 = 1.0 + (xs[0] - 0.3) * 1e6 if x1 > 0.3 else 1.0
+            return gsqrt(a11 * ys[0] * ys[0] + ys[1] * ys[1])
+
+        metric = FinslerMetric("kinked", 2, kinked,
+                               lambda x: np.asarray(x)[..., 0] < 0.3 + 1e-12)
+        traj = integrate_geodesic(metric,
+                                  TangentPoint([0.0, 0.0], [1.0, 0.5]), 1.0)
+        assert traj.domain_exit
+        assert traj.t_final < 0.3
+
+    @pytest.mark.parametrize("kind, t_end", [
+        ("klein", 1e-11), ("klein", 1e-13), ("klein", 1e-300),
+        ("klein", -1e-11), ("funk", 1e-11), ("funk", 1e-13), ("funk", 1e-300)])
+    def test_rkf45_reaches_a_short_horizon(self, kind, t_end):
+        # the first step |t_end| / 100 lies below H_MIN; the floor is that
+        # step, so the run starts and reaches t_end
+        traj = integrate_geodesic(make_metric(kind, 2),
+                                  TangentPoint([0.1, 0.2], [1.0, -0.3]), t_end)
+        assert traj.t_final == t_end
+        assert not traj.domain_exit
+        assert traj.n_rejected == 0
+
+    def test_rkf45_first_step_underflowing_to_zero_stalls(self):
+        # |t_end| / 100 rounds to 0: no step can make progress
+        with pytest.raises(IntegratorStall):
+            integrate_geodesic(KLEIN, TangentPoint([0.1, 0.2], [1.0, -0.3]),
+                               1e-323)
+
+    @pytest.mark.parametrize("method, accepted, rejected, t_final", [
+        ("rkf45", 25, 59, 0.5833333321144831), ("rk4", 29, 0, 0.58)])
+    def test_boundary_run_step_counters(self, method, accepted, rejected,
+                                        t_final):
+        # rkf45 finds the ||beta|| = 1 boundary by shrinking the step down
+        # to the floor: every stage or candidate outside is one rejection
+        from finvar import catalog_metric
+        m = catalog_metric({"kind": "randers", "dim": 2,
+                            "beta": {"potential": "quadratic",
+                                     "params": [1.0, 1.0]}})
+        traj = integrate_geodesic(m, TangentPoint([0.5, 0.0], [1.0, 0.0]), 1.0,
+                                  method=method, step=0.02)
+        assert traj.domain_exit
+        assert (traj.n_accepted, traj.n_rejected) == (accepted, rejected)
+        assert traj.t_final == t_final
+
 
 # signed zeros among the stages, where a sum started from -0.0 instead of
 # Python's int 0 would show
