@@ -20,8 +20,7 @@ from .integrals import (FirstIntegralVector, PairJets, build_H,
                         mu, pair_jets, painleve_I0, sarlet_K, tm_I1)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair, TangentPoint,
                       catalog_metric, metric_jet)
-from .oracle import (charpoly_by_interpolation, christoffel_oracle,
-                     delta_alpha_combinatorial, fd_derivative)
+from .oracle import charpoly_by_interpolation, delta_alpha_combinatorial
 
 __version__ = "0.1.0"
 
@@ -33,9 +32,8 @@ __all__ = [
     "OracleScopeExceeded", "PairJets", "ProjectivePair", "RapcsakReport",
     "SingularMetric", "TangentPoint", "build_H", "catalog_metric",
     "charpoly_by_interpolation", "charpoly_coefficients",
-    "christoffel_oracle", "delta_alpha_combinatorial", "f1_closed_form",
-    "fd_derivative", "first_integrals", "fn1_closed_form",
-    "integrals_along", "integrate_geodesic", "metric_jet", "mu",
-    "painleve_I0", "pair_jets", "rapcsak_residual", "sarlet_K", "tm_I1",
-    "trajectory_energy", "xy_jet2",
+    "delta_alpha_combinatorial", "f1_closed_form", "first_integrals",
+    "fn1_closed_form", "integrals_along", "integrate_geodesic",
+    "metric_jet", "mu", "painleve_I0", "pair_jets", "rapcsak_residual",
+    "sarlet_K", "tm_I1", "trajectory_energy", "xy_jet2",
 ]

@@ -265,10 +265,9 @@ def gsqrt(z):
     """Square root of a generic scalar, guarded near zero."""
     if isinstance(z, HyperDual):
         return z.sqrt()
-    if z <= SQRT_FLOOR:
+    # NaN fails too, as in HyperDual.sqrt
+    if not z > SQRT_FLOOR:
         raise floor_error("square root argument {:.3e}", z, None)
-    if isinstance(z, np.longdouble):
-        return np.sqrt(z)
     return math.sqrt(z)
 
 

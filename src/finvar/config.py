@@ -110,6 +110,9 @@ class RunConfig:
                 f"seed must be an integer >= 0, got {self.seed!r}")
         if self.tolerance is not None:
             _check_number(self.tolerance, "tolerance")
+            if self.tolerance < 0:
+                raise ConfigError(
+                    f"tolerance must be >= 0, got {self.tolerance!r}")
         n = None  # every point has the length of points[0]
         for i, pt in enumerate(self.points):
             n = _check_point(pt, f"points[{i}]", n)

@@ -19,7 +19,7 @@ messages.
 The oracles in :mod:`finvar.oracle` stay independent of this path because
 they use different algorithms, not a different library: the characteristic
 polynomial by interpolating det(M + lambda I) against the Faddeev-LeVerrier
-recursion, and the spray from Christoffel symbols against the AD spray.
+recursion.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the machinery it checks: characteristic
 polynomials come from determinant interpolation (numpy determinants, not the
-recursion in :mod:`finvar.integrals`), the delta coefficients from a direct
-double sum over permutation pairs, derivatives from central finite
-differences, and Riemannian spray values from the Christoffel formula.
-Clarity over speed throughout: ``finvar oracle`` runs the first two on
-the stacked jets of all its points, and the tests run all of them.
+recursion in :mod:`finvar.integrals`), and the delta coefficients from a
+direct double sum over permutation pairs. Clarity over speed throughout:
+``finvar oracle`` runs both on the stacked jets of all its points. The
+derivatives themselves, the jets and sprays, are checked in the test suite
+against exact symbolic differentiation of each metric's own field code.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import math
 import numpy as np
 
 from .autodiff import lane_power
-from .errors import ConfigError, DomainError, OracleScopeExceeded
+from .errors import ConfigError, OracleScopeExceeded
 from .integrals import PairJets
 
-FD_STEP_MIN = 1e-8
-FD_STEP_MAX = 1e-3
 # (n!)^2 terms; beyond n=3 the sum is too slow to serve as a quick oracle.
 PERMUTATION_CUTOFF = 3
 
@@ -107,127 +105,3 @@ def delta_alpha_combinatorial(jets: PairJets,
     prefactor = (lane_power(jet.F / jet_t.F, n - alpha)
                  / (math.factorial(alpha - 1) * math.factorial(n - alpha)))
     return prefactor * total
-
-
-def fd_derivative(f, x, y, which: str, step: float = 1e-5,
-                  domain=None) -> np.ndarray | float:
-    """Central finite-difference derivatives of a scalar field f(x, y).
-
-    ``which`` selects ``value``, ``y_grad``, ``y_hess``, ``x_grad``, or
-    ``xy_hess`` (rows: velocity index, columns: base index). Base-point
-    perturbations must stay at least 2*step inside ``domain`` when one is
-    given.
-
-    Field evaluations run in extended precision (longdouble) so that the
-    second differences at the default step are not swamped by rounding: in
-    double precision the eps/step^2 floor alone sits near 2e-6.
-    """
-    if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
-        raise ConfigError(
-            f"fd step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}], got {step}")
-    x = np.asarray(x, dtype=np.longdouble)
-    y = np.asarray(y, dtype=np.longdouble)
-    step = np.longdouble(step)
-    n = x.shape[0]
-
-    def ev(xp, yp):
-        return np.longdouble(f(list(xp), list(yp)))
-
-    if which in ("x_grad", "xy_hess") and domain is not None:
-        for j in range(n):
-            for sgn in (-1.0, 1.0):
-                probe = np.asarray(x + sgn * 2.0 * step * _unit(n, j),
-                                   dtype=float)
-                if not domain(probe):
-                    raise DomainError(
-                        f"point within 2*step of the domain boundary along "
-                        f"axis {j}")
-
-    if which == "value":
-        return float(ev(x, y))
-    if which == "y_grad":
-        return _fd_grad(lambda yp: ev(x, yp), y, step)
-    if which == "x_grad":
-        return _fd_grad(lambda xp: ev(xp, y), x, step)
-    if which == "y_hess":
-        return _fd_hess(lambda yp: ev(x, yp), y, step)
-    if which == "xy_hess":
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                ei, ej = _unit(n, i), _unit(n, j)
-                out[i, j] = (
-                    ev(x + step * ej, y + step * ei)
-                    - ev(x + step * ej, y - step * ei)
-                    - ev(x - step * ej, y + step * ei)
-                    + ev(x - step * ej, y - step * ei)
-                ) / (4.0 * step * step)
-        return out
-    raise ConfigError(f"unknown derivative selector '{which}'")
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
-def _fd_grad(f, v, step):
-    n = v.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        e = step * _unit(n, i)
-        out[i] = (f(v + e) - f(v - e)) / (2.0 * step)
-    return out
-
-
-def _fd_hess(f, v, step):
-    n = v.shape[0]
-    out = np.empty((n, n))
-    f0 = f(v)
-    for i in range(n):
-        ei = step * _unit(n, i)
-        out[i, i] = (f(v + ei) - 2.0 * f0 + f(v - ei)) / (step * step)
-        for j in range(i + 1, n):
-            ej = step * _unit(n, j)
-            out[i, j] = out[j, i] = (
-                f(v + ei + ej) - f(v + ei - ej)
-                - f(v - ei + ej) + f(v - ei - ej)
-            ) / (4.0 * step * step)
-    return out
-
-
-def christoffel_oracle(matrix_field, x, step: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols Gamma^i_{jk} of a Riemannian matrix field at x.
-
-    Metric derivatives come from central differences; for a quadratic metric
-    sqrt(y^T A y) the spray must satisfy G^i = Gamma^i_{jk} y^j y^k / 2.
-    """
-    if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
-        raise ConfigError(
-            f"fd step must lie in [{FD_STEP_MIN}, {FD_STEP_MAX}], got {step}")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-
-    def mat(xp):
-        return np.array([[float(v) for v in row]
-                         for row in matrix_field(list(xp))])
-
-    A = mat(x)
-    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
-        raise DomainError("matrix field is not symmetric at x")
-    if np.linalg.eigvalsh(A).min() <= 0.0:
-        raise DomainError("matrix field is not positive definite at x")
-    dA = np.empty((n, n, n))    # dA[k] = dA/dx^k
-    for k in range(n):
-        e = step * _unit(n, k)
-        dA[k] = (mat(x + e) - mat(x - e)) / (2.0 * step)
-    A_inv = np.linalg.inv(A)
-    gamma = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gamma[i, j, k] = 0.5 * sum(
-                    A_inv[i, m] * (dA[j][m, k] + dA[k][m, j] - dA[m][j, k])
-                    for m in range(n))
-    return gamma

@@ -1,6 +1,8 @@
 """Shared fixtures: catalog metrics, standard pairs, seeded samplers, and
 the unparameterized distance of two sampled paths."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ def make_metric(kind, n, **kw):
 
 def curved_matrix(xs):
     """The matrix field of ``curved_x1`` written out as rows,
-    diag(1, 1 + (x^1)^2, 1, ...), for the Christoffel oracle."""
+    diag(1, 1 + (x^1)^2, 1, ...), for the Christoffel symbols of
+    :mod:`symbolic_oracle`."""
     n = len(xs)
     rows = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     rows[1][1] = 1.0 + xs[0] * xs[0]
@@ -73,6 +76,37 @@ def catalog_metrics(n):
                                  "params": [0.3] * n}}),
         make_metric("scaled", n, factor=2.0, base={"kind": "funk", "dim": n}),
     ]
+
+
+def randers_extras(n):
+    """Two Randers metrics beyond :func:`catalog_metrics`: the non-closed
+    ``x2_dx1`` covector, and a quadratic potential over a ``curved_x1``
+    alpha."""
+    return [
+        catalog_metric({"kind": "randers", "dim": n,
+                        "beta": {"covector": "x2_dx1"}}),
+        catalog_metric({"kind": "randers", "dim": n,
+                        "alpha_field": "curved_x1",
+                        "beta": {"potential": "quadratic",
+                                 "params": [0.5] * n}}),
+    ]
+
+
+@functools.cache
+def symbolic_cases():
+    """Every metric checked against :mod:`symbolic_oracle`: each catalog
+    family and both Randers extras at n = 2 and 3, klein and funk at n = 5,
+    and at n = 8 under the ``slow`` marker. Built once, so the oracle's
+    per-metric cache serves every test module."""
+    return tuple(
+        [m for n in (2, 3) for m in catalog_metrics(n) + randers_extras(n)]
+        + [make_metric(kind, 5) for kind in ("klein", "funk")]
+        + [pytest.param(make_metric(kind, 8), marks=pytest.mark.slow)
+           for kind in ("klein", "funk")])
+
+
+def metric_id(metric):
+    return f"{metric.name}-{metric.dim}"
 
 
 def sample_points(pair, count, seed=0, velocity_scale=1.0, box=(-0.35, 0.35)):

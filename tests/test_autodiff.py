@@ -1,16 +1,18 @@
-"""Hyper-dual jets against hand values and the finite-difference oracle."""
+"""Hyper-dual jets against hand values and exact symbolic derivatives."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar import DegenerateVelocity, DomainError
-from finvar.autodiff import (HyperDual, Jet2, _seed_pair_hessian,
+from finvar import (DegenerateVelocity, DomainError, NonFiniteResult,
+                    ProjectivePair)
+from finvar.autodiff import (HyperDual, Jet2, _seed_pair_hessian, gsqrt,
                              lane_power, xy_jet2)
-from finvar.oracle import fd_derivative
 
-from conftest import catalog_metrics, jet_seeds, make_metric, sample_points
+import symbolic_oracle
+from conftest import (catalog_metrics, jet_seeds, make_metric, metric_id,
+                      sample_points, symbolic_cases)
 
 EUCLID = make_metric("euclidean", 2).evaluator
 FUNK = make_metric("funk", 2).evaluator
@@ -44,15 +46,6 @@ def test_hessian_of_squared_euclid_is_2I():
     assert np.abs(jet.hess - 2.0 * np.eye(2)).max() < 1e-12
 
 
-def test_funk_jet_matches_finite_differences():
-    x, y = [0.1, 0.0], [1.0, 0.0]
-    jet = velocity_jet(FUNK, x, y)
-    fd_grad = fd_derivative(FUNK, x, y, "y_grad")
-    fd_hess = fd_derivative(FUNK, x, y, "y_hess")
-    assert np.abs(jet.grad - fd_grad).max() / np.abs(fd_grad).max() < 1e-6
-    assert np.abs(jet.hess - fd_hess).max() / np.abs(fd_hess).max() < 1e-6
-
-
 # In the joint jet of a field in dimension 2, grad[:2] is the x-gradient
 # and hess[:, :2] the mixed Hessian d^2 F / dy^i dx^j.
 
@@ -83,30 +76,22 @@ def test_mixed_hessian_trivial_cases():
     assert np.abs(mixed).max() < 1e-14
 
 
-def test_mixed_hessian_funk_matches_finite_differences():
-    x, y = [0.2, 0.1], [1.0, 1.0]
-    mixed = xy_jet2(FUNK, x, y).hess[:, :2]
-    fd = fd_derivative(FUNK, x, y, "xy_hess")
-    assert np.abs(mixed - fd).max() / np.abs(fd).max() < 1e-6
-
-
-@pytest.mark.parametrize("metric", catalog_metrics(2) + catalog_metrics(3),
-                         ids=lambda m: f"{m.name}-{m.dim}")
-def test_catalog_hessian_matches_fd_on_random_points(metric):
-    from finvar import ProjectivePair
-    pts = sample_points(ProjectivePair(metric, metric), 100, seed=11)
-    worst = 0.0
-    for p in pts:
-        jet = velocity_jet(metric.evaluator, p.x, p.y)
-        fd = fd_derivative(metric.evaluator, p.x, p.y, "y_hess")
-        worst = max(worst, np.abs(jet.hess - fd).max() / np.abs(fd).max())
-    assert worst < 1e-6
+@pytest.mark.parametrize("metric", symbolic_cases(), ids=metric_id)
+def test_joint_jet_matches_symbolic_derivatives(metric):
+    # the value, F_x, F_y and the rows [F_yx | F_yy] of every family
+    points = sample_points(ProjectivePair(metric, metric), 25, seed=11)
+    jets = xy_jet2(metric.evaluator, points.x, points.y)
+    for k, p in enumerate(points):
+        F, grad, hess = symbolic_oracle.jet(metric, p.x, p.y)
+        exact = np.concatenate(([F], grad, hess.ravel()))
+        ad = np.concatenate(([jets.value[k]], jets.grad[k],
+                             jets.hess[k].ravel()))
+        assert np.abs(ad - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("metric", catalog_metrics(2),
                          ids=lambda m: m.name)
 def test_chain_rule_square_assembly(metric):
-    from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 25, seed=5):
         jet = velocity_jet(metric.evaluator, p.x, p.y)
         jet2 = velocity_jet(squared(metric.evaluator), p.x, p.y)
@@ -119,7 +104,6 @@ def test_chain_rule_square_assembly(metric):
 @pytest.mark.parametrize("lam", [0.5, 2.0, 7.0])
 @pytest.mark.parametrize("metric", catalog_metrics(3), ids=lambda m: m.name)
 def test_positive_homogeneity_of_value(metric, lam):
-    from finvar import ProjectivePair
     for p in sample_points(ProjectivePair(metric, metric), 10, seed=3):
         f1 = velocity_jet(metric.evaluator, p.x, p.y).value
         f2 = velocity_jet(metric.evaluator, p.x, lam * p.y).value
@@ -185,6 +169,15 @@ def test_degenerate_velocity_raises():
         velocity_jet(EUCLID, [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(DegenerateVelocity):
         HyperDual(1e-30, np.zeros((1, 2)), np.zeros((2, 2))).sqrt()
+
+
+def test_gsqrt_of_a_float():
+    assert gsqrt(4.0) == 2.0
+    # NaN is not above the floor, and reads as a non-finite result
+    with pytest.raises(NonFiniteResult):
+        gsqrt(float("nan"))
+    with pytest.raises(DegenerateVelocity):
+        gsqrt(1e-30)
 
 
 def test_domain_violation_raises():

@@ -432,6 +432,7 @@ class TestCliContract:
         ("evaluate", {"samples": 5}),
         ("geodesic", {"integrator": {"rtol": "x"}}),
         ("evaluate", {"tolerance": "loose"}),
+        ("evaluate", {"tolerance": -1.0}),
         ("evaluate", {"points": [{"x": ["a", 0.1], "y": [1.0, 0.0]}]}),
         ("evaluate", {"points": [{"x": [NAN, 0.1], "y": [1.0, 0.0]}]}),
         ("geodesic", {"points": [{"x": [NAN, 0.1], "y": [1.0, 0.0]}]}),
@@ -487,7 +488,7 @@ class TestCliContract:
             "velocity_scale_zero_evaluate", "velocity_scale_zero_geodesic",
             "velocity_scale_zero_verify", "velocity_scale_zero_oracle",
             "samples", "rtol",
-            "tolerance", "point_string", "point_nan_evaluate",
+            "tolerance", "negative_tolerance", "point_string", "point_nan_evaluate",
             "point_nan_geodesic", "const_diag_string",
             "const_diag_nan", "randers_beta_string", "randers_beta_nan",
             "scaled_factor_nan", "scaled_factor_inf", "method_evaluate",
@@ -707,6 +708,19 @@ class TestCliContract:
         code, out, _ = run(capsys, "verify", "--config", cfg,
                            "--tolerance", "1e-30")
         assert code == 1
+
+    def test_negative_tolerance_override_is_a_config_error(self, tmp_path,
+                                                          capsys):
+        # a tolerance below 0 fails every input, so it is malformed; 0 is
+        # a valid, strict tolerance
+        cfg = write_config(tmp_path, samples={"count": 5})
+        code, out, err = run(capsys, "verify", "--config", cfg,
+                             "--tolerance", "-1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
+        code, _, _ = run(capsys, "verify", "--config", cfg,
+                         "--tolerance", "0")
+        assert code in (0, 1)
 
 
 class TestRepeatedMain:

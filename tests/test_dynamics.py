@@ -14,15 +14,28 @@ from finvar import (ConfigError, IntegratorStall, NonReversibleBackward,
 from finvar.autodiff import gsqrt, xy_jet2
 from finvar.dynamics import _RKF_A, _RKF_B5, _RKF_ERR, _flow, _rkf45_step
 from finvar.metrics import FinslerMetric
-from finvar.oracle import christoffel_oracle
 
+import symbolic_oracle
 from conftest import (JET_FIELDS, curved_matrix, make_metric, make_pair,
-                      path_distance, sample_points)
+                      metric_id, path_distance, sample_points, symbolic_cases)
+
+
+def hyperbolic_matrix(xs):
+    """klein's matrix field ((1 - |x|^2) I + x x^T) / (1 - |x|^2)^2."""
+    n = len(xs)
+    w = 1 - sum(v * v for v in xs)
+    return [[((w if i == j else 0) + xs[i] * xs[j]) / w ** 2
+             for j in range(n)] for i in range(n)]
+
 
 EUCLID = make_metric("euclidean", 2)
 KLEIN = make_metric("klein", 2)
 FUNK = make_metric("funk", 2)
 CURVED = make_metric("curved", 2)
+# the metrics of symbolic_cases() by name and dimension, whose symbolic jets
+# are cached
+SYMBOLIC_METRICS = {(m.name, m.dim): m for m in symbolic_cases()
+                    if isinstance(m, FinslerMetric)}
 
 
 class TestSpray:
@@ -39,25 +52,31 @@ class TestSpray:
         G = metric_jet(m, p).G
         assert np.abs(G).max() < 1e-12
 
-    def test_curved_riemannian_vs_christoffel(self):
-        p = TangentPoint([1.0, 0.0], [1.0, 1.0])
-        G = metric_jet(CURVED, p).G
-        gamma = christoffel_oracle(curved_matrix, p.x)
-        G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
-        assert np.abs(G - G_ref).max() / np.abs(G_ref).max() < 1e-6
+    @pytest.mark.parametrize("metric", symbolic_cases(), ids=metric_id)
+    def test_spray_matches_symbolic_spray(self, metric):
+        # Riemannian or not: G from the exact jet, against the size of the
+        # terms that form it, as klein's G nearly vanishes at the origin
+        points = sample_points(ProjectivePair(metric, metric), 25, seed=29)
+        jets = metric_jet(metric, points)
+        for k, p in enumerate(points):
+            _, _, G, scale = symbolic_oracle.tensors(metric, p.x, p.y)
+            assert np.abs(jets.G[k] - G).max() <= 1e-12 * scale
 
-    def test_klein_vs_hyperbolic_christoffel(self):
-        # Klein is Riemannian: A = ((1-|x|^2) I + x x^T) / (1-|x|^2)^2
-        def klein_matrix(xs):
-            x = np.array(xs)
-            w = 1.0 - x @ x
-            return ((w * np.eye(2) + np.outer(x, x)) / w ** 2).tolist()
-
-        p = TangentPoint([0.3, 0.1], [0.5, -0.2])
-        G = metric_jet(KLEIN, p).G
-        gamma = christoffel_oracle(klein_matrix, p.x)
-        G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
-        assert np.abs(G - G_ref).max() / max(np.abs(G_ref).max(), 1e-12) < 1e-6
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name, matrix_field", [
+        ("riemannian[curved_x1]", curved_matrix),
+        ("klein", hyperbolic_matrix),
+    ], ids=["curved", "klein"])
+    def test_riemannian_spray_matches_christoffel_symbols(self, name,
+                                                          matrix_field, n):
+        # G^i = Gamma^i_jk y^j y^k / 2 of sqrt(y^T A y), a second formula
+        metric = SYMBOLIC_METRICS[name, n]
+        points = sample_points(ProjectivePair(metric, metric), 20, seed=31)
+        jets = metric_jet(metric, points)
+        for k, p in enumerate(points):
+            G = symbolic_oracle.christoffel_spray(matrix_field, p.x, p.y)
+            _, _, _, scale = symbolic_oracle.tensors(metric, p.x, p.y)
+            assert np.abs(jets.G[k] - G).max() <= 1e-12 * scale
 
     def test_funk_spray_closed_form(self):
         # Funk metrics are projectively flat with G = F y / 2, a classical
@@ -77,6 +96,21 @@ class TestSpray:
             b = metric_jet(KLEIN, q).G
             assert np.abs(b - lam ** 2 * a).max() \
                 <= 1e-10 * max(1.0, np.abs(lam ** 2 * a).max())
+
+
+class TestChristoffel:
+    def test_constant_matrix_vanishes(self):
+        gamma = symbolic_oracle.christoffel(
+            lambda xs: [[2.0, 0.0], [0.0, 3.0]], [0.4, -0.1])
+        assert not gamma.any()
+
+    def test_curved_hand_values(self):
+        # the nonzero entries of diag(1, 1 + (x1)^2) at x1 = 1, exactly
+        gamma = symbolic_oracle.christoffel(curved_matrix, [1.0, 0.0])
+        expect = np.zeros((2, 2, 2))
+        expect[1, 0, 1] = expect[1, 1, 0] = 0.5
+        expect[0, 1, 1] = -1.0
+        assert np.array_equal(gamma, expect)
 
 
 class TestGeodesicRhs:

@@ -5,9 +5,10 @@ import pytest
 
 from finvar import (ConfigError, DegenerateVelocity, DomainError,
                     ProjectivePair, TangentPoint, catalog_metric, metric_jet)
-from finvar.oracle import fd_derivative
 
-from conftest import JET_FIELDS, catalog_metrics, make_metric, sample_points
+import symbolic_oracle
+from conftest import (JET_FIELDS, catalog_metrics, make_metric, metric_id,
+                      sample_points, symbolic_cases)
 
 
 class TestCatalogValues:
@@ -221,13 +222,15 @@ class TestMetricJet:
         assert np.abs(js.h - 4.0 * j.h).max() < 1e-12 * np.abs(j.h).max()
         assert js.det_g == pytest.approx(2.0 ** 4 * j.det_g, rel=1e-12)
 
-    def test_klein_g_matches_fd_of_half_square_hessian(self):
-        m = make_metric("klein", 2)
-        x, y = [0.3, 0.0], [0.0, 1.0]
-        jet = metric_jet(m, TangentPoint(x, y))
-        fd_g = 0.5 * fd_derivative(
-            lambda xs, ys: m.evaluator(xs, ys) ** 2, x, y, "y_hess")
-        assert np.abs(jet.g - fd_g).max() / np.abs(fd_g).max() < 1e-6
+    @pytest.mark.parametrize("metric", symbolic_cases(), ids=metric_id)
+    def test_g_and_h_match_symbolic_tensors(self, metric):
+        points = sample_points(ProjectivePair(metric, metric), 25, seed=19)
+        jets = metric_jet(metric, points)
+        for k, p in enumerate(points):
+            g, h, _, _ = symbolic_oracle.tensors(metric, p.x, p.y)
+            scale = np.abs(g).max()
+            assert np.abs(jets.g[k] - g).max() <= 1e-12 * scale
+            assert np.abs(jets.h[k] - h).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("metric", catalog_metrics(2) + catalog_metrics(3),
                              ids=lambda m: f"{m.name}-{m.dim}")

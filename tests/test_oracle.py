@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from finvar import (ConfigError, DomainError, OracleScopeExceeded,
-                    TangentPoint, charpoly_by_interpolation,
-                    charpoly_coefficients,
-                    christoffel_oracle, delta_alpha_combinatorial,
-                    fd_derivative, first_integrals, metric_jet, pair_jets)
+from finvar import (ConfigError, OracleScopeExceeded, TangentPoint,
+                    charpoly_by_interpolation, charpoly_coefficients,
+                    delta_alpha_combinatorial, first_integrals, metric_jet,
+                    pair_jets)
 from finvar.metrics import FinslerMetric
 
-from conftest import curved_matrix, make_metric, make_pair, sample_points
+from conftest import make_pair, sample_points
 
 
 class TestInterpolationCharpoly:
@@ -101,76 +100,3 @@ class TestCombinatorialDelta:
             d = delta_alpha_combinatorial(pair_jets(pair, p), 1)
             d_p = delta_alpha_combinatorial(pair_jets(pair_p, p_relabeled), 1)
             assert d == pytest.approx(d_p, rel=1e-10)
-
-
-class TestFiniteDifferences:
-    def test_euclid_gradient(self):
-        m = make_metric("euclidean", 2)
-        grad = fd_derivative(m.evaluator, [0.0, 0.0], [3.0, 4.0], "y_grad")
-        assert grad == pytest.approx([0.6, 0.8], abs=1e-10)
-
-    def test_funk_hessian_matches_ad(self):
-        from finvar import xy_jet2
-        m = make_metric("funk", 2)
-        x, y = [0.1, 0.1], [1.0, 0.0]
-        fd = fd_derivative(m.evaluator, x, y, "y_hess")
-        hess = xy_jet2(m.evaluator, x, y).hess[:, 2:]
-        assert np.abs(fd - hess).max() / np.abs(fd).max() <= 1e-6
-
-    def test_klein_x_gradient_at_origin(self):
-        m = make_metric("klein", 2)
-        grad = fd_derivative(m.evaluator, [0.0, 0.0], [1.0, 2.0], "x_grad")
-        assert np.abs(grad).max() <= 1e-9
-
-    def test_value_selector(self):
-        m = make_metric("euclidean", 2)
-        assert fd_derivative(m.evaluator, [0.0, 0.0], [3.0, 4.0], "value") == \
-            pytest.approx(5.0)
-
-    def test_step_range_guard(self):
-        m = make_metric("euclidean", 2)
-        for bad in (1e-9, 1e-2):
-            with pytest.raises(ConfigError):
-                fd_derivative(m.evaluator, [0.0, 0.0], [1.0, 0.0], "y_grad",
-                              step=bad)
-
-    def test_unknown_selector(self):
-        m = make_metric("euclidean", 2)
-        with pytest.raises(ConfigError):
-            fd_derivative(m.evaluator, [0.0, 0.0], [1.0, 0.0], "y_jerk")
-
-    def test_domain_margin_guard(self):
-        m = make_metric("klein", 2)
-        x = [1.0 - 1e-6, 0.0]  # in-domain, but 2*step crosses the boundary
-        with pytest.raises(DomainError):
-            fd_derivative(m.evaluator, x, [1.0, 0.0], "x_grad", step=1e-5,
-                          domain=m.domain)
-
-
-class TestChristoffel:
-    def test_constant_matrix_vanishes(self):
-        gamma = christoffel_oracle(lambda xs: [[2.0, 0.0], [0.0, 3.0]],
-                                   [0.4, -0.1])
-        assert np.abs(gamma).max() < 1e-12
-
-    def test_curved_hand_values(self):
-        gamma = christoffel_oracle(curved_matrix, [1.0, 0.0])
-        # nonzero entries of diag(1, 1 + (x1)^2) at x1 = 1
-        assert gamma[1, 0, 1] == pytest.approx(0.5, abs=1e-6)
-        assert gamma[1, 1, 0] == pytest.approx(0.5, abs=1e-6)
-        assert gamma[0, 1, 1] == pytest.approx(-1.0, abs=1e-6)
-        mask = np.ones((2, 2, 2), dtype=bool)
-        mask[1, 0, 1] = mask[1, 1, 0] = mask[0, 1, 1] = False
-        assert np.abs(gamma[mask]).max() < 1e-6
-
-    def test_spray_consistency(self):
-        m = make_metric("curved", 3)
-        p = TangentPoint([0.7, -0.2, 0.3], [0.5, 1.0, -0.8])
-        gamma = christoffel_oracle(curved_matrix, p.x)
-        G_ref = 0.5 * np.einsum("ijk,j,k->i", gamma, p.y, p.y)
-        G = metric_jet(m, p).G
-        assert np.abs(G - G_ref).max() <= 1e-6 * max(1.0, np.abs(G_ref).max())
-
-    def test_non_positive_definite_rejected(self):
-        with pytest.raises(DomainError):
-            christoffel_oracle(lambda xs: [[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
