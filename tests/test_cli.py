@@ -552,6 +552,18 @@ class TestCliContract:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_points_of_another_dimension_than_the_pair(self, tmp_path,
+                                                       capsys, command):
+        # one config error in every command, naming the config entry
+        cfg = write_config(tmp_path, points=[{"x": [0.1, 0.0, 0.0],
+                                              "y": [1.0, 0.0, 0.0]}])
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": "points[0].x needs 2 entries, "
+            "the dimension of the pair, got 3"}
+
     def test_non_convex_point_exit_code(self, tmp_path, capsys, monkeypatch):
         # every catalog metric is strongly convex in its domain, so the
         # catalog is patched to hand out a pseudo-metric with indefinite g

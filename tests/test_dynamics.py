@@ -246,9 +246,9 @@ class TestIntegration:
         counts = {"domain": 0, "jet2": 0, "xy_jet2": 0}
         jet2 = FinslerMetric.jet2
 
-        def domain(x):
+        def region(xs):
             counts["domain"] += 1
-            return m.domain(x)
+            return m.region(xs)
 
         def counted_jet2(metric, x, y):
             counts["jet2"] += 1
@@ -260,7 +260,7 @@ class TestIntegration:
 
         monkeypatch.setattr(FinslerMetric, "jet2", counted_jet2)
         monkeypatch.setattr(finvar.metrics, "xy_jet2", counted_xy_jet2)
-        traj = integrate_geodesic(replace(m, domain=domain),
+        traj = integrate_geodesic(replace(m, region=region),
                                   TangentPoint([0.5, 0.0], [1.0, 0.0]), 1.0,
                                   method=method, step=0.02)
         assert traj.domain_exit
@@ -288,7 +288,7 @@ class TestIntegration:
             return gsqrt(a11 * ys[0] * ys[0] + ys[1] * ys[1])
 
         metric = FinslerMetric("kinked", 2, kinked,
-                               lambda x: np.asarray(x)[..., 0] < 0.3 + 1e-12)
+                               lambda xs: xs[0] < 0.3 + 1e-12)
         traj = integrate_geodesic(metric,
                                   TangentPoint([0.0, 0.0], [1.0, 0.5]), 1.0)
         assert traj.domain_exit

@@ -327,18 +327,20 @@ def test_stacked_errors_name_the_first_failing_point(monkeypatch, lanes):
 @pytest.mark.parametrize("count", [None, 2 * finvar.autodiff.LANES + 1],
                          ids=["one_point", "three_chunks"])
 def test_one_domain_call_per_jet_pass(count):
-    # the predicate sees the float base points once, whole, before any pass
+    # the region sees the float base points once, whole, before any pass:
+    # two Python floats, or two lanes of the whole stack
     klein = catalog_metrics(2)[1]
     shapes = []
 
-    def domain(x):
-        shapes.append(x.shape)
-        return klein.domain(x)
+    def region(xs):
+        shapes.append([np.shape(v) for v in xs])
+        return klein.region(xs)
 
     shape = (2,) if count is None else (count, 2)
     x = np.full(shape, 0.1)
-    replace(klein, domain=domain).jet2(x, np.ones(shape))
-    assert shapes == [shape]
+    replace(klein, region=region).jet2(x, np.ones(shape))
+    lane = () if count is None else (count, 1, 1)
+    assert shapes == [[lane, lane]]
 
 
 def test_a_failure_in_the_third_chunk_names_its_global_index():

@@ -97,9 +97,26 @@ class TestCatalogValues:
     def test_riemannian_is_named_by_the_field_it_uses(self):
         m = catalog_metric({"kind": "riemannian", "dim": 2,
                             "params": [1.0, 2.0]})
-        assert m.name == "riemannian[const_diag]"
+        assert m.name == "riemannian[const_diag [1.0, 2.0]]"
         with pytest.raises(DegenerateVelocity, match=r"^riemannian\[const_"):
             metric_jet(m, TangentPoint([0.0, 0.0], [1e-20, 0.0]))
+
+    @pytest.mark.parametrize("first, second", [
+        ({"kind": "randers", "dim": 2,
+          "beta": {"potential": "quadratic", "params": [0.5, 0.5]}},
+         {"kind": "randers", "dim": 2, "alpha_field": "curved_x1",
+          "beta": {"potential": "quadratic", "params": [0.5, 0.5]}}),
+        ({"kind": "riemannian", "dim": 2, "field": "const_diag",
+          "params": [1, 2]},
+         {"kind": "riemannian", "dim": 2, "field": "const_diag",
+          "params": [3, 2]}),
+    ], ids=["randers_alpha_field", "riemannian_params"])
+    def test_different_metrics_get_different_names(self, first, second):
+        # the name carries the alpha field and any params given, so an
+        # error's metric tells the two apart
+        names = [catalog_metric(desc).name for desc in (first, second)]
+        assert names[0] != names[1]
+        assert names[0].startswith(f"{first['kind']}[const_diag")
 
 
 NON_FINITE = (float("nan"), float("inf"), -float("inf"))

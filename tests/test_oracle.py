@@ -87,7 +87,7 @@ class TestCombinatorialDelta:
                 m.name + "-perm", 3,
                 lambda xs, ys, _m=m: _m.evaluator([xs[i] for i in perm],
                                                   [ys[i] for i in perm]),
-                lambda x, _m=m: _m.domain(x[perm]))
+                lambda xs, _m=m: _m.region([xs[i] for i in perm]))
 
         from finvar import ProjectivePair
         pair_p = ProjectivePair(relabel(pair.base), relabel(pair.comparison))
