@@ -16,15 +16,14 @@ two lane layouts:
 * **N points:** ``val`` has shape (N, 1, 1), ``grad`` (N, 1, m) and ``hess``
   (N, r, m), one lane per point (seeds keep lane-free ones, which broadcast).
 
-A product adds the kept rows of the outer product ``grad.swapaxes(-1, -2) *
-other.grad``, (m, m) in either layout, and of its transpose; ``sqrt`` and
-``reciprocal`` form their self-outer product over the kept rows.
-So each kept entry takes the floating-point operations of a full Hessian in
-the same order, and lane k of a stacked pass those of a one-point pass at
-point k: the two agree bitwise. Evaluating N points at once, the
-structure-of-arrays form of vectorized forward-mode Taylor arithmetic
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), replaces N
-interpreted passes by one.
+Every outer product of two gradients is formed over the kept rows only, by
+``_kept_outer``: a product adds grad_i other.grad_j and other.grad_i grad_j,
+``sqrt`` and ``reciprocal`` take grad_i grad_j. So each kept entry takes the
+floating-point operations of a full Hessian in the same order, and lane k
+of a stacked pass those of a one-point pass at point k: the two agree
+bitwise. Evaluating N points at once, the structure-of-arrays form of
+vectorized forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13), replaces N interpreted passes by one.
 
 Seeds share cached read-only unit gradients and zero Hessians, and each
 knows the index of its variable. A product of seeds i and j computes only
@@ -72,13 +71,18 @@ def _seed_arrays(rows: int, m: int):
             np.broadcast_to(0.0, (rows, m)))
 
 
+def _kept_outer(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """a_i * b_j over the last ``rows`` rows i, in either lane layout."""
+    return a[..., a.shape[-1] - rows:].swapaxes(-1, -2) * b
+
+
 @functools.cache
 def _seed_pair_hessian(i: int, j: int, rows: int, m: int) -> np.ndarray:
     """The kept rows of e_i e_j^T + e_j e_i^T, the Hessian of the product of
     seeds i and j: read-only and lane-free."""
     unit = _seed_arrays(rows, m)[0]
-    cross = unit[i].swapaxes(-1, -2) * unit[j]
-    block = (cross + cross.swapaxes(-1, -2))[m - rows:]
+    block = (_kept_outer(unit[i], unit[j], rows)
+             + _kept_outer(unit[j], unit[i], rows))
     block.flags.writeable = False
     return block
 
@@ -182,11 +186,6 @@ class HyperDual:
     def __neg__(self):
         return HyperDual(-self.val, -self.grad, -self.hess)
 
-    def _outer_rows(self) -> np.ndarray:
-        """grad_i * grad_j over the kept rows i, in either lane layout."""
-        g = self.grad
-        return g[..., g.shape[-1] - self.hess.shape[-2]:].swapaxes(-1, -2) * g
-
     def __mul__(self, other):
         if isinstance(other, HyperDual):
             h = self.hess
@@ -194,11 +193,9 @@ class HyperDual:
                 hess = _seed_pair_hessian(self.index, other.index,
                                           *h.shape[-2:])
             else:
-                cross = self.grad.swapaxes(-1, -2) * other.grad
-                rows = (..., slice(cross.shape[-1] - h.shape[-2], None),
-                        slice(None))
-                hess = (self.val * other.hess + other.val * h + cross[rows]
-                        + cross.swapaxes(-1, -2)[rows])
+                a, b, rows = self.grad, other.grad, h.shape[-2]
+                hess = (self.val * other.hess + other.val * h
+                        + _kept_outer(a, b, rows) + _kept_outer(b, a, rows))
             return HyperDual(self.val * other.val,
                              self.val * other.grad + other.val * self.grad,
                              hess)
@@ -209,9 +206,9 @@ class HyperDual:
     def reciprocal(self) -> "HyperDual":
         inv = 1.0 / self.val
         inv2 = inv * inv
-        return HyperDual(inv, -inv2 * self.grad,
-                         (2.0 * inv2 * inv) * self._outer_rows()
-                         - inv2 * self.hess)
+        g, h = self.grad, self.hess
+        return HyperDual(inv, -inv2 * g, (2.0 * inv2 * inv)
+                         * _kept_outer(g, g, h.shape[-2]) - inv2 * h)
 
     def __truediv__(self, other):
         if isinstance(other, HyperDual):
@@ -230,8 +227,9 @@ class HyperDual:
         s = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
         d1 = 0.5 / s
         d2 = -0.25 / (v * s)
-        return HyperDual(s, d1 * self.grad,
-                         d1 * self.hess + d2 * self._outer_rows())
+        g, h = self.grad, self.hess
+        return HyperDual(s, d1 * g,
+                         d1 * h + d2 * _kept_outer(g, g, h.shape[-2]))
 
 
 class _Seed(HyperDual):
@@ -297,7 +295,8 @@ class Jet2:
     hess: np.ndarray
 
 
-def _check_velocity(y: np.ndarray) -> None:
+def check_velocity(y: np.ndarray) -> None:
+    """Refuse a velocity (n,), or a row of a stack (N, n), of all zeros."""
     # one point in floats, 0.13 us against 1.7 us as a one-row stack; a NaN
     # is nonzero and -0.0 zero, as in numpy
     ok = any(y.tolist()) if y.ndim == 1 else (y != 0.0).any(axis=-1)
@@ -317,7 +316,7 @@ def xy_jet2(f, x, y) -> Jet2:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_velocity(y)
+    check_velocity(y)
     n = y.shape[-1]
     m = 2 * n
     if y.ndim == 1:

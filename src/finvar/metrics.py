@@ -48,9 +48,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .autodiff import (Jet2, Lanes, check_lanes, floor_error, gdot, gsqrt,
-                       lane, lane_scalars, xy_jet2)
-from .errors import ConfigError, DegenerateVelocity, DomainError, FinvarError
+from .autodiff import (Jet2, Lanes, check_lanes, check_velocity, floor_error,
+                       gdot, gsqrt, lane, lane_scalars, xy_jet2)
+from .errors import ConfigError, DomainError, FinvarError
 
 # Points closer to a domain boundary than this margin are rejected to avoid
 # catastrophic cancellation in terms like 1 - |x|^2.
@@ -116,8 +116,7 @@ class TangentPoint(Lanes):
                 f"equal shape, got {self.x.shape} and {self.y.shape}")
         if self.dim < 2:
             raise ConfigError("dimension must be at least 2")
-        check_lanes(np.any(self.y != 0.0, axis=-1), lambda i: (
-            DegenerateVelocity("velocity is exactly zero", point=i)))
+        check_velocity(self.y)
 
     def __len__(self) -> int:
         if self.x.ndim != 2:
@@ -252,6 +251,10 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
 
         G^i = 1/4 g^{il} ( y^k d^2F^2/dy^l dx^k - dF^2/dx^l )
 
+    Two products give every second-derivative block: FH = F [F_yx | F_yy]
+    holds h = FH[:, n:], and S = F_y (x) [F_x | F_y] + FH holds g = S[:, n:]
+    and d^2F^2/dy dx = 2 S[:, :n].
+
     Every failure names the metric, and in a stack the first failing point.
     """
     n = x.shape[-1]
@@ -261,22 +264,19 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
         # NaN and +-inf fail too, in either layout
         check_lanes((F >= F_FLOOR) & (F < math.inf), lambda i: floor_error(
             "value {}", lane(F, i), i, "below the positivity floor"))
-        F_x = jet.grad[..., :n]
         F_y = jet.grad[..., n:]
-        F_yy = jet.hess[..., :, n:]
-        F_yx = jet.hess[..., :, :n]
         # F against vectors and against matrices, in either layout
         F_v = np.asarray(F)[..., None]
-        F_m = F_v[..., None]
-        h = F_m * F_yy
-        g = h + _outer(F_y, F_y)
+        FH = F_v[..., None] * jet.hess
+        S = _outer(F_y, jet.grad) + FH
+        h, g = FH[..., n:], S[..., n:]
         g_inv, det_g = linalg.inverse(g)
     except FinvarError as exc:
         if exc.metric is None:
             exc.metric = metric.name
         raise
-    F2_yx = 2.0 * (_outer(F_y, F_x) + F_m * F_yx)
-    F2_x = 2.0 * F_v * F_x
+    F2_yx = 2.0 * S[..., :n]
+    F2_x = 2.0 * F_v * jet.grad[..., :n]
     G = 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
     return MetricJet(x=x, y=y, F=F, F_y=F_y.copy(), g=g, g_inv=g_inv, h=h,
                      det_g=det_g, G=G)

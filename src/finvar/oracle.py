@@ -98,10 +98,9 @@ def delta_alpha_combinatorial(jets: PairJets,
     for i in range(alpha - 1, n - 1):
         term = term * jet_t.h[..., s1[i], s2[i]]
     term = term * jet.F_y[..., s1[n - 1]] * jet.F_y[..., s2[n - 1]]
-    # summed pair by pair, in enumeration order, in every lane
-    total = 0.0
-    for k in range(term.shape[-1]):
-        total += term[..., k]
+    # summed pair by pair from +0.0, in enumeration order, in every lane:
+    # a running sum, as np.add.reduce would sum pairwise
+    total = np.add.accumulate(np.insert(term, 0, 0.0, axis=-1), axis=-1)
     prefactor = (lane_power(jet.F / jet_t.F, n - alpha)
                  / (math.factorial(alpha - 1) * math.factorial(n - alpha)))
-    return prefactor * total
+    return prefactor * total[..., -1]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finvar.autodiff import _seed_arrays, _seed_pair_hessian
 from finvar.cli import _build_parser, main
 from finvar.metrics import MAX_NESTING
 
@@ -381,6 +382,24 @@ class TestCliContract:
         _, geo1, _ = run(capsys, "geodesic", "--config", cfg)
         _, geo2, _ = run(capsys, "geodesic", "--config", cfg)
         assert geo1 == geo2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_second_run_in_one_process_gives_the_same_bytes(
+            self, tmp_path, capsys, command, fmt):
+        # the first run builds the cached read-only seed blocks afresh and
+        # the second reads them
+        cfg = write_config(
+            tmp_path, pair={"base": {"kind": "klein", "dim": 3},
+                            "comparison": {"kind": "funk", "dim": 3}},
+            samples={"count": 4, "trajectories": 1},
+            integrator={"t_end": 0.2}, seed=7)
+        _seed_arrays.cache_clear()
+        _seed_pair_hessian.cache_clear()
+        argv = (command, "--config", cfg, "--format", fmt)
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run(capsys, *argv) == first
 
     def test_seed_override_changes_samples(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from finvar import (ConfigError, DegenerateVelocity, DomainError,
-                    ProjectivePair, TangentPoint, catalog_metric, metric_jet)
+                    ProjectivePair, TangentPoint, catalog_metric, metric_jet,
+                    xy_jet2)
 
 import symbolic_oracle
 from conftest import (JET_FIELDS, catalog_metrics, make_metric, metric_id,
                       sample_points, symbolic_cases)
+
+NAN = float("nan")
 
 
 class TestCatalogValues:
@@ -204,6 +207,26 @@ class TestTangentPoint:
         with pytest.raises(DegenerateVelocity) as info:
             TangentPoint([[0.0, 0.0]] * 3, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         assert info.value.point == 2
+
+    @pytest.mark.parametrize("y", [
+        [-0.0, 0.0], [0.0, NAN], [[1.0, 0.0], [NAN, NAN], [-0.0, -0.0]],
+        [[-0.0, 2.0], [0.0, -0.0]], [[NAN, 0.0], [0.0, 1.0]],
+    ], ids=["signed_zeros", "nan", "stack_of_three", "stack_of_two",
+            "all_nonzero"])
+    def test_zero_velocity_rule_is_the_jets(self, y):
+        # -0.0 is zero and NaN nonzero: a tangent point and a jet pass
+        # refuse the same velocities, with the same message and index
+        y = np.array(y)
+        errors = []
+        for check in (TangentPoint,
+                      lambda x, y: xy_jet2(lambda xs, ys: 1.0, x, y)):
+            try:
+                check(np.zeros_like(y), y)
+                errors.append(None)
+            except DegenerateVelocity as exc:
+                errors.append((str(exc), exc.point))
+        assert errors[0] == errors[1]
+        assert (errors[0] is None) == bool(np.all(np.any(y != 0.0, axis=-1)))
 
     @pytest.mark.parametrize("x, y", [
         ([[0.0, 0.0]], [0.0, 1.0]),               # a stack and a vector
