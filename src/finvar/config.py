@@ -1,10 +1,12 @@
-"""Run configuration: JSON config files, CLI overrides, and point sampling."""
+"""Run settings and point sampling. Each setting is named and checked once,
+in the dataclass that holds it: :func:`load_config` only parses a JSON file,
+and a CLI flag or a library caller overrides with ``dataclasses.replace``."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,8 +21,6 @@ MAX_REJECTIONS = 100_000
 
 _TOP_LEVEL_KEYS = {"schema_version", "pair", "samples", "integrator",
                    "tolerance", "seed", "format", "out", "points"}
-_SAMPLE_KEYS = {"count", "trajectories", "box", "velocity_scale"}
-_INTEGRATOR_KEYS = {"method", "rtol", "atol", "step", "t_end"}
 
 
 def _is_int(value) -> bool:
@@ -61,6 +61,10 @@ class SampleSettings:
             if not (_is_int(value) and value >= 1):
                 raise ConfigError(
                     f"samples.{name} must be an integer >= 1, got {value!r}")
+        if not (isinstance(self.box, (list, tuple)) and len(self.box) == 2):
+            raise ConfigError(
+                f"samples.box must be [lo, hi], got {self.box!r}")
+        object.__setattr__(self, "box", tuple(self.box))
         _check_number(self.box[0], "samples.box[0]")
         _check_number(self.box[1], "samples.box[1]")
         if not self.box[0] < self.box[1]:
@@ -113,6 +117,13 @@ class RunConfig:
             if self.tolerance < 0:
                 raise ConfigError(
                     f"tolerance must be >= 0, got {self.tolerance!r}")
+        if self.fmt not in ("json", "csv"):
+            raise ConfigError(
+                f"format must be 'json' or 'csv', got {self.fmt!r}")
+        if not isinstance(self.points, (list, tuple)):
+            raise ConfigError(f"config field 'points' must be a list, got "
+                              f"{self.points!r}")
+        object.__setattr__(self, "points", tuple(self.points))
         n = None  # every point has the length of points[0]
         for i, pt in enumerate(self.points):
             n = _check_point(pt, f"points[{i}]", n)
@@ -154,51 +165,25 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(pair, dict) or "base" not in pair or "comparison" not in pair:
         raise ConfigError("config field 'pair' needs 'base' and 'comparison' "
                           "metric descriptors")
-    for key in ("samples", "integrator"):
-        if not isinstance(raw.get(key, {}), dict):
+    sections = {}
+    for key, settings in (("samples", SampleSettings),
+                          ("integrator", IntegratorSettings)):
+        section = raw.get(key, {})
+        if not isinstance(section, dict):
             raise ConfigError(f"config field '{key}' must be a JSON object")
-    sample_kwargs = dict(raw.get("samples", {}))
-    check_keys(sample_kwargs, _SAMPLE_KEYS, "config field 'samples'")
-    if "box" in sample_kwargs:
-        box = sample_kwargs["box"]
-        if not (isinstance(box, (list, tuple)) and len(box) == 2):
-            raise ConfigError(f"samples.box must be [lo, hi], got {box!r}")
-        sample_kwargs["box"] = tuple(box)
-    integ_kwargs = dict(raw.get("integrator", {}))
-    check_keys(integ_kwargs, _INTEGRATOR_KEYS, "config field 'integrator'")
-    points = raw.get("points", [])
-    if not isinstance(points, list):
-        raise ConfigError(f"config field 'points' must be a list, got "
-                          f"{points!r}")
-    fmt = raw.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
+        check_keys(section, {f.name for f in fields(settings)},
+                   f"config field '{key}'")
+        sections[key] = settings(**section)
     return RunConfig(
         base=pair["base"],
         comparison=pair["comparison"],
-        samples=SampleSettings(**sample_kwargs),
-        integrator=IntegratorSettings(**integ_kwargs),
         tolerance=raw.get("tolerance"),
         seed=raw.get("seed", DEFAULT_SEED),
-        fmt=fmt,
+        fmt=raw.get("format", "json"),
         out=raw.get("out"),
-        points=tuple(points),
+        points=raw.get("points", ()),
+        **sections,
     )
-
-
-def apply_overrides(cfg: RunConfig, *, seed=None, fmt=None, tolerance=None,
-                    out=None) -> RunConfig:
-    """CLI flags take precedence over file values."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if fmt is not None:
-        updates["fmt"] = fmt
-    if tolerance is not None:
-        updates["tolerance"] = float(tolerance)
-    if out is not None:
-        updates["out"] = out
-    return replace(cfg, **updates) if updates else cfg
 
 
 def sample_tangent_points(pair: ProjectivePair, count: int,

@@ -325,5 +325,6 @@ def rapcsak_residual(pair: ProjectivePair,
                  - cjet.grad[..., :n])
     report = RapcsakReport(residuals=residuals)
     check_lanes(np.isfinite(report.norms), lambda i: NonFiniteResult(
-        f"residual norm {lane(report.norms, i)} not finite", point=i))
+        f"residual norm {lane(report.norms, i)} not finite",
+        metric=pair.comparison.name, point=i))
     return report

@@ -699,6 +699,22 @@ class TestCliContract:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "NonFiniteResult"
 
+    def test_verify_overflowing_residual_names_the_comparison(self, tmp_path,
+                                                              capsys):
+        # the comparison jet is finite; its residual norm overflows
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": 2},
+            "comparison": {"kind": "scaled", "factor": 1e160,
+                           "base": {"kind": "riemannian", "dim": 2,
+                                    "field": "curved_x1"}},
+        }, samples={"count": 5})
+        code, out, err = run(capsys, "verify", "--config", cfg)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "NonFiniteResult",
+            "message": "scaled[1e+160]riemannian[curved_x1]: residual norm "
+                       "inf not finite (point 0)"}
+
     def test_verify_tiny_factor_still_passes(self, tmp_path, capsys):
         # finiteness is certified, not the value floor
         cfg = write_config(tmp_path, pair={
@@ -752,6 +768,22 @@ class TestCliContract:
         code, _, _ = run(capsys, "verify", "--config", cfg,
                          "--tolerance", "0")
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("setting,flag,value", [
+        ("seed", "-1", -1), ("tolerance", "-1", -1.0),
+        ("tolerance", "inf", float("inf"))])
+    def test_a_flag_meets_the_check_of_its_config_key(self, tmp_path, capsys,
+                                                      setting, flag, value):
+        by_flag = run(capsys, "verify", "--config", write_config(tmp_path),
+                      f"--{setting}", flag)
+        by_file = run(capsys, "verify", "--config",
+                      write_config(tmp_path, "bad.json", **{setting: value}))
+        assert by_flag == by_file
+        code, out, err = by_flag
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert error["message"].startswith(f"{setting} must be")
 
 
 class TestRepeatedMain:

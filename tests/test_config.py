@@ -1,11 +1,16 @@
-"""Seeded point sampling against the per-draw reference loop, bitwise."""
+"""Run settings, each checked in its dataclass, and seeded point sampling
+against the per-draw reference loop, bitwise."""
+
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import finvar.config
 from finvar import ConfigError, ProjectivePair, catalog_metric
-from finvar.config import MAX_REJECTIONS, sample_tangent_points
+from finvar.config import (MAX_REJECTIONS, IntegratorSettings, RunConfig,
+                           SampleSettings, load_config, sample_tangent_points)
 
 from conftest import make_pair
 
@@ -84,3 +89,95 @@ def test_a_box_outside_the_domain_keeps_its_message(monkeypatch):
     assert str(info.value) == (
         "could not draw 5 in-domain points from box (2.0, 3.0); box may not "
         "intersect the domain")
+
+
+BASE = {"kind": "euclidean", "dim": 2}
+COMPARISON = {"kind": "klein", "dim": 2}
+POINT = {"x": [0.0, 0.0], "y": [1.0, 0.0]}
+
+
+def file_error(tmp_path, **fields):
+    """The message of the :class:`ConfigError` that ``load_config`` raises
+    for a config file with these top-level fields."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1,
+                                "pair": {"base": BASE,
+                                         "comparison": COMPARISON},
+                                **fields}))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    return str(info.value)
+
+
+# a setting built directly, the same setting in a config file, and the
+# message both get
+SETTING_ERRORS = {
+    "format": (lambda: RunConfig(BASE, COMPARISON, fmt="xml"),
+               {"format": "xml"},
+               "format must be 'json' or 'csv', got 'xml'"),
+    "box_length": (lambda: SampleSettings(box=[0.1]),
+                   {"samples": {"box": [0.1]}},
+                   "samples.box must be [lo, hi], got [0.1]"),
+    "box_type": (lambda: SampleSettings(box=0.1),
+                 {"samples": {"box": 0.1}},
+                 "samples.box must be [lo, hi], got 0.1"),
+    "points_object": (lambda: RunConfig(BASE, COMPARISON, points=POINT),
+                      {"points": POINT},
+                      "config field 'points' must be a list, got "
+                      "{'x': [0.0, 0.0], 'y': [1.0, 0.0]}"),
+    "samples_key": (None, {"samples": {"cnt": 1}},
+                    "unknown key(s) ['cnt'] in config field 'samples'; "
+                    "expected a subset of ['box', 'count', 'trajectories', "
+                    "'velocity_scale']"),
+    "integrator_key": (None, {"integrator": {"tol": 1}},
+                       "unknown key(s) ['tol'] in config field "
+                       "'integrator'; expected a subset of ['atol', "
+                       "'method', 'rtol', 'step', 't_end']"),
+}
+
+
+@pytest.mark.parametrize("name", list(SETTING_ERRORS))
+def test_a_setting_meets_one_check_however_it_is_built(tmp_path, name):
+    build, fields, message = SETTING_ERRORS[name]
+    assert file_error(tmp_path, **fields) == message
+    if build is not None:
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_a_box_of_another_length_is_refused_in_any_sequence():
+    with pytest.raises(ConfigError) as info:
+        SampleSettings(box=(0.1,))
+    assert str(info.value) == "samples.box must be [lo, hi], got (0.1,)"
+
+
+def test_box_and_points_are_stored_as_tuples():
+    assert SampleSettings(box=[-0.1, 0.1]).box == (-0.1, 0.1)
+    cfg = RunConfig(BASE, COMPARISON, points=[POINT])
+    assert cfg.points == (POINT,)
+    # the message of an empty box shows the stored tuple
+    with pytest.raises(ConfigError, match=r"^box \(0\.1, -0\.1\) is empty$"):
+        SampleSettings(box=[0.1, -0.1])
+
+
+def test_replace_reruns_the_checks():
+    cfg = RunConfig(BASE, COMPARISON, points=[POINT])
+    assert replace(cfg, seed=7).points == cfg.points
+    for changes, message in (
+            ({"fmt": "xml"}, "format must be 'json' or 'csv', got 'xml'"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"tolerance": -1.0}, "tolerance must be >= 0, got -1.0")):
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, **changes)
+        assert str(info.value) == message
+    with pytest.raises(ConfigError, match="integrator.method"):
+        replace(IntegratorSettings(), method="euler")
+
+
+def test_sections_are_checked_before_the_run_settings(tmp_path):
+    # each section's dataclass is built before RunConfig, so of two errors
+    # the section's is named first
+    assert file_error(tmp_path, format="xml",
+                      integrator={"method": "euler"}).startswith(
+        "integrator.method must be one of")
