@@ -35,6 +35,21 @@ gradients is +0 or 1, and +-0 plus such an entry is that entry, so what
 remains is the sum of the two cross terms, the cached entry. Every other
 product, a seed plus a number among them, takes the general rule.
 
+:func:`_seeds` returns a seed vector: a list that also keeps the float array
+it was seeded from, its first index, r and m. :func:`gdot` of two seed
+vectors, the |x|^2, |y|^2 and <x, y> that begin the klein, funk and
+euclidean fields, takes one array pass in place of the 2n - 1 hyper-dual
+operations of its generic loop. The value is the loop's left-to-right sum.
+The gradient sums the loop's terms a_k e_{v+k} + b_k e_{u+k} in one
+``np.add.reduce`` that starts from -0.0, the identity of IEEE addition
+(numpy's default start, +0.0, turns a sum of -0.0 into +0.0). A column of
+the terms holds at most two entries that are not signed zeros, and such a
+sum has the same bits in any order (but for the sign of a NaN), so the
+reduction gives the loop's bytes, signed zeros included. The Hessian rows
+are the sum of the n seed-pair blocks, cached read-only per
+(u, v, n, r, m). Any other operand, a slice or a sum of seed vectors
+included, takes the generic loop.
+
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). A stack is evaluated ``LANES`` points at a time, so the
 memory of the intermediate hyper-duals does not grow with the number of
@@ -254,13 +269,60 @@ def lane_scalars(a: np.ndarray) -> list:
     return [a[:, i, None, None] for i in range(a.shape[-1])]
 
 
+class _SeedVector(list):
+    """The seeds that :func:`_seeds` makes, as a list that also keeps the
+    float array they were seeded from, (n,) or (N, n), the index of the
+    first, and the ``rows`` and ``m`` of their hyper-duals. A slice or a sum
+    of such lists is a plain list."""
+
+    __slots__ = ("values", "offset", "rows", "m")
+
+
 def _seeds(values: np.ndarray, m: int, offset: int,
-           rows: int) -> list[HyperDual]:
+           rows: int) -> _SeedVector:
     """Seeds ``offset``.. of the float values of shape (n,), or of the
     lanes of a stack of shape (N, n)."""
     grads, hess = _seed_arrays(rows, m)
-    return [_Seed(v, grads[offset + i], hess, offset + i)
-            for i, v in enumerate(lane_scalars(values))]
+    seeds = _SeedVector(_Seed(v, grads[offset + i], hess, offset + i)
+                        for i, v in enumerate(lane_scalars(values)))
+    seeds.values, seeds.offset, seeds.rows, seeds.m = values, offset, rows, m
+    return seeds
+
+
+@functools.cache
+def _seed_dot_arrays(u: int, v: int, n: int, rows: int, m: int):
+    """What the inner product of seeds u.. and v.. (n each) over ``m``
+    variables with ``rows`` Hessian rows needs: the unit gradients
+    e_{u+k} and e_{v+k} as rows of (n, m), and the sum of the n seed-pair
+    Hessians in the order of the generic loop; read-only and lane-free."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    hess = _seed_pair_hessian(u, v, rows, m)
+    for k in range(1, n):
+        hess = hess + _seed_pair_hessian(u + k, v + k, rows, m)
+    hess.flags.writeable = False
+    return eye[u:u + n], eye[v:v + n], hess
+
+
+def _seed_dot(u: _SeedVector, v: _SeedVector) -> HyperDual:
+    """:func:`gdot` of two seed vectors in one array pass, with the bytes of
+    the generic loop (see the module docstring)."""
+    a, b = u.values, v.values
+    e_u, e_v, hess = _seed_dot_arrays(u.offset, v.offset, len(u), u.rows,
+                                      u.m)
+    if a.ndim == 1:
+        val = u[0].val * v[0].val
+        for s, t in zip(u[1:], v[1:]):
+            val = val + s.val * t.val
+    else:
+        # accumulate, not reduce: a sum in order, as the loop's
+        val = np.add.accumulate(a * b, axis=1)[:, -1, None, None]
+        e_u, e_v = e_u[..., None], e_v[..., None]
+    # the loop's gradient terms a_k e_{v+k} + b_k e_{u+k}: (n, m) at one
+    # point, (n, m, N) with the lanes last over a stack
+    terms = a.T[:, None] * e_v + b.T[:, None] * e_u
+    grad = np.add.reduce(terms, axis=0, initial=-0.0)
+    return HyperDual(val, grad.T[..., None, :], hess)
 
 
 def gsqrt(z):
@@ -274,7 +336,11 @@ def gsqrt(z):
 
 
 def gdot(u, v):
-    """Inner product of two sequences of generic scalars."""
+    """Inner product of two sequences of generic scalars: in one array pass
+    for two seed vectors of one layout, else by the generic loop."""
+    if (isinstance(u, _SeedVector) and isinstance(v, _SeedVector)
+            and u.values.shape == v.values.shape):
+        return _seed_dot(u, v)
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b

@@ -389,11 +389,21 @@ def _emit(cfg: RunConfig, command: str, report: dict) -> None:
         sys.stdout.write(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser that refuses a malformed command line with
+    :class:`ConfigError`, so that it exits 2 with one JSON line, as a bad
+    config value does; ``--help`` still prints and exits 0. Subcommand
+    parsers take this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parsing leaves the parser unchanged, so
     # repeated in-process calls of main share it
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="finvar",
         description="First integrals of projectively related Finsler metrics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -412,8 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # numpy's floating-point warnings stay off stderr: an overflow that
         # matters is certified where it enters a result and raised as a
         # typed error

@@ -165,6 +165,7 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(pair, dict) or "base" not in pair or "comparison" not in pair:
         raise ConfigError("config field 'pair' needs 'base' and 'comparison' "
                           "metric descriptors")
+    check_keys(pair, {"base", "comparison"}, "config field 'pair'")
     sections = {}
     for key, settings in (("samples", SampleSettings),
                           ("integrator", IntegratorSettings)):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from finvar import (DegenerateVelocity, DomainError, NonFiniteResult,
                     ProjectivePair)
-from finvar.autodiff import (HyperDual, Jet2, _seed_pair_hessian, gsqrt,
-                             lane_power, xy_jet2)
+from finvar import autodiff
+from finvar.autodiff import (LANES, HyperDual, Jet2, _SeedVector,
+                             _seed_dot_arrays, _seed_pair_hessian, _seeds,
+                             gdot, gsqrt, lane_power, xy_jet2)
 
 import symbolic_oracle
 from conftest import (catalog_metrics, jet_seeds, make_metric, metric_id,
@@ -282,6 +284,76 @@ def test_seed_product_rule_equals_the_general_rule_bytewise(a, b):
                         np.broadcast_to(got.grad, ref.grad.shape), ref.grad)
                     assert_same_bytes(
                         np.broadcast_to(got.hess, ref_hess.shape), ref_hess)
+
+
+# -- inner products of seed vectors in one pass --------------------------------
+
+# the operands of |x|^2, |y|^2 and <x, y>
+DOT_OPERANDS = {"xx": lambda xs, ys: (xs, xs), "yy": lambda xs, ys: (ys, ys),
+                "xy": lambda xs, ys: (xs, ys)}
+
+
+@st.composite
+def dot_case(draw):
+    n = draw(st.sampled_from([2, 3, 5, 8]))
+    # 0: one point; a stack of more than LANES points spans two chunks
+    count = draw(st.one_of(st.just(0), st.integers(1, LANES + 6)))
+    shape = (n,) if count == 0 else (count, n)
+    size = n * max(count, 1)
+    x = np.array(draw(st.lists(COORD, min_size=size, max_size=size)))
+    y = np.array(draw(st.lists(VELOCITY, min_size=size, max_size=size)))
+    x, y = x.reshape(shape), y.reshape(shape)
+    # one nonzero velocity entry; the others may be signed zeros
+    y[..., draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.5, -0.5]))
+    return n, x, y
+
+
+@given(case=dot_case(), operands=st.sampled_from(sorted(DOT_OPERANDS)))
+@settings(max_examples=100, deadline=None)
+def test_seed_vector_dot_equals_the_generic_loop_bytewise(case, operands):
+    n, x, y = case
+    pick = DOT_OPERANDS[operands]
+
+    def field(xs, ys):
+        u, v = pick(xs, ys)
+        assert isinstance(u, _SeedVector) and isinstance(v, _SeedVector)
+        res = gdot(u, v)
+        # the one-pass product: its Hessian rows are the cached block
+        assert res.hess is _seed_dot_arrays(u.offset, v.offset, n, n,
+                                            2 * n)[2]
+        return res
+
+    jet = xy_jet2(field, x, y)
+    # plain lists of hyper-duals: the generic loop with full Hessians
+    ref = gdot(*pick(fresh_seeds(x, 2 * n, 0), fresh_seeds(y, 2 * n, n)))
+    lanes = x.shape[:-1]
+    assert_same_bytes(jet.value, np.reshape(ref.val, lanes))
+    assert_same_bytes(jet.grad, np.reshape(ref.grad, lanes + (2 * n,)))
+    full = np.broadcast_to(ref.hess, lanes + (2 * n, 2 * n))
+    assert_same_bytes(jet.hess, full[..., n:, :])
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_other_operands_of_gdot_take_the_generic_loop(monkeypatch, count):
+    calls = []
+    one_pass = autodiff._seed_dot
+    monkeypatch.setattr(autodiff, "_seed_dot",
+                        lambda u, v: calls.append(1) or one_pass(u, v))
+    x = np.array([0.3, -0.0, 0.2])
+    y = np.array([-0.5, -0.0, 1.0])
+    if count:
+        x, y = np.tile(x, (count, 1)), np.tile(y, (count, 1))
+    xs, ys = _seeds(x, 6, 0, 3), _seeds(y, 6, 3, 3)
+    floats = [0.1, -0.2, 0.3]
+    # a point against a stack, or a stack against a point
+    other = _seeds(np.tile(y, (3, 1)) if not count else y[0], 6, 3, 3)
+    for u, v in ((xs[:], ys[:]), (xs[1:], ys[1:]), (list(xs), ys),
+                 (xs, ys + []), (floats, ys), (xs, floats), (xs, other)):
+        gdot(u, v)
+    assert calls == []
+    assert isinstance(gdot(floats, floats), float)
+    gdot(xs, ys)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 2.0 / 3.0, 0.25])

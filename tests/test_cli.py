@@ -785,6 +785,39 @@ class TestCliContract:
         assert error["error"] == "config"
         assert error["message"].startswith(f"{setting} must be")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--config", "CFG", "--seed", "abc"],
+         "finvar verify: argument --seed: invalid int value: 'abc'"),
+        (["verify", "--config", "CFG", "--format", "xml"],
+         "finvar verify: argument --format: invalid choice: 'xml'"),
+        (["verify", "--config", "CFG", "--tolerance", "tight"],
+         "finvar verify: argument --tolerance: invalid float value"),
+        (["verify"], "finvar verify: the following arguments are required: "
+                     "--config"),
+        (["verify", "--config", "CFG", "--sed", "1"],
+         "finvar: unrecognized arguments: --sed 1"),
+        (["validate", "--config", "CFG"],
+         "finvar: argument command: invalid choice: 'validate'"),
+        ([], "finvar: the following arguments are required: command")])
+    def test_a_malformed_command_line_is_a_config_error(self, tmp_path,
+                                                        capsys, argv,
+                                                        message):
+        cfg = write_config(tmp_path)
+        code, out, err = run(capsys, *(cfg if a == "CFG" else a
+                                       for a in argv))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "config"
+        assert error["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: finvar") and captured.err == ""
+
 
 class TestRepeatedMain:
     """main may be called many times in one process; its parser is built
@@ -816,10 +849,9 @@ class TestRepeatedMain:
 
     def test_argv_error_then_valid_call(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--config", cfg, "--format", "xml"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        code, _, err = run(capsys, "verify", "--config", cfg,
+                           "--format", "xml")
+        assert code == 2 and json.loads(err)["error"] == "config"
         code, out, err = run(capsys, "verify", "--config", cfg)
         assert code == 0 and err == ""
         assert json.loads(out)["verdict"] == "pass"

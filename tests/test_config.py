@@ -129,6 +129,10 @@ SETTING_ERRORS = {
                     "unknown key(s) ['cnt'] in config field 'samples'; "
                     "expected a subset of ['box', 'count', 'trajectories', "
                     "'velocity_scale']"),
+    "pair_key": (None, {"pair": {"base": BASE, "comparison": COMPARISON,
+                                 "comparsion": {"kind": "funk", "dim": 2}}},
+                 "unknown key(s) ['comparsion'] in config field 'pair'; "
+                 "expected a subset of ['base', 'comparison']"),
     "integrator_key": (None, {"integrator": {"tol": 1}},
                        "unknown key(s) ['tol'] in config field "
                        "'integrator'; expected a subset of ['atol', "
