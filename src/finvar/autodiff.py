@@ -25,30 +25,26 @@ bitwise. Evaluating N points at once, the structure-of-arrays form of
 vectorized forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13), replaces N interpreted passes by one.
 
-Seeds share cached read-only unit gradients and zero Hessians, and each
-knows the index of its variable. A product of seeds i and j computes only
-its value and gradient: its Hessian rows are the kept rows of
-e_i e_j^T + e_j e_i^T, cached per (i, j, r, m), read-only and lane-free.
-For finite values that is what the general rule gives, bit for bit: its
-terms value times zero Hessian add up to +-0, each cross entry of two unit
-gradients is +0 or 1, and +-0 plus such an entry is that entry, so what
-remains is the sum of the two cross terms, the cached entry. Every other
-product, a seed plus a number among them, takes the general rule.
-
-:func:`_seeds` returns a seed vector: a list that also keeps the float array
-it was seeded from, its first index, r and m. :func:`gdot` of two seed
-vectors, the |x|^2, |y|^2 and <x, y> that begin the klein, funk and
-euclidean fields, takes one array pass in place of the 2n - 1 hyper-dual
-operations of its generic loop. The value is the loop's left-to-right sum.
-The gradient sums the loop's terms a_k e_{v+k} + b_k e_{u+k} in one
-``np.add.reduce`` that starts from -0.0, the identity of IEEE addition
-(numpy's default start, +0.0, turns a sum of -0.0 into +0.0). A column of
-the terms holds at most two entries that are not signed zeros, and such a
-sum has the same bits in any order (but for the sign of a NaN), so the
-reduction gives the loop's bytes, signed zeros included. The Hessian rows
-are the sum of the n seed-pair blocks, cached read-only per
-(u, v, n, r, m). Any other operand, a slice or a sum of seed vectors
-included, takes the generic loop.
+Seeds are plain hyper-duals that share cached read-only unit gradients and
+zero Hessians, and every product of two hyper-duals takes the one rule
+above. :func:`_seeds` returns a seed vector: a list that also keeps the
+float array it was seeded from, its first index, r and m. :func:`gdot` of
+two seed vectors, the |x|^2, |y|^2 and <x, y> that begin the klein, funk
+and euclidean fields, takes one array pass in place of the 2n - 1
+hyper-dual operations of its generic loop. The value is the loop's
+left-to-right sum. The gradient sums the loop's terms
+a_k e_{v+k} + b_k e_{u+k} in one ``np.add.reduce`` that starts from -0.0,
+the identity of IEEE addition (numpy's default start, +0.0, turns a sum of
+-0.0 into +0.0). A column of the terms holds at most two entries that are
+not signed zeros, and such a sum has the same bits in any order (but for
+the sign of a NaN), so the reduction gives the loop's bytes, signed zeros
+included. The Hessian rows are the kept rows of E_u^T E_v + E_v^T E_u, with
+E_u and E_v the unit gradients of the two vectors as rows, cached read-only
+per (u, v, n, r, m): integers (+0, 1 or 2), exact in any order. For finite
+values they are the loop's bytes: its terms value times zero Hessian add up
+to +-0, and +-0 plus a cross entry of two unit gradients, +0 or 1, is that
+entry. Any other operand, a slice or a sum of seed vectors included, takes
+the generic loop.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). A stack is evaluated ``LANES`` points at a time, so the
@@ -65,7 +61,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateVelocity, FinvarError, NonFiniteResult
+from .errors import (ConfigError, DegenerateVelocity, FinvarError,
+                     NonFiniteResult)
 
 # Square-root arguments below this floor correspond to a metric value under
 # ~1e-13; differentiating through them yields NaN-contaminated jets, so the
@@ -89,17 +86,6 @@ def _seed_arrays(rows: int, m: int):
 def _kept_outer(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
     """a_i * b_j over the last ``rows`` rows i, in either lane layout."""
     return a[..., a.shape[-1] - rows:].swapaxes(-1, -2) * b
-
-
-@functools.cache
-def _seed_pair_hessian(i: int, j: int, rows: int, m: int) -> np.ndarray:
-    """The kept rows of e_i e_j^T + e_j e_i^T, the Hessian of the product of
-    seeds i and j: read-only and lane-free."""
-    unit = _seed_arrays(rows, m)[0]
-    block = (_kept_outer(unit[i], unit[j], rows)
-             + _kept_outer(unit[j], unit[i], rows))
-    block.flags.writeable = False
-    return block
 
 
 # -- lanes --------------------------------------------------------------------
@@ -203,17 +189,13 @@ class HyperDual:
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            h = self.hess
-            if isinstance(self, _Seed) and isinstance(other, _Seed):
-                hess = _seed_pair_hessian(self.index, other.index,
-                                          *h.shape[-2:])
-            else:
-                a, b, rows = self.grad, other.grad, h.shape[-2]
-                hess = (self.val * other.hess + other.val * h
-                        + _kept_outer(a, b, rows) + _kept_outer(b, a, rows))
+            a, b, h = self.grad, other.grad, self.hess
+            rows = h.shape[-2]
             return HyperDual(self.val * other.val,
-                             self.val * other.grad + other.val * self.grad,
-                             hess)
+                             self.val * b + other.val * a,
+                             self.val * other.hess + other.val * h
+                             + _kept_outer(a, b, rows)
+                             + _kept_outer(b, a, rows))
         return HyperDual(self.val * other, other * self.grad, other * self.hess)
 
     __rmul__ = __mul__
@@ -247,20 +229,6 @@ class HyperDual:
                          d1 * h + d2 * _kept_outer(g, g, h.shape[-2]))
 
 
-class _Seed(HyperDual):
-    """A seeded variable: the unit gradient of variable ``index`` and a zero
-    Hessian. Arithmetic on seeds gives plain hyper-duals."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, val, grad: np.ndarray, hess: np.ndarray, index: int):
-        # not through super().__init__: every pass makes 2n seeds
-        self.val = val
-        self.grad = grad
-        self.hess = hess
-        self.index = index
-
-
 def lane_scalars(a: np.ndarray) -> list:
     """A point's coordinates (n,) as Python floats, or a stack's (N, n) as
     one (N, 1, 1) array each: the ``val`` layouts of :class:`HyperDual`."""
@@ -283,7 +251,7 @@ def _seeds(values: np.ndarray, m: int, offset: int,
     """Seeds ``offset``.. of the float values of shape (n,), or of the
     lanes of a stack of shape (N, n)."""
     grads, hess = _seed_arrays(rows, m)
-    seeds = _SeedVector(_Seed(v, grads[offset + i], hess, offset + i)
+    seeds = _SeedVector(HyperDual(v, grads[offset + i], hess)
                         for i, v in enumerate(lane_scalars(values)))
     seeds.values, seeds.offset, seeds.rows, seeds.m = values, offset, rows, m
     return seeds
@@ -293,15 +261,15 @@ def _seeds(values: np.ndarray, m: int, offset: int,
 def _seed_dot_arrays(u: int, v: int, n: int, rows: int, m: int):
     """What the inner product of seeds u.. and v.. (n each) over ``m``
     variables with ``rows`` Hessian rows needs: the unit gradients
-    e_{u+k} and e_{v+k} as rows of (n, m), and the sum of the n seed-pair
-    Hessians in the order of the generic loop; read-only and lane-free."""
+    e_{u+k} and e_{v+k} as the rows of (n, m) arrays E_u and E_v, and the
+    kept rows of the Hessian E_u^T E_v + E_v^T E_u; read-only and
+    lane-free."""
     eye = np.eye(m)
     eye.flags.writeable = False
-    hess = _seed_pair_hessian(u, v, rows, m)
-    for k in range(1, n):
-        hess = hess + _seed_pair_hessian(u + k, v + k, rows, m)
+    e_u, e_v = eye[u:u + n], eye[v:v + n]
+    hess = (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
     hess.flags.writeable = False
-    return eye[u:u + n], eye[v:v + n], hess
+    return e_u, e_v, hess
 
 
 def _seed_dot(u: _SeedVector, v: _SeedVector) -> HyperDual:
@@ -361,6 +329,15 @@ class Jet2:
     hess: np.ndarray
 
 
+def check_shapes(x: np.ndarray, y: np.ndarray) -> None:
+    """Refuse a base point and a velocity unless they are vectors (n,), or
+    non-empty stacks of them (N, n), of equal shape."""
+    if x.shape != y.shape or x.ndim not in (1, 2) or not x.size:
+        raise ConfigError(
+            f"x and y must be vectors, or non-empty stacks of them, of "
+            f"equal shape, got {x.shape} and {y.shape}")
+
+
 def check_velocity(y: np.ndarray) -> None:
     """Refuse a velocity (n,), or a row of a stack (N, n), of all zeros."""
     # one point in floats, 0.13 us against 1.7 us as a one-row stack; a NaN
@@ -377,11 +354,13 @@ def xy_jet2(f, x, y) -> Jet2:
 
     ``hess`` holds the velocity rows ``[F_yx | F_yy]``, of shape (n, 2n).
     ``x`` and ``y`` of shape (n,) give the jet at one point; stacks of shape
-    (N, n) give the jets at N points, evaluated ``LANES`` at a time. An
-    error from a stack names the index of its first failing point.
+    (N, n) give the jets at N points, evaluated ``LANES`` at a time. Shapes
+    that differ raise :class:`ConfigError`. An error from a stack names the
+    index of its first failing point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    check_shapes(x, y)
     check_velocity(y)
     n = y.shape[-1]
     m = 2 * n

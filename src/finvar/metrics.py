@@ -48,8 +48,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .autodiff import (Jet2, Lanes, check_lanes, check_velocity, floor_error,
-                       gdot, gsqrt, lane, lane_scalars, xy_jet2)
+from .autodiff import (Jet2, Lanes, check_lanes, check_shapes, check_velocity,
+                       floor_error, gdot, gsqrt, lane, lane_scalars, xy_jet2)
 from .errors import ConfigError, DomainError, FinvarError
 
 # Points closer to a domain boundary than this margin are rejected to avoid
@@ -109,11 +109,7 @@ class TangentPoint(Lanes):
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if (self.x.shape != self.y.shape or self.x.ndim not in (1, 2)
-                or not self.x.size):
-            raise ConfigError(
-                f"x and y must be vectors, or non-empty stacks of them, of "
-                f"equal shape, got {self.x.shape} and {self.y.shape}")
+        check_shapes(self.x, self.y)
         if self.dim < 2:
             raise ConfigError("dimension must be at least 2")
         check_velocity(self.y)

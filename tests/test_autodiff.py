@@ -1,16 +1,20 @@
 """Hyper-dual jets against hand values and exact symbolic derivatives."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar import (DegenerateVelocity, DomainError, NonFiniteResult,
-                    ProjectivePair)
+from finvar import (ConfigError, DegenerateVelocity, DomainError,
+                    NonFiniteResult, ProjectivePair, TangentPoint,
+                    catalog_metric, metric_jet, rapcsak_residual)
 from finvar import autodiff
 from finvar.autodiff import (LANES, HyperDual, Jet2, _SeedVector,
-                             _seed_dot_arrays, _seed_pair_hessian, _seeds,
-                             gdot, gsqrt, lane_power, xy_jet2)
+                             _seed_dot_arrays, _seeds, gdot, gsqrt,
+                             lane_power, lane_scalars, xy_jet2)
 
 import symbolic_oracle
 from conftest import (catalog_metrics, jet_seeds, make_metric, metric_id,
@@ -187,6 +191,65 @@ def test_domain_violation_raises():
         make_metric("klein", 2).jet2([1.5, 0.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("x, y", [
+    (np.zeros((3, 2)), np.ones((2, 2))),   # not broadcastable
+    (np.zeros(2), np.ones((2, 2))),        # one base point, two velocities
+], ids=["stacks", "point-and-stack"])
+def test_base_point_and_velocity_of_different_shapes_are_refused(x, y):
+    message = f"of equal shape, got {x.shape} and {y.shape}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        xy_jet2(EUCLID, x, y)
+    with pytest.raises(ConfigError) as exc:
+        make_metric("klein", 2).jet2(x, y)
+    assert str(exc.value).startswith("klein: x and y must be vectors")
+    assert message in str(exc.value)
+
+
+CURVED_X1 = {"kind": "riemannian", "dim": 2, "field": "curved_x1"}
+X2_DX1 = {"kind": "randers", "dim": 2, "beta": {"covector": "x2_dx1"}}
+
+
+@pytest.mark.parametrize("desc, x, y, product, value, other_first", [
+    # xs[0] * xs[0]; the comparison jet fails rapcsak's finiteness check
+    (CURVED_X1, [math.inf, 0.1], [0.3, 1.0], (0, 0), "inf",
+     "riemannian[curved_x1]: value or derivatives not finite"),
+    # xs[1] * ys[0]; the euclidean base fails first at that velocity
+    (X2_DX1, [0.1, 0.5], [math.inf, 1.0], (1, 2), "inf",
+     "euclidean: value inf not finite"),
+    (X2_DX1, [0.1, -0.5], [math.inf, 1.0], (1, 2), "nan",
+     "euclidean: value inf not finite"),
+], ids=["curved_x1", "x2_dx1-inf", "x2_dx1-nan"])
+def test_a_non_finite_seed_product_follows_a_non_finite_value(
+        desc, x, y, product, value, other_first):
+    # a seed product with a non-finite factor has NaN Hessian rows, value
+    # times zero Hessian; the metric value is then non-finite too, and every
+    # entry fails on it with the typed error it raised when seed products
+    # took cached Hessian blocks
+    metric = catalog_metric(desc)
+    euclid = make_metric("euclidean", 2)
+    with np.errstate(all="ignore"):
+        seeds = jet_seeds(x, y)
+        assert np.isnan((seeds[product[0]] * seeds[product[1]]).hess).any()
+        F = metric.evaluator(lane_scalars(np.array(x)),
+                             lane_scalars(np.array(y)))
+        assert not math.isfinite(F)
+        for points, where in (
+                (TangentPoint(x, y), ""),
+                (TangentPoint([[0.1, 0.2], x], [[1.0, 0.5], y]),
+                 " (point 1)")):
+            own = f"{metric.name}: value {value} not finite{where}"
+            for run, expect in (
+                    (lambda: metric_jet(metric, points), own),
+                    (lambda: rapcsak_residual(
+                        ProjectivePair(metric, euclid), points), own),
+                    (lambda: rapcsak_residual(
+                        ProjectivePair(euclid, metric), points),
+                     other_first + where)):
+                with pytest.raises(NonFiniteResult) as exc:
+                    run()
+                assert str(exc.value) == expect
+
+
 def test_velocity_jet_matches_joint_jet_blocks():
     # seeding only y, with a float base point, must reproduce the y blocks
     # of the joint (x, y) pass, and a plain float evaluation its value
@@ -203,8 +266,8 @@ def test_velocity_jet_matches_joint_jet_blocks():
 
 def fresh_seeds(values, m, offset):
     """Seeds with freshly allocated gradients and full (m, m) zero Hessians,
-    one per seed: plain hyper-duals, so no product of them takes the seed
-    rule, and a pass over them is the general full-Hessian rule."""
+    one per seed, in a plain list, so a pass over them is the general
+    full-Hessian rule."""
     values = np.asarray(values, dtype=float)
     lanes = values.shape[:-1]
     seeds = []
@@ -273,9 +336,7 @@ def test_seed_product_rule_equals_the_general_rule_bytewise(a, b):
         for i in range(m):
             for j in range(m):
                 w = seeds[i] * seeds[j]
-                assert w.hess is _seed_pair_hessian(i, j, rows, m)
-                assert not w.hess.flags.writeable
-                shifted = (seeds[i] + 1.0) * seeds[j]  # the general rule
+                shifted = (seeds[i] + 1.0) * seeds[j]
                 for got, ref in ((w, fresh[i] * fresh[j]),
                                  (shifted, (fresh[i] + 1.0) * fresh[j])):
                     ref_hess = ref.hess[..., m - rows:, :]

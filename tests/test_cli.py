@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar.autodiff import _seed_arrays, _seed_pair_hessian
+from finvar.autodiff import _seed_arrays, _seed_dot_arrays
 from finvar.cli import _build_parser, main
 from finvar.metrics import MAX_NESTING
 
@@ -395,7 +395,7 @@ class TestCliContract:
             samples={"count": 4, "trajectories": 1},
             integrator={"t_end": 0.2}, seed=7)
         _seed_arrays.cache_clear()
-        _seed_pair_hessian.cache_clear()
+        _seed_dot_arrays.cache_clear()
         argv = (command, "--config", cfg, "--format", fmt)
         first = run(capsys, *argv)
         assert first[0] == 0 and first[1]

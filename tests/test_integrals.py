@@ -1,19 +1,22 @@
 """H tensor, characteristic polynomial, first integrals, closed-form checks."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar import (ConfigError, ProjectivePair, SingularMetric, TangentPoint,
-                    build_H, charpoly_coefficients, f1_closed_form,
-                    first_integrals, fn1_closed_form, integrals_along,
-                    integrate_geodesic, mu, pair_jets, painleve_I0,
-                    sarlet_K, tm_I1)
+from finvar import (ConfigError, PairJets, ProjectivePair, SingularMetric,
+                    TangentPoint, build_H, charpoly_coefficients,
+                    f1_closed_form, first_integrals, fn1_closed_form,
+                    integrals_along, integrate_geodesic, mu, pair_jets,
+                    painleve_I0, sarlet_K, tm_I1)
 from finvar.oracle import charpoly_by_interpolation
 
-from conftest import (PASSING_KINDS, catalog_metric, make_metric, make_pair,
-                      sample_points)
+from conftest import (PASSING_KINDS, catalog_metric, catalog_metrics,
+                      make_metric, make_pair, randers_extras, sample_points)
 
 
 def scaled_pair(base_kind, n, c):
@@ -131,6 +134,90 @@ class TestFirstIntegrals:
                 H = build_H(pair_jets(pair, p))
                 q0 = charpoly_coefficients(H)[0]
                 assert abs(q0) <= 1e-10 * np.linalg.norm(H) ** 3
+
+
+def times(metric, c):
+    """``metric`` with its field multiplied by ``c``."""
+    return dataclasses.replace(
+        metric, name=f"{c} {metric.name}",
+        evaluator=lambda xs, ys, f=metric.evaluator: c * f(xs, ys))
+
+
+SCALES = st.sampled_from([1e-6, 1.0, 1e6])
+
+
+@st.composite
+def scaled_pair_points(draw):
+    """A pair of catalog metrics, the negative controls (``curved_x1`` and
+    the ``x2_dx1`` Randers metric) included, each scaled by 1e-6, 1 or 1e6,
+    in a dimension n = 2..8, and a stack of in-domain points of the pair."""
+    n = draw(st.integers(2, 8))
+    families = catalog_metrics(n) + randers_extras(n)
+    pick = st.integers(0, len(families) - 1)
+    pair = ProjectivePair(times(families[draw(pick)], draw(SCALES)),
+                          times(families[draw(pick)], draw(SCALES)))
+    points = sample_points(pair, draw(st.integers(1, 6)),
+                           seed=draw(st.integers(0, 2 ** 16)))
+    return pair, points
+
+
+class TestPairAlgebra:
+    """Identities between the H of a pair and of the swapped pair, both from
+    the same two jets at each point; they hold for any two metrics, related
+    or not."""
+
+    @given(case=scaled_pair_points())
+    @settings(max_examples=200, deadline=None)
+    def test_swap_duality_and_cocycle(self, case):
+        pair, points = case
+        n = pair.dim
+        jets = pair_jets(pair, points)
+        forward = first_integrals(jets)
+        swapped = first_integrals(PairJets(jets.comparison, jets.base))
+        # f_alpha(F~, F) = f_{n+1-alpha}(F, F~) / f_1(F, F~)
+        f = forward.f
+        dual = f[:, ::-1] / f[:, :1]
+        assert np.all(np.abs(swapped.f - dual) <= 1e-12 * np.abs(dual))
+        # H(F, F~) H(F~, F) = I - y F_y^T / F, the projector along y
+        base = jets.base
+        projector = np.eye(n) - (points.y[:, :, None] * base.F_y[:, None, :]
+                                 / base.F[:, None, None])
+        product = forward.H @ swapped.H
+        scale = (np.linalg.norm(forward.H, axis=(1, 2))
+                 * np.linalg.norm(swapped.H, axis=(1, 2)))
+        assert np.all(np.abs(product - projector).max(axis=(1, 2))
+                      <= 1e-12 * scale)
+
+    @given(n=st.integers(2, 8),
+           alpha=st.sampled_from(["euclidean", "const_diag", "curved_x1"]),
+           beta=st.sampled_from(["linear", "quadratic", "x2_dx1"]),
+           params=st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=200, deadline=None)
+    def test_randers_over_the_base_alpha_has_binomial_integrals(
+            self, n, alpha, beta, params, seed):
+        # h~ = (F~ / alpha) h_alpha, so H = g^-1 h_alpha = I - y F_y^T / F
+        # is a projector of rank n - 1 whether beta is closed or not.
+        # Coefficients scaled by 1/sqrt(n) keep a linear beta at
+        # ||beta||_alpha <= 1/2, inside the Randers condition for each alpha
+        coeffs = [c / math.sqrt(n) for c in params[:n]]
+        fields = {"euclidean": {},
+                  "const_diag": {"alpha_params": list(range(2, n + 2))},
+                  "curved_x1": {"alpha_field": "curved_x1"}}[alpha]
+        comparison = {"kind": "randers", "dim": n, **fields,
+                      "beta": ({"covector": beta} if beta == "x2_dx1" else
+                               {"potential": beta, "params": coeffs})}
+        base = {"euclidean": {"kind": "euclidean", "dim": n},
+                "const_diag": {"kind": "riemannian", "dim": n,
+                               "params": list(range(2, n + 2))},
+                "curved_x1": {"kind": "riemannian", "dim": n,
+                              "field": "curved_x1"}}[alpha]
+        pair = ProjectivePair(catalog_metric(base),
+                              catalog_metric(comparison))
+        points = sample_points(pair, 5, seed=seed)
+        f = first_integrals(pair_jets(pair, points)).f
+        binomials = np.array([math.comb(n - 1, a) for a in range(n)])
+        assert np.all(np.abs(f - binomials) <= 1e-12 * binomials)
 
 
 class TestClosedForms:

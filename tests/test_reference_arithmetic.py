@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from finvar import SingularMetric, linalg, metrics
-from finvar.autodiff import (HyperDual, Jet2, _seed_arrays,
-                             _seed_pair_hessian, lane_power)
+from finvar.autodiff import (HyperDual, Jet2, _seed_arrays, _seed_dot_arrays,
+                             lane_power)
 from finvar.oracle import _perm_sign, delta_alpha_combinatorial
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -153,13 +153,16 @@ def test_sqrt_and_reciprocal_take_the_bytes_of_the_kept_rows(n, layout):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_seed_pair_block_takes_the_bytes_of_the_sliced_block(n):
+def test_seed_dot_hessian_takes_the_bytes_of_the_seed_pair_blocks(n):
+    # |x|^2, |y|^2, <x, y> and <y, x>: the n blocks summed in loop order
     m = 2 * n
-    for i in range(m):
-        for j in range(m):
-            block = _seed_pair_hessian(i, j, n, m)
-            assert not block.flags.writeable
-            assert_same_bytes(block, old_seed_pair_hessian(i, j, n, m))
+    for u, v in itertools.product((0, n), repeat=2):
+        hess = _seed_dot_arrays(u, v, n, n, m)[2]
+        assert not hess.flags.writeable
+        ref = old_seed_pair_hessian(u, v, n, m)
+        for k in range(1, n):
+            ref = ref + old_seed_pair_hessian(u + k, v + k, n, m)
+        assert_same_bytes(hess, ref)
 
 
 # -- the metric-jet assembly ------------------------------------------------

@@ -46,15 +46,36 @@ def _ball_config(base: str, comparison: str, n: int, *,
     }
 
 
+def _curved_config(base: dict, comparison: dict) -> dict:
+    """A pair whose fields multiply two seeds outside ``gdot``, run like the
+    ball pairs."""
+    return {"schema_version": 1,
+            "pair": {"base": base, "comparison": comparison},
+            "samples": {"count": 4, "trajectories": 1},
+            "integrator": {"t_end": 0.2},
+            "seed": 7}
+
+
 def configs() -> dict[str, dict]:
-    """Every config run by all commands, by name: the shipped ones and small
-    ball-metric pairs."""
+    """Every config run by all commands, by name: the shipped ones, small
+    ball-metric pairs, and small pairs with a curved_x1 alpha or an x2_dx1
+    beta."""
     out = {path.name: json.loads(path.read_text())
            for path in sorted((ROOT / "configs").glob("*.json"))}
     for base, comparison in BALL_PAIRS:
         for n in (2, 3, 5, 8):
             out[f"{base}_{comparison}_n{n}"] = _ball_config(base, comparison,
                                                             n)
+    for n in (2, 3):
+        # not closed: a negative control
+        out[f"euclidean_randers_x2_dx1_n{n}"] = _curved_config(
+            {"kind": "euclidean", "dim": n},
+            {"kind": "randers", "dim": n, "beta": {"covector": "x2_dx1"}})
+        # closed beta over the base's own alpha: a related curved pair
+        out[f"curved_x1_randers_quadratic_n{n}"] = _curved_config(
+            {"kind": "riemannian", "dim": n, "field": "curved_x1"},
+            {"kind": "randers", "dim": n, "alpha_field": "curved_x1",
+             "beta": {"potential": "quadratic", "params": [0.5] * n}})
     return out
 
 
