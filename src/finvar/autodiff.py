@@ -8,8 +8,9 @@ evaluated with plain floats or with hyper-duals.
 
 It keeps the Hessian rows of the last ``r`` variables, as many as its seeds
 have: from :func:`xy_jet2` the velocity rows ``[F_yx | F_yy]`` (r = n,
-m = 2n), all the package reads. One class and one arithmetic code path serve
-two lane layouts:
+m = 2n), all the package reads, or F_yy alone (r = m = n) from a pass that
+seeds the velocity alone. One class and one arithmetic code path serve two
+lane layouts:
 
 * **one point:** ``val`` is a Python float, ``grad`` has shape (1, m) and
   ``hess`` (r, m);
@@ -43,14 +44,25 @@ E_u and E_v the unit gradients of the two vectors as rows, cached read-only
 per (u, v, n, r, m): integers (+0, 1 or 2), exact in any order. For finite
 values they are the loop's bytes: its terms value times zero Hessian add up
 to +-0, and +-0 plus a cross entry of two unit gradients, +0 or 1, is that
-entry. Any other operand, a slice or a sum of seed vectors included, takes
-the generic loop.
+entry.
+
+A velocity-only pass hands the field x as :func:`lane_scalars`, so <x, y>
+and a Randers metric's beta . y are Python floats, or lanes of the stack,
+against a seed vector; :func:`gdot` forms these in one array pass too
+(:func:`_scaled_dot`). Any other operand, a slice or a sum of seed vectors
+or a mix of floats and lanes included, takes the generic loop.
+``HyperDual.__array_ufunc__`` is None, so a lane array times a hyper-dual
+defers to the hyper-dual, as a float does.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
-them of shape (N, n). A stack is evaluated ``LANES`` points at a time, so the
-memory of the intermediate hyper-duals does not grow with the number of
-points. Dense storage is deliberate: the working range is a handful of
-variables (m <= 16), where flat numpy arrays beat any sparsity bookkeeping.
+them of shape (N, n). Without x-seeds its jet has the bytes of the velocity
+blocks of the x-seeded pass: x-seeds add to a velocity entry only terms
+that are signed zeros, which leave every other entry as it is, and a chunk
+whose F_y or F_yy holds a zero is evaluated again with them. A stack is
+evaluated ``LANES`` points at a time, so the memory of the intermediate
+hyper-duals does not grow with the number of points. Dense storage is
+deliberate: the working range is a handful of variables (m <= 16), where
+flat numpy arrays beat any sparsity bookkeeping.
 """
 
 from __future__ import annotations
@@ -105,8 +117,9 @@ class Lanes:
     """
 
     def __getitem__(self, i):
-        return type(self)(*(_item(getattr(self, f.name)[i])
-                            for f in fields(self)))
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self)(*(None if v is None else _item(v[i])
+                            for v in values))
 
 
 def lane_power(a, p):
@@ -156,6 +169,11 @@ class HyperDual:
     """
 
     __slots__ = ("val", "grad", "hess")
+
+    # a numpy lane array times a hyper-dual defers to the hyper-dual's
+    # reflected operator, as a float does, instead of building an object
+    # array
+    __array_ufunc__ = None
 
     def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
         self.val = val
@@ -293,6 +311,60 @@ def _seed_dot(u: _SeedVector, v: _SeedVector) -> HyperDual:
     return HyperDual(val, grad.T[..., None, :], hess)
 
 
+@functools.cache
+def _scaled_dot_rows(offset: int, n: int, m: int) -> np.ndarray:
+    """The unit gradients e_offset.. e_{offset+n-1} over ``m`` variables
+    as the rows of a read-only (n, m + 1, 1) array: a zero last column, and
+    a lane axis of length 1."""
+    e = np.zeros((n, m + 1, 1))
+    e[:, :m, 0] = np.eye(m)[offset:offset + n]
+    e.flags.writeable = False
+    return e
+
+
+def _coefficients(u, v: _SeedVector) -> np.ndarray | None:
+    """The entries of ``u`` as an array when they are all Python floats,
+    (n,), or all lanes (N, 1, 1) of v's stack, (n, N); None for any other
+    operand, which takes the generic loop."""
+    if len(u) != len(v):
+        return None
+    if all(type(t) is float for t in u):
+        return np.array(u)
+    b = v.values
+    lanes = (len(b), 1, 1)
+    if b.ndim == 2 and all(type(t) is np.ndarray and t.shape == lanes
+                           for t in u):
+        return np.array(u).reshape(len(u), -1)
+    return None
+
+
+def _scaled_dot(coeffs: np.ndarray, v: _SeedVector) -> HyperDual:
+    """:func:`gdot` of the scalars a_k of :func:`_coefficients` against a
+    seed vector in one array pass, with the bytes of the generic loop,
+    whose terms v_k.val * a_k, a_k e_{v+k} and a_k times a zero Hessian
+    are summed left to right: the same sums in the same order (a sum from
+    -0.0, the identity of IEEE addition, is one from the first term), but
+    for the sign of a NaN. Every Hessian entry is the sum of the a_k * 0.0,
+    which a zero last column of the unit gradients gives."""
+    b = v.values
+    e = _scaled_dot_rows(v.offset, len(v), v.m)
+    # (n, m + 1, lanes): lanes 1 at one point, N over a stack
+    terms = coeffs.reshape(len(v), 1, -1) * e
+    grad = np.add.reduce(terms, axis=0, initial=-0.0)
+    hess = np.empty(b.shape[:-1] + (v.rows, v.m))
+    if b.ndim == 1:
+        a = coeffs.tolist()
+        val = v[0].val * a[0]
+        for s, t in zip(v[1:], a[1:]):
+            val = val + s.val * t
+        hess[...] = grad[-1, 0]
+        return HyperDual(val, grad[:-1].T, hess)
+    # accumulate, not reduce: a sum in order, as the loop's
+    val = np.add.accumulate(b * coeffs.T, axis=1)[:, -1, None, None]
+    hess[...] = grad[-1, :, None, None]
+    return HyperDual(val, grad[:-1].T[:, None], hess)
+
+
 def gsqrt(z):
     """Square root of a generic scalar, guarded near zero."""
     if isinstance(z, HyperDual):
@@ -305,10 +377,16 @@ def gsqrt(z):
 
 def gdot(u, v):
     """Inner product of two sequences of generic scalars: in one array pass
-    for two seed vectors of one layout, else by the generic loop."""
-    if (isinstance(u, _SeedVector) and isinstance(v, _SeedVector)
-            and u.values.shape == v.values.shape):
-        return _seed_dot(u, v)
+    for two seed vectors of one layout, or for floats or lanes against a
+    seed vector, else by the generic loop."""
+    if isinstance(v, _SeedVector):
+        if isinstance(u, _SeedVector):
+            if u.values.shape == v.values.shape:
+                return _seed_dot(u, v)
+        else:
+            coeffs = _coefficients(u, v)
+            if coeffs is not None:
+                return _scaled_dot(coeffs, v)
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
@@ -347,25 +425,42 @@ def check_velocity(y: np.ndarray) -> None:
         "velocity is exactly zero", point=i))
 
 
-def xy_jet2(f, x, y) -> Jet2:
+def xy_jet2(f, x, y, *, seed_x: bool = True) -> Jet2:
     """One joint pass of the field ``f`` over (x, y): variables 0..n-1 are
     x, n..2n-1 are y. No domain is checked here; a metric's checked entry is
     :meth:`~finvar.metrics.FinslerMetric.jet2`.
 
     ``hess`` holds the velocity rows ``[F_yx | F_yy]``, of shape (n, 2n).
-    ``x`` and ``y`` of shape (n,) give the jet at one point; stacks of shape
-    (N, n) give the jets at N points, evaluated ``LANES`` at a time. Shapes
-    that differ raise :class:`ConfigError`. An error from a stack names the
-    index of its first failing point.
+    Without ``seed_x`` the pass seeds y alone, variables 0..n-1, and x
+    enters as :func:`lane_scalars`: ``grad`` is F_y and ``hess`` F_yy, of
+    shape (n, n), with the bytes of those blocks of the x-seeded pass.
+    ``x`` and ``y`` of shape (n,) give the jet at one point; stacks of
+    shape (N, n) give the jets at N points, evaluated ``LANES`` at a time.
+    Shapes that differ raise :class:`ConfigError`. An error from a stack
+    names the index of its first failing point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     check_shapes(x, y)
     check_velocity(y)
     n = y.shape[-1]
-    m = 2 * n
+    m = 2 * n if seed_x else n
+
+    def field(x, y):
+        if seed_x:
+            return f(_seeds(x, m, 0, n), _seeds(y, m, n, n))
+        res = f(lane_scalars(x), _seeds(y, m, 0, n))
+        if isinstance(res, HyperDual) and not (res.grad.all()
+                                               and res.hess.all()):
+            # x-seeds add signed zeros to every velocity entry, and
+            # -0.0 + 0.0 is +0.0: a zero entry takes its sign from a pass
+            # with them
+            full = f(_seeds(x, 2 * n, 0, n), _seeds(y, 2 * n, n, n))
+            res = HyperDual(full.val, full.grad[..., n:], full.hess[..., n:])
+        return res
+
     if y.ndim == 1:
-        res = f(_seeds(x, m, 0, n), _seeds(y, m, n, n))
+        res = field(x, y)
         if isinstance(res, HyperDual):
             return Jet2(res.val, res.grad[0], res.hess)
         return Jet2(float(res), np.zeros(m), np.zeros((n, m)))
@@ -376,7 +471,7 @@ def xy_jet2(f, x, y) -> Jet2:
     for start in range(0, count, LANES):
         chunk = slice(start, start + LANES)
         try:
-            res = f(_seeds(x[chunk], m, 0, n), _seeds(y[chunk], m, n, n))
+            res = field(x[chunk], y[chunk])
         except FinvarError as exc:
             if exc.point is not None:
                 exc.point += start

@@ -195,21 +195,27 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
     sphere velocities. Each draw is tested against the domain, by the
     pair's one-point predicate in Python floats, before its velocity is
     drawn, an order every seeded report depends on; drawing in batches
-    would reorder the random stream. The accepted rows are stacked once."""
+    would reorder the random stream. A base point is drawn and a velocity
+    scaled in Python floats, with the bits of numpy's own arithmetic, and
+    the accepted rows are stacked once."""
     n = pair.dim
     if count > MAX_REJECTIONS:
         # every point takes at least one draw
         raise ConfigError(f"cannot draw {count} points in at most "
                           f"{MAX_REJECTIONS} draws")
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), in floats
+    lo, hi = float(box[0]), float(box[1])
+    width = hi - lo
+    # the accepted rows, one after another
     xs, ys = [], []
     tries = 0
-    while len(xs) < count:
+    while len(xs) < count * n:
         tries += 1
         if tries > MAX_REJECTIONS:
             raise ConfigError(
                 f"could not draw {count} in-domain points from box {box}; "
                 f"box may not intersect the domain")
-        x = rng.uniform(box[0], box[1], size=n)
+        x = [lo + width * r for r in rng.random(n).tolist()]
         if not pair.in_domain(x):
             continue
         y = rng.normal(size=n)
@@ -217,6 +223,7 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
         norm = math.sqrt(y.dot(y))
         if norm < 1e-12:
             continue
-        xs.append(x)
-        ys.append(velocity_scale * y / norm)
-    return TangentPoint(np.array(xs), np.array(ys))
+        xs += x
+        ys += [velocity_scale * v / norm for v in y.tolist()]
+    return TangentPoint(np.array(xs).reshape(count, n),
+                        np.array(ys).reshape(count, n))

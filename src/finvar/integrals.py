@@ -59,9 +59,11 @@ class PairJets(Lanes):
 
 def pair_jets(pair: ProjectivePair, points: TangentPoint) -> PairJets:
     """The jets of the base and of the comparison metric at one point, or
-    stacked over a stack of points, with one pass per metric."""
-    return PairJets(metric_jet(pair.base, points),
-                    metric_jet(pair.comparison, points))
+    stacked over a stack of points, with one pass per metric. H and the
+    f_alpha read velocity derivatives only, so the passes seed the velocity
+    alone and neither jet carries a spray."""
+    return PairJets(metric_jet(pair.base, points, spray=False),
+                    metric_jet(pair.comparison, points, spray=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +221,15 @@ def integrals_along(pair: ProjectivePair, traj: GeodesicTrajectory) -> np.ndarra
 
     Along a geodesic of the pair's base metric, the base jets the
     integrator evaluated at each sample are reused; along any other
-    metric's geodesics they come from one stacked pass over all samples, as
-    the comparison jets always do. H and its characteristic polynomial are
-    formed for all samples at once.
+    metric's geodesics they come from one stacked velocity-only pass over
+    all samples, as the comparison jets always do. H and its characteristic
+    polynomial are formed for all samples at once.
     """
     if traj.jets.dim != pair.dim:
         raise ConfigError(f"trajectory has dimension {traj.jets.dim}, "
                           f"pair has {pair.dim}")
     x, y = traj.jets.x, traj.jets.y
     base = (traj.jets if traj.metric is pair.base
-            else _jet_arrays(pair.base, x, y))
-    comparison = _jet_arrays(pair.comparison, x, y)
+            else _jet_arrays(pair.base, x, y, spray=False))
+    comparison = _jet_arrays(pair.comparison, x, y, spray=False)
     return first_integrals(PairJets(base, comparison)).f

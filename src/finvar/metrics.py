@@ -138,27 +138,31 @@ class FinslerMetric:
     region: Callable
     reversible: bool = True
 
-    def domain(self, x: np.ndarray) -> bool | np.ndarray:
-        """The region at a point x (n,), a bool from Python floats, or at
-        each row of a stack (N, n), an (N,) mask: the same answer either
-        way, NaN, inf and overflow included, with no numpy warning."""
+    def domain(self, x: list | np.ndarray) -> bool | np.ndarray:
+        """The region at a point x, (n,) or a list of Python floats, a bool
+        from Python floats, or at each row of a stack (N, n), an (N,) mask:
+        the same answer either way, NaN, inf and overflow included, with no
+        numpy warning."""
+        if isinstance(x, list):
+            return self.region(x)
         if x.ndim == 1:  # 0.8 us against 5.2-6.3 us as a one-row stack
             return self.region(lane_scalars(x))
         with np.errstate(all="ignore"):
             ok = self.region(lane_scalars(x))
         return np.full((len(x), 1, 1), ok)[:, 0, 0]
 
-    def jet2(self, x, y) -> Jet2:
+    def jet2(self, x, y, *, seed_x: bool = True) -> Jet2:
         """:func:`xy_jet2` of the field at x, y of shape (n,), or at the
         rows of stacks of shape (N, n), once the domain holds at every base
         point: one call of :meth:`domain` on the float base points, before
-        any pass. Every failure names the metric, and in a stack the first
-        failing point."""
+        any pass. Without ``seed_x`` the pass seeds the velocity alone.
+        Every failure names the metric, and in a stack the first failing
+        point."""
         x = np.asarray(x, dtype=float)
         try:
             check_lanes(self.domain(x), lambda i: DomainError(
                 f"base point {lane(x, i)} outside domain", point=i))
-            return xy_jet2(self.evaluator, x, y)
+            return xy_jet2(self.evaluator, x, y, seed_x=seed_x)
         except FinvarError as exc:
             if exc.metric is None:
                 exc.metric = self.name
@@ -182,9 +186,9 @@ class ProjectivePair:
     def dim(self) -> int:
         return self.base.dim
 
-    def in_domain(self, x: np.ndarray) -> bool | np.ndarray:
-        """Whether x lies in both domains: a Python bool for one base point
-        (n,), elementwise for a stack (N, n)."""
+    def in_domain(self, x: list | np.ndarray) -> bool | np.ndarray:
+        """Whether x lies in both domains: a Python bool for one base point,
+        (n,) or a list of Python floats, elementwise for a stack (N, n)."""
         return self.base.domain(x) & self.comparison.domain(x)
 
 
@@ -196,7 +200,8 @@ class MetricJet(Lanes):
 
     g is the velocity Hessian of F^2 / 2, h = F * (velocity Hessian of F) the
     angular metric, and G the geodesic spray, so the jet carries everything
-    the geodesic flow (x', y') = (y, -2G) reads at its point.
+    the geodesic flow (x', y') = (y, -2G) reads at its point. A jet without
+    the spray, from velocity derivatives alone, has G None.
     """
 
     x: np.ndarray
@@ -207,20 +212,22 @@ class MetricJet(Lanes):
     g_inv: np.ndarray
     h: np.ndarray
     det_g: float | np.ndarray
-    G: np.ndarray
+    G: np.ndarray | None
 
     @property
     def dim(self) -> int:
         return self.y.shape[-1]
 
 
-def metric_jet(metric: FinslerMetric, points: TangentPoint) -> MetricJet:
+def metric_jet(metric: FinslerMetric, points: TangentPoint, *,
+               spray: bool = True) -> MetricJet:
     """Assemble every tensor of ``metric`` from one joint AD pass: the
-    one-point :class:`MetricJet` at one point, the stacked jet at a stack."""
+    one-point :class:`MetricJet` at one point, the stacked jet at a stack.
+    Without the spray the pass seeds the velocity alone, and G is None."""
     if points.dim != metric.dim:
         raise ConfigError(
             f"{metric.name} has dimension {metric.dim}, point has {points.dim}")
-    return _jet_arrays(metric, points.x, points.y)
+    return _jet_arrays(metric, points.x, points.y, spray=spray)
 
 
 # Metric values under this floor are treated as a collapsed velocity; jets
@@ -239,8 +246,8 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
-                y: np.ndarray) -> MetricJet:
+def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray, *,
+                spray: bool = True) -> MetricJet:
     """The :class:`MetricJet` at one point (x, y of shape (n,)), or the
     stacked jet at the rows of stacks x, y of shape (N, n). The spray solves
     the Euler-Lagrange condition for F^2:
@@ -249,31 +256,34 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray,
 
     Two products give every second-derivative block: FH = F [F_yx | F_yy]
     holds h = FH[:, n:], and S = F_y (x) [F_x | F_y] + FH holds g = S[:, n:]
-    and d^2F^2/dy dx = 2 S[:, :n].
+    and d^2F^2/dy dx = 2 S[:, :n]. Without the spray the pass seeds y
+    alone, its rows are F_yy, and FH = h and S = g whole.
 
     Every failure names the metric, and in a stack the first failing point.
     """
     n = x.shape[-1]
     try:
-        jet: Jet2 = metric.jet2(x, y)
+        jet: Jet2 = metric.jet2(x, y, seed_x=spray)
         F = jet.value
         # NaN and +-inf fail too, in either layout
         check_lanes((F >= F_FLOOR) & (F < math.inf), lambda i: floor_error(
             "value {}", lane(F, i), i, "below the positivity floor"))
-        F_y = jet.grad[..., n:]
+        F_y = jet.grad[..., -n:]
         # F against vectors and against matrices, in either layout
         F_v = np.asarray(F)[..., None]
         FH = F_v[..., None] * jet.hess
         S = _outer(F_y, jet.grad) + FH
-        h, g = FH[..., n:], S[..., n:]
+        h, g = FH[..., -n:], S[..., -n:]
         g_inv, det_g = linalg.inverse(g)
     except FinvarError as exc:
         if exc.metric is None:
             exc.metric = metric.name
         raise
-    F2_yx = 2.0 * S[..., :n]
-    F2_x = 2.0 * F_v * jet.grad[..., :n]
-    G = 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
+    G = None
+    if spray:
+        F2_yx = 2.0 * S[..., :n]
+        F2_x = 2.0 * F_v * jet.grad[..., :n]
+        G = 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
     return MetricJet(x=x, y=y, F=F, F_y=F_y.copy(), g=g, g_inv=g_inv, h=h,
                      det_g=det_g, G=G)
 

@@ -11,6 +11,7 @@ against exact symbolic differentiation of each metric's own field code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -61,6 +62,23 @@ def _perm_sign(perm: tuple) -> int:
     return sign
 
 
+@functools.cache
+def _permutation_pairs(n: int) -> tuple:
+    """Every pair (sigma1, sigma2) of permutations of 0..n-1, on a trailing
+    axis at index a * n! + b for the a-th and b-th permutation in
+    itertools order: s1[i] and s2[i] hold sigma1(i) and sigma2(i) of every
+    pair, and sign the sign of sigma1 sigma2, as a float. Read-only, built
+    once per n."""
+    perms = list(itertools.permutations(range(n)))
+    signs = [_perm_sign(perm) for perm in perms]
+    s1 = np.repeat(perms, len(perms), axis=0).T
+    s2 = np.tile(perms, (len(perms), 1)).T
+    sign = np.outer(signs, signs).ravel().astype(float)
+    for a in (s1, s2, sign):
+        a.flags.writeable = False
+    return s1, s2, sign
+
+
 def delta_alpha_combinatorial(jets: PairJets,
                               alpha: int) -> float | np.ndarray:
     """delta_alpha by direct enumeration of the permutation-pair sum, at one
@@ -86,13 +104,7 @@ def delta_alpha_combinatorial(jets: PairJets,
     if not 1 <= alpha <= n:
         raise ConfigError(f"alpha must lie in 1..{n}, got {alpha}")
     jet, jet_t = jets.base, jets.comparison
-    perms = list(itertools.permutations(range(n)))
-    signs = [_perm_sign(perm) for perm in perms]
-    # the pairs on a trailing axis, pair (a, b) at index a * n! + b: s1[i]
-    # and s2[i] hold sigma1(i) and sigma2(i) of every pair
-    s1 = np.repeat(perms, len(perms), axis=0).T
-    s2 = np.tile(perms, (len(perms), 1)).T
-    term = np.outer(signs, signs).ravel().astype(float)
+    s1, s2, term = _permutation_pairs(n)
     for i in range(alpha - 1):
         term = term * jet.h[..., s1[i], s2[i]]
     for i in range(alpha - 1, n - 1):

@@ -1,11 +1,14 @@
 """Run settings, each checked in its dataclass, and seeded point sampling
-against the per-draw reference loop, bitwise."""
+against the per-draw reference loops, bitwise."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finvar.config
 from finvar import ConfigError, ProjectivePair, catalog_metric
@@ -39,6 +42,35 @@ def reference_sample(pair, count, rng, box, velocity_scale):
         xs[k], ys[k] = x, velocity_scale * y / norm
         k += 1
     return xs, ys, tries
+
+
+def per_draw_sample(pair, count, rng, box=(-0.35, 0.35),
+                    velocity_scale=1.0):
+    """The sampler as it drew before its floats were Python floats: numpy
+    draws and scales each point, and the pair's one-point predicate reads
+    it as an (n,) array."""
+    n = pair.dim
+    if count > finvar.config.MAX_REJECTIONS:
+        raise ConfigError(f"cannot draw {count} points in at most "
+                          f"{finvar.config.MAX_REJECTIONS} draws")
+    xs, ys = [], []
+    tries = 0
+    while len(xs) < count:
+        tries += 1
+        if tries > finvar.config.MAX_REJECTIONS:
+            raise ConfigError(
+                f"could not draw {count} in-domain points from box {box}; "
+                f"box may not intersect the domain")
+        x = rng.uniform(box[0], box[1], size=n)
+        if not pair.in_domain(x):
+            continue
+        y = rng.normal(size=n)
+        norm = math.sqrt(y.dot(y))
+        if norm < 1e-12:
+            continue
+        xs.append(x)
+        ys.append(velocity_scale * y / norm)
+    return np.array(xs), np.array(ys)
 
 
 def randers(n, field, beta):
@@ -78,6 +110,64 @@ def test_sampler_matches_the_per_draw_loop_bitwise(name, seed,
     assert points.y.tobytes() == ys.tobytes()
     if name == "klein-funk-n3-box1":
         assert tries > 1.5 * 60
+
+
+def drawn(sample, *args, **kwargs):
+    """The stacks a sampler draws, or the message of its ConfigError."""
+    try:
+        points = sample(*args, **kwargs)
+    except ConfigError as exc:
+        return str(exc)
+    x, y = ((points.x, points.y) if hasattr(points, "x") else points)
+    return x.tobytes(), y.tobytes(), x.shape
+
+
+BOXES = [(-0.35, 0.35), (-1.0, 1.0), (0.2, 0.9), (-1, 1), (0, 1),
+         # integer ends beyond 2**53, which round to floats
+         (2 ** 53 + 1, 2 ** 53 + 2 ** 12 + 3), (-(2 ** 60) - 1, 2 ** 54 + 1)]
+SAMPLE_PAIRS = [("euclidean", "klein", 2), ("klein", "funk", 3),
+                ("euclidean", "randers_df", 3), ("euclidean", "funk", 8)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       pair=st.sampled_from(SAMPLE_PAIRS), box=st.sampled_from(BOXES),
+       velocity_scale=st.sampled_from([1.0, 0.3, 7, -2, -2.5e-3,
+                                       2 ** 70 + 1]),
+       count=st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_sampler_matches_the_per_draw_numpy_loop(seed, pair, box,
+                                                 velocity_scale, count):
+    # rejection-heavy boxes, and boxes the ball metrics never meet, run
+    # out of draws under a small bound: both samplers give the same message
+    pair = make_pair(*pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finvar.config, "MAX_REJECTIONS", 200)
+        assert (drawn(sample_tangent_points, pair, count,
+                      np.random.default_rng(seed), box=box,
+                      velocity_scale=velocity_scale)
+                == drawn(per_draw_sample, pair, count,
+                         np.random.default_rng(seed), box=box,
+                         velocity_scale=velocity_scale))
+
+
+@pytest.mark.parametrize("box, count, drawn_all", [
+    ((-0.35, 0.35), 39, True), ((-0.35, 0.35), 40, True),
+    ((-0.35, 0.35), 41, False),
+    # about half of these draws leave the ball: 26 points take at most 40
+    # draws from this seed, and 27 do not
+    ((-1.0, 1.0), 26, True), ((-1.0, 1.0), 27, False),
+    ((0.2, 0.9), 38, False)])
+def test_counts_near_the_draw_bound(monkeypatch, box, count, drawn_all):
+    # 40 draws at most: a count above the bound is refused before any draw
+    monkeypatch.setattr(finvar.config, "MAX_REJECTIONS", 40)
+    pair = make_pair("klein", "funk", 3)
+    outcome = drawn(sample_tangent_points, pair, count,
+                    np.random.default_rng(3), box=box)
+    assert outcome == drawn(per_draw_sample, pair, count,
+                            np.random.default_rng(3), box=box)
+    assert isinstance(outcome, tuple) == drawn_all
+    if count > 40:
+        assert outcome == "cannot draw 41 points in at most 40 draws"
 
 
 def test_a_box_outside_the_domain_keeps_its_message(monkeypatch):

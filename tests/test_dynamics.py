@@ -250,13 +250,13 @@ class TestIntegration:
             counts["domain"] += 1
             return m.region(xs)
 
-        def counted_jet2(metric, x, y):
+        def counted_jet2(metric, x, y, **seeding):
             counts["jet2"] += 1
-            return jet2(metric, x, y)
+            return jet2(metric, x, y, **seeding)
 
-        def counted_xy_jet2(f, x, y):
+        def counted_xy_jet2(f, x, y, **seeding):
             counts["xy_jet2"] += 1
-            return xy_jet2(f, x, y)
+            return xy_jet2(f, x, y, **seeding)
 
         monkeypatch.setattr(FinslerMetric, "jet2", counted_jet2)
         monkeypatch.setattr(finvar.metrics, "xy_jet2", counted_xy_jet2)

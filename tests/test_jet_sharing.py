@@ -33,10 +33,10 @@ def jet_calls(monkeypatch):
     calls = []
     original = FinslerMetric.jet2
 
-    def counted(metric, x, y):
+    def counted(metric, x, y, **seeding):
         y = np.asarray(y)
         calls.append((metric.name, 1 if y.ndim == 1 else y.shape[0]))
-        return original(metric, x, y)
+        return original(metric, x, y, **seeding)
 
     monkeypatch.setattr(FinslerMetric, "jet2", counted)
     return calls

@@ -8,6 +8,7 @@ from finvar import (ConfigError, OracleScopeExceeded, TangentPoint,
                     delta_alpha_combinatorial, first_integrals, metric_jet,
                     pair_jets)
 from finvar.metrics import FinslerMetric
+from finvar.oracle import _permutation_pairs
 
 from conftest import make_pair, sample_points
 
@@ -100,3 +101,17 @@ class TestCombinatorialDelta:
             d = delta_alpha_combinatorial(pair_jets(pair, p), 1)
             d_p = delta_alpha_combinatorial(pair_jets(pair_p, p_relabeled), 1)
             assert d == pytest.approx(d_p, rel=1e-10)
+
+
+def test_permutation_pairs_are_built_once_per_dimension():
+    # the pair arrays, read-only, shared by every alpha and every call
+    pair = make_pair("klein", "funk", 3)
+    jets = pair_jets(pair, sample_points(pair, 4, seed=2))
+    before = _permutation_pairs.cache_info().misses
+    for alpha in (1, 2, 3):
+        delta_alpha_combinatorial(jets, alpha)
+    assert _permutation_pairs.cache_info().misses <= before + 1
+    s1, s2, sign = _permutation_pairs(3)
+    assert s1.shape == s2.shape == (3, 36) and sign.shape == (36,)
+    assert not any(a.flags.writeable for a in (s1, s2, sign))
+    assert _permutation_pairs(3)[0] is s1

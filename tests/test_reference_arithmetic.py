@@ -177,7 +177,7 @@ class JetMetric:
     def __init__(self, jet):
         self.jet = jet
 
-    def jet2(self, x, y):
+    def jet2(self, x, y, **seeding):
         return self.jet
 
 

@@ -121,12 +121,37 @@ def geodesic_configs() -> dict[str, dict]:
     return out
 
 
+def signed_zero_configs() -> dict[str, dict]:
+    """Configs run by ``evaluate``, ``oracle`` and ``geodesic``: explicit
+    points whose x and y hold +-0.0, where a zero entry of a tensor may
+    take either sign."""
+    ball = [{"x": [0.0, -0.0], "y": [1.0, -0.0]},
+            {"x": [0.3, 0.0], "y": [-0.0, 1.0]},
+            {"x": [-0.0, -0.0], "y": [-0.0, -1.0]},
+            {"x": [-0.2, -0.0], "y": [0.0, 0.5]}]
+    randers = [{"x": [0.0, -0.0, 0.2], "y": [1.0, -0.0, 0.0]},
+               {"x": [-0.0, 0.3, 0.0], "y": [-0.0, 0.0, -1.0]},
+               {"x": [-0.0, -0.0, -0.0], "y": [0.0, -2.0, -0.0]}]
+    return {
+        "klein_funk_n2_signed_zeros": _ball_config(
+            "klein", "funk", 2, points=ball),
+        "euclidean_randers_linear_n3_signed_zeros": _curved_config(
+            {"kind": "euclidean", "dim": 3},
+            {"kind": "randers", "dim": 3,
+             "beta": {"potential": "linear", "params": [0.1, 0.0, -0.0]}})
+        | {"points": randers},
+    }
+
+
 ALL_COMMANDS = configs()
 GEODESIC_ONLY = geodesic_configs()
-CONFIGS = {**ALL_COMMANDS, **GEODESIC_ONLY}
+SIGNED_ZEROS = signed_zero_configs()
+CONFIGS = {**ALL_COMMANDS, **GEODESIC_ONLY, **SIGNED_ZEROS}
 CASES = [(name, command, fmt) for name in ALL_COMMANDS
          for command in COMMANDS for fmt in FORMATS] + [
-    (name, "geodesic", fmt) for name in GEODESIC_ONLY for fmt in FORMATS]
+    (name, "geodesic", fmt) for name in GEODESIC_ONLY for fmt in FORMATS] + [
+    (name, command, fmt) for name in SIGNED_ZEROS
+    for command in ("evaluate", "oracle", "geodesic") for fmt in FORMATS]
 
 
 def digest(config: dict, command: str, fmt: str, workdir: Path) -> str:
