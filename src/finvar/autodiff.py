@@ -29,30 +29,30 @@ Derivatives*, 2nd ed., ch. 13), replaces N interpreted passes by one.
 Seeds are plain hyper-duals that share cached read-only unit gradients and
 zero Hessians, and every product of two hyper-duals takes the one rule
 above. :func:`_seeds` returns a seed vector: a list that also keeps the
-float array it was seeded from, its first index, r and m. :func:`gdot` of
-two seed vectors, the |x|^2, |y|^2 and <x, y> that begin the klein, funk
-and euclidean fields, takes one array pass in place of the 2n - 1
-hyper-dual operations of its generic loop. The value is the loop's
-left-to-right sum. The gradient sums the loop's terms
-a_k e_{v+k} + b_k e_{u+k} in one ``np.add.reduce`` that starts from -0.0,
-the identity of IEEE addition (numpy's default start, +0.0, turns a sum of
--0.0 into +0.0). A column of the terms holds at most two entries that are
-not signed zeros, and such a sum has the same bits in any order (but for
-the sign of a NaN), so the reduction gives the loop's bytes, signed zeros
-included. The Hessian rows are the kept rows of E_u^T E_v + E_v^T E_u, with
-E_u and E_v the unit gradients of the two vectors as rows, cached read-only
-per (u, v, n, r, m): integers (+0, 1 or 2), exact in any order. For finite
+float array it was seeded from, its first index, r and m. A velocity-only
+pass hands the field x as :func:`lane_scalars`, Python floats or lanes.
+:func:`gdot` of a seed vector u, or of all floats or all lanes a, against
+a seed vector v of its layout (|x|^2, |y|^2 and <x, y> in the klein, funk
+and euclidean fields, a Randers metric's beta . y) takes one array pass,
+:func:`_dot`, in place of the 2n - 1 hyper-dual operations of its generic
+loop. The value is the loop's left-to-right sum. The gradient sums the
+loop's terms a_k e_{v+k}, plus b_k e_{u+k} for seeds, in one
+``np.add.reduce`` that starts from -0.0, the identity of IEEE addition
+(numpy's default start, +0.0, turns a sum of -0.0 into +0.0). A column of
+the terms holds at most two entries that are not signed zeros, and such a
+sum has the same bits in any order (but for the sign of a NaN), so the
+reduction gives the loop's bytes, signed zeros included. For seeds the
+Hessian rows are the kept rows of E_u^T E_v + E_v^T E_u, with E_u and E_v
+the unit gradients of the two vectors as rows, cached read-only per
+(u, v, n, r, m): integers (+0, 1 or 2), exact in any order. For finite
 values they are the loop's bytes: its terms value times zero Hessian add up
 to +-0, and +-0 plus a cross entry of two unit gradients, +0 or 1, is that
-entry.
-
-A velocity-only pass hands the field x as :func:`lane_scalars`, so <x, y>
-and a Randers metric's beta . y are Python floats, or lanes of the stack,
-against a seed vector; :func:`gdot` forms these in one array pass too
-(:func:`_scaled_dot`). Any other operand, a slice or a sum of seed vectors
-or a mix of floats and lanes included, takes the generic loop.
-``HyperDual.__array_ufunc__`` is None, so a lane array times a hyper-dual
-defers to the hyper-dual, as a float does.
+entry. For scalars every Hessian entry is the loop's sum of the a_k times a
+zero Hessian, which the same reduction gives in a zero column appended to
+E_v. Any other operand, a slice or a sum of seed vectors or a mix of floats
+and lanes included, takes the generic loop; operands of unequal or no
+length are refused. ``HyperDual.__array_ufunc__`` is None, so a lane array
+times a hyper-dual defers to the hyper-dual, as a float does.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). Without x-seeds its jet has the bytes of the velocity
@@ -235,11 +235,7 @@ class HyperDual:
 
     def sqrt(self) -> "HyperDual":
         v = self.val
-        # NaN fails too, as it cannot be certified above the floor, and is
-        # reported as a non-finite result
-        check_lanes(v > SQRT_FLOOR, lambda i: floor_error(
-            "square root argument {:.3e}", np.ravel(v)[i or 0], i))
-        s = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+        s = _sqrt(v)
         d1 = 0.5 / s
         d2 = -0.25 / (v * s)
         g, h = self.grad, self.hess
@@ -275,118 +271,104 @@ def _seeds(values: np.ndarray, m: int, offset: int,
     return seeds
 
 
+def _coefficients(u, v: _SeedVector) -> np.ndarray | None:
+    """The entries a_k of ``u`` as an array in the layout of v's values,
+    (n,) at one point and (N, n), or (1, n) for floats, over a stack of N:
+    when ``u`` is a seed vector of v's layout, or all Python floats, or all
+    lanes (N, 1, 1) of v's stack; None for any other operand, which takes
+    the generic loop."""
+    b = v.values
+    if isinstance(u, _SeedVector):
+        return u.values if u.values.shape == b.shape else None
+    if all(type(t) is float for t in u):
+        return np.array(u, ndmin=b.ndim)
+    lanes = (len(b), 1, 1)
+    if b.ndim == 2 and all(type(t) is np.ndarray and t.shape == lanes
+                           for t in u):
+        return np.array(u).reshape(len(u), -1).T
+    return None
+
+
 @functools.cache
-def _seed_dot_arrays(u: int, v: int, n: int, rows: int, m: int):
-    """What the inner product of seeds u.. and v.. (n each) over ``m``
-    variables with ``rows`` Hessian rows needs: the unit gradients
-    e_{u+k} and e_{v+k} as the rows of (n, m) arrays E_u and E_v, and the
-    kept rows of the Hessian E_u^T E_v + E_v^T E_u; read-only and
-    lane-free."""
-    eye = np.eye(m)
+def _dot_arrays(u: int | None, v: int, n: int, rows: int, m: int):
+    """What :func:`_dot` of seeds u.. against seeds v.. (n each) over ``m``
+    variables with ``rows`` Hessian rows needs, read-only and lane-free:
+    the unit gradients e_{u+k} and e_{v+k} as the rows of (n, m) arrays
+    E_u and E_v, and the kept rows of the Hessian E_u^T E_v + E_v^T E_u.
+    Against scalars (u None), E_v alone, with a zero last column."""
+    eye = np.eye(m if u is not None else m + 1)
     eye.flags.writeable = False
-    e_u, e_v = eye[u:u + n], eye[v:v + n]
+    e_v = eye[v:v + n]
+    if u is None:
+        return None, e_v, None
+    e_u = eye[u:u + n]
     hess = (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
     hess.flags.writeable = False
     return e_u, e_v, hess
 
 
-def _seed_dot(u: _SeedVector, v: _SeedVector) -> HyperDual:
-    """:func:`gdot` of two seed vectors in one array pass, with the bytes of
-    the generic loop (see the module docstring)."""
-    a, b = u.values, v.values
-    e_u, e_v, hess = _seed_dot_arrays(u.offset, v.offset, len(u), u.rows,
-                                      u.m)
-    if a.ndim == 1:
-        val = u[0].val * v[0].val
-        for s, t in zip(u[1:], v[1:]):
-            val = val + s.val * t.val
+def _dot(u, a: np.ndarray, v: _SeedVector) -> HyperDual:
+    """:func:`gdot` of ``u``, with the entries ``a`` of
+    :func:`_coefficients`, against a seed vector in one array pass, with
+    the bytes of the generic loop (see the module docstring)."""
+    b = v.values
+    seeded = isinstance(u, _SeedVector)
+    e_u, e_v, hess = _dot_arrays(u.offset if seeded else None, v.offset,
+                                 len(v), v.rows, v.m)
+    if b.ndim == 1:
+        # a sum from -0.0, the identity of IEEE addition, is one from the
+        # first term
+        val = -0.0
+        for s, t in zip(a.tolist(), b.tolist()):
+            val += s * t
     else:
         # accumulate, not reduce: a sum in order, as the loop's
         val = np.add.accumulate(a * b, axis=1)[:, -1, None, None]
-        e_u, e_v = e_u[..., None], e_v[..., None]
-    # the loop's gradient terms a_k e_{v+k} + b_k e_{u+k}: (n, m) at one
-    # point, (n, m, N) with the lanes last over a stack
-    terms = a.T[:, None] * e_v + b.T[:, None] * e_u
+        # the lanes last, where the reduction below runs fastest
+        a, b, e_v = a.T, b.T, e_v[..., None]
+        if seeded:
+            e_u = e_u[..., None]
+    # the loop's gradient terms a_k e_{v+k}, plus b_k e_{u+k} for seeds:
+    # (n, m) at one point, (n, m, N) over a stack
+    terms = a[:, None] * e_v
+    if seeded:
+        terms += b[:, None] * e_u
     grad = np.add.reduce(terms, axis=0, initial=-0.0)
+    if not seeded:
+        # every Hessian entry is the loop's sum of the a_k times a zero
+        # Hessian: the zero column's
+        hess = np.empty(v.values.shape[:-1] + (v.rows, v.m))
+        hess[...] = grad[-1, ..., None, None]
+        grad = grad[:-1]
     return HyperDual(val, grad.T[..., None, :], hess)
 
 
-@functools.cache
-def _scaled_dot_rows(offset: int, n: int, m: int) -> np.ndarray:
-    """The unit gradients e_offset.. e_{offset+n-1} over ``m`` variables
-    as the rows of a read-only (n, m + 1, 1) array: a zero last column, and
-    a lane axis of length 1."""
-    e = np.zeros((n, m + 1, 1))
-    e[:, :m, 0] = np.eye(m)[offset:offset + n]
-    e.flags.writeable = False
-    return e
-
-
-def _coefficients(u, v: _SeedVector) -> np.ndarray | None:
-    """The entries of ``u`` as an array when they are all Python floats,
-    (n,), or all lanes (N, 1, 1) of v's stack, (n, N); None for any other
-    operand, which takes the generic loop."""
-    if len(u) != len(v):
-        return None
-    if all(type(t) is float for t in u):
-        return np.array(u)
-    b = v.values
-    lanes = (len(b), 1, 1)
-    if b.ndim == 2 and all(type(t) is np.ndarray and t.shape == lanes
-                           for t in u):
-        return np.array(u).reshape(len(u), -1)
-    return None
-
-
-def _scaled_dot(coeffs: np.ndarray, v: _SeedVector) -> HyperDual:
-    """:func:`gdot` of the scalars a_k of :func:`_coefficients` against a
-    seed vector in one array pass, with the bytes of the generic loop,
-    whose terms v_k.val * a_k, a_k e_{v+k} and a_k times a zero Hessian
-    are summed left to right: the same sums in the same order (a sum from
-    -0.0, the identity of IEEE addition, is one from the first term), but
-    for the sign of a NaN. Every Hessian entry is the sum of the a_k * 0.0,
-    which a zero last column of the unit gradients gives."""
-    b = v.values
-    e = _scaled_dot_rows(v.offset, len(v), v.m)
-    # (n, m + 1, lanes): lanes 1 at one point, N over a stack
-    terms = coeffs.reshape(len(v), 1, -1) * e
-    grad = np.add.reduce(terms, axis=0, initial=-0.0)
-    hess = np.empty(b.shape[:-1] + (v.rows, v.m))
-    if b.ndim == 1:
-        a = coeffs.tolist()
-        val = v[0].val * a[0]
-        for s, t in zip(v[1:], a[1:]):
-            val = val + s.val * t
-        hess[...] = grad[-1, 0]
-        return HyperDual(val, grad[:-1].T, hess)
-    # accumulate, not reduce: a sum in order, as the loop's
-    val = np.add.accumulate(b * coeffs.T, axis=1)[:, -1, None, None]
-    hess[...] = grad[-1, :, None, None]
-    return HyperDual(val, grad[:-1].T[:, None], hess)
+def _sqrt(v):
+    """The square root of a float, or of lanes, above ``SQRT_FLOOR``."""
+    # NaN fails too, as it cannot be certified above the floor, and is
+    # reported as a non-finite result
+    check_lanes(v > SQRT_FLOOR, lambda i: floor_error(
+        "square root argument {:.3e}", np.ravel(v)[i or 0], i))
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
 def gsqrt(z):
     """Square root of a generic scalar, guarded near zero."""
-    if isinstance(z, HyperDual):
-        return z.sqrt()
-    # NaN fails too, as in HyperDual.sqrt
-    if not z > SQRT_FLOOR:
-        raise floor_error("square root argument {:.3e}", z, None)
-    return math.sqrt(z)
+    return z.sqrt() if isinstance(z, HyperDual) else _sqrt(z)
 
 
 def gdot(u, v):
-    """Inner product of two sequences of generic scalars: in one array pass
-    for two seed vectors of one layout, or for floats or lanes against a
-    seed vector, else by the generic loop."""
+    """Inner product of two sequences of generic scalars of one nonzero
+    length: in one array pass for a seed vector, or floats or lanes,
+    against a seed vector of its layout, else by the generic loop."""
+    n = len(v)
+    if len(u) != n or not n:
+        raise ConfigError(f"gdot needs two sequences of one nonzero length, "
+                          f"got lengths {len(u)} and {n}")
     if isinstance(v, _SeedVector):
-        if isinstance(u, _SeedVector):
-            if u.values.shape == v.values.shape:
-                return _seed_dot(u, v)
-        else:
-            coeffs = _coefficients(u, v)
-            if coeffs is not None:
-                return _scaled_dot(coeffs, v)
+        a = _coefficients(u, v)
+        if a is not None:
+            return _dot(u, a, v)
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import INTEGRATORS
+from .dynamics import INTEGRATORS, check_integrator
 from .errors import ConfigError
 from .metrics import (ProjectivePair, TangentPoint, catalog_metric,
                       check_keys, finite_number, finite_vector)
@@ -92,6 +92,8 @@ class IntegratorSettings:
                               f"{list(INTEGRATORS)}, got {self.method!r}")
         for name in ("rtol", "atol", "step", "t_end"):
             _check_number(getattr(self, name), f"integrator.{name}")
+        check_integrator(self.method, self.t_end, step=self.step,
+                         rtol=self.rtol, atol=self.atol)
 
 
 @dataclass(frozen=True)

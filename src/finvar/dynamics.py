@@ -34,8 +34,34 @@ from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
 # that is smaller: a step below it short of t_end ends the run.
 H_MIN = 1e-12
 
-# Names accepted by integrate_geodesic's ``method``.
-INTEGRATORS = ("rk4", "rkf45")
+
+def _check_rk4(t_end, step, rtol, atol) -> None:
+    if not (isinstance(step, (int, float)) and step > 0):
+        raise ConfigError(f"rk4 needs step > 0, got {step!r}")
+    if not math.isfinite(abs(t_end) / step):
+        raise ConfigError(f"rk4 step count |t_end| / step overflows, "
+                          f"got t_end={t_end!r} step={step!r}")
+
+
+def _check_rkf45(t_end, step, rtol, atol) -> None:
+    if not (rtol > 0 and atol > 0):
+        raise ConfigError(f"rkf45 needs positive tolerances, got "
+                          f"rtol={rtol!r} atol={atol!r}")
+
+
+# integrate_geodesic's methods, each with the check of its settings
+INTEGRATORS = {"rk4": _check_rk4, "rkf45": _check_rkf45}
+
+
+def check_integrator(method: str, t_end: float, *, step: float,
+                     rtol: float, atol: float) -> None:
+    """Refuse settings with which :func:`integrate_geodesic` can never run,
+    with :class:`ConfigError`."""
+    if method not in INTEGRATORS:
+        raise ConfigError(f"unknown integrator '{method}'")
+    if t_end == 0.0:
+        raise ConfigError("t_end must be nonzero")
+    INTEGRATORS[method](t_end, step, rtol, atol)
 
 
 def _flow(jet: MetricJet) -> np.ndarray:
@@ -156,8 +182,7 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     if p0.x.shape != (metric.dim,):
         raise ConfigError(f"initial condition has shape {p0.x.shape}, "
                           f"metric has dimension {metric.dim}")
-    if t_end == 0.0:
-        raise ConfigError("t_end must be nonzero")
+    check_integrator(method, t_end, step=step, rtol=rtol, atol=atol)
     if t_end < 0.0 and not metric.reversible:
         raise NonReversibleBackward(
             f"{metric.name} is not reversible; integrate forward only")
@@ -167,19 +192,9 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
 
     z0 = np.concatenate((p0.x, p0.y))
     if method == "rk4":
-        if not (isinstance(step, (int, float)) and step > 0):
-            raise ConfigError(f"rk4 needs step > 0, got {step!r}")
-        if not math.isfinite(abs(t_end) / step):
-            raise ConfigError(f"rk4 step count |t_end| / step overflows, "
-                              f"got t_end={t_end!r} step={step!r}")
         out = _integrate_rk4(metric, rhs, z0, t_end, float(step))
-    elif method == "rkf45":
-        if not (rtol > 0 and atol > 0):
-            raise ConfigError(f"rkf45 needs positive tolerances, got "
-                              f"rtol={rtol!r} atol={atol!r}")
-        out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
     else:
-        raise ConfigError(f"unknown integrator '{method}'")
+        out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
     times, jets, domain_exit, n_rej = out
     return GeodesicTrajectory(
         times=np.asarray(times), metric=metric, jets=_stack(jets),

@@ -13,7 +13,7 @@ from finvar import (ConfigError, DegenerateVelocity, DomainError,
                     catalog_metric, metric_jet, rapcsak_residual)
 from finvar import autodiff
 from finvar.autodiff import (LANES, HyperDual, Jet2, _SeedVector,
-                             _seed_dot_arrays, _seeds, gdot, gsqrt,
+                             _dot_arrays, _seeds, gdot, gsqrt,
                              lane_power, lane_scalars, xy_jet2)
 
 import symbolic_oracle
@@ -380,8 +380,7 @@ def test_seed_vector_dot_equals_the_generic_loop_bytewise(case, operands):
         assert isinstance(u, _SeedVector) and isinstance(v, _SeedVector)
         res = gdot(u, v)
         # the one-pass product: its Hessian rows are the cached block
-        assert res.hess is _seed_dot_arrays(u.offset, v.offset, n, n,
-                                            2 * n)[2]
+        assert res.hess is _dot_arrays(u.offset, v.offset, n, n, 2 * n)[2]
         return res
 
     jet = xy_jet2(field, x, y)
@@ -397,9 +396,9 @@ def test_seed_vector_dot_equals_the_generic_loop_bytewise(case, operands):
 @pytest.mark.parametrize("count", [0, 2])
 def test_other_operands_of_gdot_take_the_generic_loop(monkeypatch, count):
     calls = []
-    one_pass = autodiff._seed_dot
-    monkeypatch.setattr(autodiff, "_seed_dot",
-                        lambda u, v: calls.append(1) or one_pass(u, v))
+    one_pass = autodiff._dot
+    monkeypatch.setattr(autodiff, "_dot",
+                        lambda u, a, v: calls.append(1) or one_pass(u, a, v))
     x = np.array([0.3, -0.0, 0.2])
     y = np.array([-0.5, -0.0, 1.0])
     if count:
@@ -409,12 +408,31 @@ def test_other_operands_of_gdot_take_the_generic_loop(monkeypatch, count):
     # a point against a stack, or a stack against a point
     other = _seeds(np.tile(y, (3, 1)) if not count else y[0], 6, 3, 3)
     for u, v in ((xs[:], ys[:]), (xs[1:], ys[1:]), (list(xs), ys),
-                 (xs, ys + []), (floats, ys), (xs, floats), (xs, other)):
+                 (xs, ys + []), (xs, floats), (xs, other)):
         gdot(u, v)
     assert calls == []
     assert isinstance(gdot(floats, floats), float)
     gdot(xs, ys)
-    assert calls == [1]
+    gdot(floats, ys)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_gdot_refuses_operands_of_unequal_or_no_length(count):
+    x = np.array([0.3, -0.0, 0.2])
+    y = np.array([0.5, -1.0, 2.0])
+    if count:
+        x, y = np.tile(x, (count, 1)), np.tile(y, (count, 1))
+    ys = _seeds(y, 3, 0, 3)
+    for u, v in (([1.0, 2.0], [3.0]), ([], []), (ys, list(ys)[:1]),
+                 (list(ys)[:2], ys), ([0.1, 0.2], ys), (ys, [0.1] * 4),
+                 (ys[:0], ys[:0])):
+        with pytest.raises(ConfigError,
+                           match=f"got lengths {len(u)} and {len(v)}$"):
+            gdot(u, v)
+    # a field that reads a truncated operand
+    with pytest.raises(ConfigError, match="got lengths 3 and 1$"):
+        xy_jet2(lambda xs, ys: gdot(ys, list(ys)[:1]) + 1.0, x, y)
 
 
 @pytest.mark.parametrize("p", [2, 3, 2.0 / 3.0, 0.25])

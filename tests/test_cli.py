@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import importlib
 import io
 import json
+import pkgutil
 import tempfile
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finvar.autodiff import _seed_arrays, _seed_dot_arrays
+import finvar
 from finvar.cli import _build_parser, main
 from finvar.metrics import MAX_NESTING
 
@@ -22,6 +24,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 COMMANDS = ("evaluate", "geodesic", "verify", "oracle")
+
+
+def clear_caches() -> set:
+    """Empty the cache of every cached function in the finvar modules;
+    returns their names."""
+    cleared = set()
+    for info in pkgutil.iter_modules(finvar.__path__):
+        module = importlib.import_module(f"finvar.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+                cleared.add(name)
+    return cleared
+
 
 # boxes whose width hi - lo overflows the float range
 WIDE_BOXES = {"box_width_1e308": [-1e308, 1e308],
@@ -387,15 +403,15 @@ class TestCliContract:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_second_run_in_one_process_gives_the_same_bytes(
             self, tmp_path, capsys, command, fmt):
-        # the first run builds the cached read-only seed blocks afresh and
-        # the second reads them
+        # the first run builds every cache of the package afresh and the
+        # second reads them
         cfg = write_config(
             tmp_path, pair={"base": {"kind": "klein", "dim": 3},
                             "comparison": {"kind": "funk", "dim": 3}},
             samples={"count": 4, "trajectories": 1},
             integrator={"t_end": 0.2}, seed=7)
-        _seed_arrays.cache_clear()
-        _seed_dot_arrays.cache_clear()
+        assert {"_seed_arrays", "_dot_arrays", "_permutation_pairs",
+                "_array_template"} <= clear_caches()
         argv = (command, "--config", cfg, "--format", fmt)
         first = run(capsys, *argv)
         assert first[0] == 0 and first[1]

@@ -227,6 +227,29 @@ SETTING_ERRORS = {
                        "unknown key(s) ['tol'] in config field "
                        "'integrator'; expected a subset of ['atol', "
                        "'method', 'rtol', 'step', 't_end']"),
+    # integrator settings with which no geodesic can run
+    "t_end_zero": (lambda: IntegratorSettings(t_end=0.0),
+                   {"integrator": {"t_end": 0.0}}, "t_end must be nonzero"),
+    "rk4_step_zero": (lambda: IntegratorSettings(method="rk4", step=0.0),
+                      {"integrator": {"method": "rk4", "step": 0.0}},
+                      "rk4 needs step > 0, got 0.0"),
+    "rk4_step_negative": (
+        lambda: IntegratorSettings(method="rk4", step=-1e-3),
+        {"integrator": {"method": "rk4", "step": -1e-3}},
+        "rk4 needs step > 0, got -0.001"),
+    "rk4_step_count": (
+        lambda: IntegratorSettings(method="rk4", step=1e-300, t_end=1e10),
+        {"integrator": {"method": "rk4", "step": 1e-300, "t_end": 1e10}},
+        "rk4 step count |t_end| / step overflows, got t_end=10000000000.0 "
+        "step=1e-300"),
+    "rkf45_rtol": (lambda: IntegratorSettings(rtol=0.0),
+                   {"integrator": {"rtol": 0.0}},
+                   "rkf45 needs positive tolerances, got rtol=0.0 "
+                   "atol=1e-10"),
+    "rkf45_atol": (lambda: IntegratorSettings(atol=-1e-10),
+                   {"integrator": {"method": "rkf45", "atol": -1e-10}},
+                   "rkf45 needs positive tolerances, got rtol=1e-10 "
+                   "atol=-1e-10"),
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from finvar import SingularMetric, linalg, metrics
-from finvar.autodiff import (HyperDual, Jet2, _seed_arrays, _seed_dot_arrays,
+from finvar.autodiff import (HyperDual, Jet2, _dot_arrays, _seed_arrays,
                              lane_power)
 from finvar.oracle import _perm_sign, delta_alpha_combinatorial
 
@@ -157,7 +157,7 @@ def test_seed_dot_hessian_takes_the_bytes_of_the_seed_pair_blocks(n):
     # |x|^2, |y|^2, <x, y> and <y, x>: the n blocks summed in loop order
     m = 2 * n
     for u, v in itertools.product((0, n), repeat=2):
-        hess = _seed_dot_arrays(u, v, n, n, m)[2]
+        hess = _dot_arrays(u, v, n, n, m)[2]
         assert not hess.flags.writeable
         ref = old_seed_pair_hessian(u, v, n, m)
         for k in range(1, n):

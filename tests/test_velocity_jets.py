@@ -18,11 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finvar.autodiff
-from finvar import (FinvarError, HyperDual, PairJets, ProjectivePair,
+from finvar import (DegenerateVelocity, FinslerMetric, FinvarError,
+                    HyperDual, NonFiniteResult, PairJets, ProjectivePair,
                     TangentPoint, catalog_metric, first_integrals,
                     integrals_along, integrate_geodesic, metric_jet,
                     pair_jets, xy_jet2)
-from finvar.autodiff import _seeds, gdot
+from finvar.autodiff import _seeds, gdot, gsqrt
 from finvar.cli import main
 
 from conftest import (catalog_metrics, make_metric, make_pair, randers_extras,
@@ -292,3 +293,46 @@ def test_integrals_along_a_third_metric_equal_the_full_jets():
         metric_jet(pair.base, TangentPoint(x, y)),
         metric_jet(pair.comparison, TangentPoint(x, y)))).f
     assert integrals_along(pair, traj).tobytes() == full.tobytes()
+
+
+# -- fields with a root of an x-only term ------------------------------------
+
+
+def x_root_metric(field):
+    return FinslerMetric("x_root", 2, field, lambda xs: True)
+
+
+@pytest.mark.parametrize("spray", [True, False])
+def test_a_root_of_an_x_term_takes_the_bytes_of_each_point(spray):
+    # a velocity-only stacked pass hands gsqrt the x-term as lanes
+    metric = x_root_metric(
+        lambda xs, ys: gsqrt(1.0 + gdot(xs, xs)) * gsqrt(gdot(ys, ys)))
+    points = TangentPoint([[0.3, -0.0], [0.1, 0.5], [-0.0, 0.0]],
+                          [[1.0, -0.0], [-0.5, 2.0], [0.0, -1.0]])
+    stacked = metric_jet(metric, points, spray=spray)
+    for i in range(len(points)):
+        one = metric_jet(metric, points[i], spray=spray)
+        for name in VELOCITY_FIELDS:
+            assert (np.asarray(getattr(stacked[i], name)).tobytes()
+                    == np.asarray(getattr(one, name)).tobytes()), name
+    base = make_metric("euclidean", 2)
+    jets = pair_jets(ProjectivePair(base, metric), points)
+    assert jets.comparison.F.tobytes() == stacked.F.tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [
+    (0.0, DegenerateVelocity), (-1.0, DegenerateVelocity),
+    (math.nan, NonFiniteResult)])
+def test_a_lane_under_the_root_floor_fails_alike_in_every_layout(bad, error):
+    metric = x_root_metric(lambda xs, ys: gsqrt(xs[0]) * gsqrt(gdot(ys, ys)))
+    points = TangentPoint([[0.25, 0.0], [bad, 0.0], [0.5, 0.0]],
+                          [[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]])
+    messages = set()
+    for spray in (True, False):
+        for pts, point in ((points, 1), (points[1], None)):
+            with pytest.raises(error) as info:
+                metric_jet(metric, pts, spray=spray)
+            assert info.value.point == point
+            assert info.value.metric == "x_root"
+            messages.add(info.value.args[0])
+    assert len(messages) == 1
