@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -126,7 +126,6 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     """Integrate base-metric geodesics and report first-integral drift."""
     pair = cfg.build_pair()
     tol = cfg.tolerance if cfg.tolerance is not None else DRIFT_TOL
-    integ = cfg.integrator
     n = pair.dim
     trajectories = []
     all_pass = True
@@ -137,9 +136,8 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
             # The integrator keeps the base metric's domain; the comparison
             # metric's may end sooner, as a ball does for straight lines.
             traj = integrate_geodesic(
-                pair.base, p0, integ.t_end, method=integ.method,
-                step=integ.step, rtol=integ.rtol,
-                atol=integ.atol).within(pair.comparison.domain)
+                pair.base, p0,
+                **asdict(cfg.integrator)).within(pair.comparison.domain)
             f_vals = integrals_along(pair, traj)
         except FinvarError as exc:
             exc.trajectory = idx
@@ -173,9 +171,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
         })
     return _report(cfg, "geodesic", all_pass, tolerance=tol,
                    energy_tolerance=ENERGY_TOL,
-                   integrator={"method": integ.method, "rtol": integ.rtol,
-                               "atol": integ.atol, "step": integ.step,
-                               "t_end": integ.t_end},
+                   integrator=asdict(cfg.integrator),
                    trajectories=trajectories)
 
 

@@ -1,6 +1,7 @@
 """Run settings and point sampling. Each setting is named and checked once,
-in the dataclass that holds it: :func:`load_config` only parses a JSON file,
-and a CLI flag or a library caller overrides with ``dataclasses.replace``."""
+in the dataclass that holds it (``IntegratorSettings`` in ``dynamics``):
+:func:`load_config` only parses a JSON file, and a CLI flag or a library
+caller overrides with ``dataclasses.replace``."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import INTEGRATORS, check_integrator
+from .dynamics import IntegratorSettings
 from .errors import ConfigError
 from .metrics import (ProjectivePair, TangentPoint, catalog_metric,
-                      check_keys, finite_number, finite_vector)
+                      check_keys, check_number, finite_vector)
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 12345
@@ -25,13 +26,6 @@ _TOP_LEVEL_KEYS = {"schema_version", "pair", "samples", "integrator",
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_number(value, where: str) -> None:
-    """A JSON number that is finite; values keep their type, so reports
-    echo them as written."""
-    if not finite_number(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _check_point(pt, where: str, n: int | None) -> int:
@@ -65,35 +59,17 @@ class SampleSettings:
             raise ConfigError(
                 f"samples.box must be [lo, hi], got {self.box!r}")
         object.__setattr__(self, "box", tuple(self.box))
-        _check_number(self.box[0], "samples.box[0]")
-        _check_number(self.box[1], "samples.box[1]")
+        check_number(self.box[0], "samples.box[0]")
+        check_number(self.box[1], "samples.box[1]")
         if not self.box[0] < self.box[1]:
             raise ConfigError(f"box {self.box} is empty")
         if not math.isfinite(float(self.box[1]) - float(self.box[0])):
             raise ConfigError(f"box {self.box} is wider than the float range")
         if self.velocity_scale is not None:
-            _check_number(self.velocity_scale, "samples.velocity_scale")
+            check_number(self.velocity_scale, "samples.velocity_scale")
             if self.velocity_scale == 0:
                 raise ConfigError("samples.velocity_scale must be nonzero: "
                                   "every sampled velocity would vanish")
-
-
-@dataclass(frozen=True)
-class IntegratorSettings:
-    method: str = "rkf45"
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    step: float = 1e-3
-    t_end: float = 1.0
-
-    def __post_init__(self):
-        if self.method not in INTEGRATORS:
-            raise ConfigError(f"integrator.method must be one of "
-                              f"{list(INTEGRATORS)}, got {self.method!r}")
-        for name in ("rtol", "atol", "step", "t_end"):
-            _check_number(getattr(self, name), f"integrator.{name}")
-        check_integrator(self.method, self.t_end, step=self.step,
-                         rtol=self.rtol, atol=self.atol)
 
 
 @dataclass(frozen=True)
@@ -115,7 +91,7 @@ class RunConfig:
             raise ConfigError(
                 f"seed must be an integer >= 0, got {self.seed!r}")
         if self.tolerance is not None:
-            _check_number(self.tolerance, "tolerance")
+            check_number(self.tolerance, "tolerance")
             if self.tolerance < 0:
                 raise ConfigError(
                     f"tolerance must be >= 0, got {self.tolerance!r}")
@@ -199,8 +175,11 @@ def sample_tangent_points(pair: ProjectivePair, count: int,
     drawn, an order every seeded report depends on; drawing in batches
     would reorder the random stream. A base point is drawn and a velocity
     scaled in Python floats, with the bits of numpy's own arithmetic, and
-    the accepted rows are stacked once."""
+    the accepted rows are stacked once. ``count``, ``box`` and
+    ``velocity_scale`` meet the checks of :class:`SampleSettings`."""
     n = pair.dim
+    box = SampleSettings(count=count, box=box,
+                         velocity_scale=velocity_scale).box
     if count > MAX_REJECTIONS:
         # every point takes at least one draw
         raise ConfigError(f"cannot draw {count} points in at most "

@@ -28,40 +28,50 @@ from .autodiff import check_lanes, lane, lane_power
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
-                      TangentPoint, _jet_arrays, _matvec, metric_jet)
+                      TangentPoint, _jet_arrays, _matvec, check_number,
+                      metric_jet)
 
 # Step size floor of rkf45, lowered to its first step |t_end| / 100 when
 # that is smaller: a step below it short of t_end ends the run.
 H_MIN = 1e-12
 
 
-def _check_rk4(t_end, step, rtol, atol) -> None:
-    if not (isinstance(step, (int, float)) and step > 0):
-        raise ConfigError(f"rk4 needs step > 0, got {step!r}")
-    if not math.isfinite(abs(t_end) / step):
-        raise ConfigError(f"rk4 step count |t_end| / step overflows, "
-                          f"got t_end={t_end!r} step={step!r}")
+# The most steps rk4 may take. A trajectory keeps one jet per step, about
+# 2 KB at n = 2 and 6 KB at n = 8 at the peak, so 10**6 steps reach
+# gigabytes; the benchmark's rk4 runs take 150 steps.
+RK4_MAX_STEPS = 10 ** 5
 
 
-def _check_rkf45(t_end, step, rtol, atol) -> None:
-    if not (rtol > 0 and atol > 0):
-        raise ConfigError(f"rkf45 needs positive tolerances, got "
-                          f"rtol={rtol!r} atol={atol!r}")
+@dataclass(frozen=True)
+class IntegratorSettings:
+    """The settings of :func:`integrate_geodesic`, checked when built:
+    settings with which no geodesic can run are a :class:`ConfigError`."""
 
+    method: str = "rkf45"
+    rtol: float = 1e-10
+    atol: float = 1e-10
+    step: float = 1e-3
+    t_end: float = 1.0
 
-# integrate_geodesic's methods, each with the check of its settings
-INTEGRATORS = {"rk4": _check_rk4, "rkf45": _check_rkf45}
-
-
-def check_integrator(method: str, t_end: float, *, step: float,
-                     rtol: float, atol: float) -> None:
-    """Refuse settings with which :func:`integrate_geodesic` can never run,
-    with :class:`ConfigError`."""
-    if method not in INTEGRATORS:
-        raise ConfigError(f"unknown integrator '{method}'")
-    if t_end == 0.0:
-        raise ConfigError("t_end must be nonzero")
-    INTEGRATORS[method](t_end, step, rtol, atol)
+    def __post_init__(self):
+        if not (isinstance(self.method, str) and self.method in INTEGRATORS):
+            raise ConfigError(f"integrator.method must be one of "
+                              f"{list(INTEGRATORS)}, got {self.method!r}")
+        for name in ("rtol", "atol", "step", "t_end"):
+            check_number(getattr(self, name), f"integrator.{name}")
+        if self.t_end == 0:
+            raise ConfigError("t_end must be nonzero")
+        if self.method == "rk4":
+            if not self.step > 0:
+                raise ConfigError(f"rk4 needs step > 0, got {self.step!r}")
+            if abs(self.t_end) / self.step > RK4_MAX_STEPS:
+                raise ConfigError(
+                    f"rk4 step count |t_end| / step must be at most "
+                    f"{RK4_MAX_STEPS}, got t_end={self.t_end!r} "
+                    f"step={self.step!r}")
+        elif not (self.rtol > 0 and self.atol > 0):
+            raise ConfigError(f"rkf45 needs positive tolerances, got "
+                              f"rtol={self.rtol!r} atol={self.atol!r}")
 
 
 def _flow(jet: MetricJet) -> np.ndarray:
@@ -160,15 +170,14 @@ def _rkf45_step(rhs, z, k1, h):
 
 
 def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
-                       *, method: str = "rkf45", step: float = 1e-3,
-                       rtol: float = 1e-10, atol: float = 1e-10,
-                       ) -> GeodesicTrajectory:
+                       **settings) -> GeodesicTrajectory:
     """Integrate the geodesic flow of ``metric`` from ``p0`` to time ``t_end``.
 
-    ``p0`` is one point, not a stack. ``method`` is ``rk4`` (fixed step
-    ``step``) or ``rkf45`` (adaptive with ``rtol``/``atol``). Samples are
-    ``p0`` and the accepted steps, in integration order, so
-    times decrease when ``t_end < 0``. The first jet, at ``p0``, raises
+    ``p0`` is one point, not a stack. The keywords are the other fields of
+    :class:`IntegratorSettings`, with its defaults, and meet its checks:
+    ``method`` is ``rk4`` (fixed step ``step``) or ``rkf45`` (adaptive with
+    ``rtol``/``atol``). Samples are ``p0`` and the accepted steps, in
+    integration order, so times decrease when ``t_end < 0``. The first jet, at ``p0``, raises
     :class:`DomainError` when ``p0`` is outside the domain. A
     :class:`DomainError` from any later jet, of a stage or of a candidate
     state, is the domain boundary: rk4 truncates the trajectory there
@@ -182,7 +191,7 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     if p0.x.shape != (metric.dim,):
         raise ConfigError(f"initial condition has shape {p0.x.shape}, "
                           f"metric has dimension {metric.dim}")
-    check_integrator(method, t_end, step=step, rtol=rtol, atol=atol)
+    settings = IntegratorSettings(t_end=t_end, **settings)
     if t_end < 0.0 and not metric.reversible:
         raise NonReversibleBackward(
             f"{metric.name} is not reversible; integrate forward only")
@@ -191,11 +200,8 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         return _flow(_state_jet(metric, z))
 
     z0 = np.concatenate((p0.x, p0.y))
-    if method == "rk4":
-        out = _integrate_rk4(metric, rhs, z0, t_end, float(step))
-    else:
-        out = _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol)
-    times, jets, domain_exit, n_rej = out
+    times, jets, domain_exit, n_rej = INTEGRATORS[settings.method](
+        metric, rhs, z0, settings)
     return GeodesicTrajectory(
         times=np.asarray(times), metric=metric, jets=_stack(jets),
         domain_exit=domain_exit, n_accepted=len(times) - 1, n_rejected=n_rej)
@@ -219,8 +225,9 @@ def _stack(jets: list[MetricJet]) -> MetricJet:
 # again.
 
 
-def _integrate_rk4(metric, rhs, z0, t_end, step):
-    n_steps = max(1, math.ceil(abs(t_end) / step))
+def _integrate_rk4(metric, rhs, z0, settings):
+    t_end = settings.t_end
+    n_steps = max(1, math.ceil(abs(t_end) / float(settings.step)))
     h = t_end / n_steps
     times, jets = [0.0], [_state_jet(metric, z0)]
     z = z0
@@ -240,7 +247,8 @@ def _integrate_rk4(metric, rhs, z0, t_end, step):
     return times, jets, domain_exit, 0
 
 
-def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
+def _integrate_rkf45(metric, rhs, z0, settings):
+    t_end, rtol, atol = settings.t_end, settings.rtol, settings.atol
     sign = 1.0 if t_end > 0 else -1.0
     h = sign * abs(t_end) / 100.0
     # the floor never exceeds the first step, so a short horizon starts; a
@@ -282,6 +290,10 @@ def _integrate_rkf45(metric, rhs, z0, t_end, rtol, atol):
         h *= min(5.0, max(0.2, factor))
     # reaching t_end takes an accepted step, which clears boundary pressure
     return times, jets, boundary_pressure, n_rej
+
+
+# integrate_geodesic's methods, by name
+INTEGRATORS = {"rk4": _integrate_rk4, "rkf45": _integrate_rkf45}
 
 
 def trajectory_energy(traj: GeodesicTrajectory) -> np.ndarray:

@@ -76,6 +76,13 @@ def finite_number(value) -> bool:
         return False
 
 
+def check_number(value, where: str) -> None:
+    """:class:`ConfigError` unless ``value`` is a finite number; values keep
+    their type, so reports echo them as written."""
+    if not finite_number(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def finite_vector(values, where: str, n: int | None = None) -> list[float]:
     """``values`` as floats, when it is a list of finite numbers (of length
     ``n`` if given); :class:`ConfigError` otherwise."""

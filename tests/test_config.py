@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finvar.config
-from finvar import ConfigError, ProjectivePair, catalog_metric
+from finvar import (ConfigError, ProjectivePair, TangentPoint, catalog_metric,
+                    integrate_geodesic)
 from finvar.config import (MAX_REJECTIONS, IntegratorSettings, RunConfig,
                            SampleSettings, load_config, sample_tangent_points)
+from finvar.dynamics import RK4_MAX_STEPS
 
 from conftest import make_pair
 
@@ -199,68 +201,129 @@ def file_error(tmp_path, **fields):
     return str(info.value)
 
 
-# a setting built directly, the same setting in a config file, and the
-# message both get
+EUCLID_KLEIN = make_pair("euclidean", "klein", 2)
+NAN, INF = float("nan"), float("inf")
+
+
+def integrator_case(message, **settings):
+    """Integrator settings built as the dataclass, through the library call
+    and in a config file, and the message all three get."""
+    return (lambda: IntegratorSettings(**settings),
+            lambda: integrate_geodesic(
+                EUCLID_KLEIN.base, TangentPoint(POINT["x"], POINT["y"]),
+                **{"t_end": 1.0, **settings}),
+            {"integrator": settings}, message)
+
+
+def sampler_case(message, **settings):
+    """Sample settings built as the dataclass, through the library sampler
+    and in a config file, and the message all three get."""
+    return (lambda: SampleSettings(**settings),
+            lambda: sample_tangent_points(EUCLID_KLEIN, 5,
+                                          np.random.default_rng(0),
+                                          **settings),
+            {"samples": settings}, message)
+
+
+# a setting built directly, through the library call that takes it, in a
+# config file, and the message each gets; None where a setting has no
+# dataclass or no library call of its own
 SETTING_ERRORS = {
-    "format": (lambda: RunConfig(BASE, COMPARISON, fmt="xml"),
+    "format": (lambda: RunConfig(BASE, COMPARISON, fmt="xml"), None,
                {"format": "xml"},
                "format must be 'json' or 'csv', got 'xml'"),
-    "box_length": (lambda: SampleSettings(box=[0.1]),
-                   {"samples": {"box": [0.1]}},
-                   "samples.box must be [lo, hi], got [0.1]"),
-    "box_type": (lambda: SampleSettings(box=0.1),
-                 {"samples": {"box": 0.1}},
-                 "samples.box must be [lo, hi], got 0.1"),
+    "box_length": sampler_case("samples.box must be [lo, hi], got [0.1]",
+                               box=[0.1]),
+    "box_type": sampler_case("samples.box must be [lo, hi], got 0.1",
+                             box=0.1),
+    "box_reversed": sampler_case("box (0.3, -0.3) is empty",
+                                 box=(0.3, -0.3)),
+    "box_infinite": sampler_case(
+        "samples.box[0] must be a finite number, got -inf", box=(-INF, INF)),
+    "velocity_scale_nan": sampler_case(
+        "samples.velocity_scale must be a finite number, got nan",
+        velocity_scale=NAN),
+    "velocity_scale_inf": sampler_case(
+        "samples.velocity_scale must be a finite number, got -inf",
+        velocity_scale=-INF),
     "points_object": (lambda: RunConfig(BASE, COMPARISON, points=POINT),
-                      {"points": POINT},
+                      None, {"points": POINT},
                       "config field 'points' must be a list, got "
                       "{'x': [0.0, 0.0], 'y': [1.0, 0.0]}"),
-    "samples_key": (None, {"samples": {"cnt": 1}},
+    "samples_key": (None, None, {"samples": {"cnt": 1}},
                     "unknown key(s) ['cnt'] in config field 'samples'; "
                     "expected a subset of ['box', 'count', 'trajectories', "
                     "'velocity_scale']"),
-    "pair_key": (None, {"pair": {"base": BASE, "comparison": COMPARISON,
-                                 "comparsion": {"kind": "funk", "dim": 2}}},
+    "pair_key": (None, None,
+                 {"pair": {"base": BASE, "comparison": COMPARISON,
+                           "comparsion": {"kind": "funk", "dim": 2}}},
                  "unknown key(s) ['comparsion'] in config field 'pair'; "
                  "expected a subset of ['base', 'comparison']"),
-    "integrator_key": (None, {"integrator": {"tol": 1}},
+    "integrator_key": (None, None, {"integrator": {"tol": 1}},
                        "unknown key(s) ['tol'] in config field "
                        "'integrator'; expected a subset of ['atol', "
                        "'method', 'rtol', 'step', 't_end']"),
     # integrator settings with which no geodesic can run
-    "t_end_zero": (lambda: IntegratorSettings(t_end=0.0),
-                   {"integrator": {"t_end": 0.0}}, "t_end must be nonzero"),
-    "rk4_step_zero": (lambda: IntegratorSettings(method="rk4", step=0.0),
-                      {"integrator": {"method": "rk4", "step": 0.0}},
-                      "rk4 needs step > 0, got 0.0"),
-    "rk4_step_negative": (
-        lambda: IntegratorSettings(method="rk4", step=-1e-3),
-        {"integrator": {"method": "rk4", "step": -1e-3}},
-        "rk4 needs step > 0, got -0.001"),
-    "rk4_step_count": (
-        lambda: IntegratorSettings(method="rk4", step=1e-300, t_end=1e10),
-        {"integrator": {"method": "rk4", "step": 1e-300, "t_end": 1e10}},
-        "rk4 step count |t_end| / step overflows, got t_end=10000000000.0 "
-        "step=1e-300"),
-    "rkf45_rtol": (lambda: IntegratorSettings(rtol=0.0),
-                   {"integrator": {"rtol": 0.0}},
-                   "rkf45 needs positive tolerances, got rtol=0.0 "
-                   "atol=1e-10"),
-    "rkf45_atol": (lambda: IntegratorSettings(atol=-1e-10),
-                   {"integrator": {"method": "rkf45", "atol": -1e-10}},
-                   "rkf45 needs positive tolerances, got rtol=1e-10 "
-                   "atol=-1e-10"),
+    "method_unknown": integrator_case(
+        "integrator.method must be one of ['rk4', 'rkf45'], got 'verlet'",
+        method="verlet"),
+    "method_list": integrator_case(
+        "integrator.method must be one of ['rk4', 'rkf45'], got ['rk4']",
+        method=["rk4"]),
+    "t_end_zero": integrator_case("t_end must be nonzero", t_end=0.0),
+    "t_end_nan": integrator_case(
+        "integrator.t_end must be a finite number, got nan", t_end=NAN),
+    "t_end_inf": integrator_case(
+        "integrator.t_end must be a finite number, got inf", t_end=INF),
+    "atol_inf": integrator_case(
+        "integrator.atol must be a finite number, got inf", atol=INF),
+    "rk4_step_zero": integrator_case("rk4 needs step > 0, got 0.0",
+                                     method="rk4", step=0.0),
+    "rk4_step_negative": integrator_case("rk4 needs step > 0, got -0.001",
+                                         method="rk4", step=-1e-3),
+    "rk4_step_nan": integrator_case(
+        "integrator.step must be a finite number, got nan",
+        method="rk4", step=NAN),
+    "rk4_step_inf": integrator_case(
+        "integrator.step must be a finite number, got inf",
+        method="rk4", step=INF),
+    "rk4_step_bool": integrator_case(
+        "integrator.step must be a finite number, got True",
+        method="rk4", step=True),
+    "rk4_step_count": integrator_case(
+        "rk4 step count |t_end| / step must be at most 100000, got "
+        "t_end=10000000000.0 step=1e-300",
+        method="rk4", step=1e-300, t_end=1e10),
+    # finite, but about 1e290 steps, one jet kept per step
+    "rk4_step_count_finite": integrator_case(
+        "rk4 step count |t_end| / step must be at most 100000, got "
+        "t_end=1e-10 step=1e-300",
+        method="rk4", step=1e-300, t_end=1e-10),
+    "rkf45_rtol": integrator_case(
+        "rkf45 needs positive tolerances, got rtol=0.0 atol=1e-10",
+        rtol=0.0),
+    "rkf45_atol": integrator_case(
+        "rkf45 needs positive tolerances, got rtol=1e-10 atol=-1e-10",
+        method="rkf45", atol=-1e-10),
 }
 
 
 @pytest.mark.parametrize("name", list(SETTING_ERRORS))
 def test_a_setting_meets_one_check_however_it_is_built(tmp_path, name):
-    build, fields, message = SETTING_ERRORS[name]
+    *builds, fields, message = SETTING_ERRORS[name]
     assert file_error(tmp_path, **fields) == message
-    if build is not None:
-        with pytest.raises(ConfigError) as info:
-            build()
-        assert str(info.value) == message
+    for build in builds:
+        if build is not None:
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert str(info.value) == message
+
+
+def test_rk4_takes_at_most_its_step_bound():
+    IntegratorSettings(method="rk4", step=0.5, t_end=-RK4_MAX_STEPS / 2)
+    with pytest.raises(ConfigError, match="must be at most"):
+        IntegratorSettings(method="rk4", step=0.5,
+                           t_end=-(RK4_MAX_STEPS + 1) / 2)
 
 
 def test_a_box_of_another_length_is_refused_in_any_sequence():

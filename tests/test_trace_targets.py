@@ -43,17 +43,24 @@ def test_counted_pair_method_exists():
 
 
 SAMPLES = {"count": 5, "trajectories": 2}
+RKF45 = {"t_end": 0.2}
+RK4 = {"method": "rk4", "step": 0.05, "t_end": 0.2}
 
 
-@pytest.mark.parametrize("command", ["evaluate", "geodesic", "verify",
-                                     "oracle"])
-def test_traced_cli_run(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, integrator", [
+    pytest.param("evaluate", RKF45, id="evaluate"),
+    pytest.param("geodesic", RKF45, id="geodesic"),
+    pytest.param("verify", RKF45, id="verify"),
+    pytest.param("oracle", RKF45, id="oracle"),
+    # the tracer reads the method from integrate_geodesic's keywords
+    pytest.param("geodesic", RK4, id="geodesic-rk4")])
+def test_traced_cli_run(tmp_path, capsys, command, integrator):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "schema_version": 1,
         "pair": {"base": {"kind": "euclidean", "dim": 2},
                  "comparison": {"kind": "klein", "dim": 2}},
-        "samples": SAMPLES, "integrator": {"t_end": 0.2}, "seed": 1}))
+        "samples": SAMPLES, "integrator": integrator, "seed": 1}))
     originals = [getattr(importlib.import_module(m), a) for m, a in TARGETS]
     tracer = load_spans().Tracer()
     with tracer.installed():
@@ -64,12 +71,15 @@ def test_traced_cli_run(tmp_path, capsys, command):
     key = "trajectories" if command == "geodesic" else "count"
     assert tracer.sampled_points == SAMPLES[key]
     if command == "geodesic":
-        # the integrator's own jets, outside the traced metric_jet: five
-        # stages per attempted step and one at each sample, the initial
-        # state included
-        accepted = tracer.steps["rkf45", "accepted"]
-        attempted = accepted + tracer.steps["rkf45", "rejected"]
-        assert tracer.rhs_calls()["rkf45"] == (5 * attempted + accepted
-                                               + SAMPLES["trajectories"])
+        # the integrator's own jets, outside the traced metric_jet: one at
+        # each sample, the initial state included, and per attempted step
+        # five more rkf45 stages or three more rk4 stages
+        method = integrator.get("method", "rkf45")
+        accepted = tracer.steps[method, "accepted"]
+        attempted = accepted + tracer.steps[method, "rejected"]
+        stages = 3 if method == "rk4" else 5
+        assert accepted > 0 and set(tracer.rhs_calls()) == {method}
+        assert tracer.rhs_calls()[method] == (stages * attempted + accepted
+                                              + SAMPLES["trajectories"])
     assert [getattr(importlib.import_module(m), a)
             for m, a in TARGETS] == originals
