@@ -12,29 +12,29 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 from dataclasses import asdict, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .autodiff import lane_power
+from .autodiff import check_lanes, lane_power
 from .config import RunConfig, load_config, sample_tangent_points
 from .dynamics import integrate_geodesic, rapcsak_residual, trajectory_energy
-from .errors import ConfigError, FinvarError, OracleScopeExceeded
+from .errors import (ConfigError, FinvarError, NonFiniteResult,
+                     OracleScopeExceeded)
 from .integrals import (f1_closed_form, first_integrals, fn1_closed_form,
                         integrals_along, mu, pair_jets, painleve_I0,
                         sarlet_K, tm_I1)
 from .metrics import ProjectivePair
 from .oracle import charpoly_by_interpolation, delta_alpha_combinatorial
 
-# Default pass thresholds per command; --tolerance overrides the main one.
-EVALUATE_TOL = 1e-9
-FN1_TOL = 1e-12
-DRIFT_TOL = 1e-6
+# Default pass threshold of each check; --tolerance replaces every one.
+TOLERANCES = {"f1_rel_err": 1e-9, "fn1_rel_err": 1e-12, "ri0_rel_err": 1e-9,
+              "ri1_rel_err": 1e-9, "q0_abs": np.inf, "max_rel_drift": 1e-6,
+              "max_residual": 1e-8, "charpoly_interpolation": 1e-9,
+              "delta_combinatorial": 1e-8}
 ENERGY_TOL = 1e-8
-RAPCSAK_TOL = 1e-8
-ORACLE_COMB_TOL = 1e-8
-ORACLE_INTERP_TOL = 1e-9
 
 
 def _rel_err(a, b):
@@ -46,10 +46,29 @@ def _pass_fail(ok) -> str:
     return "pass" if ok else "fail"
 
 
-def _report(cfg: RunConfig, command: str, verdict,
+Check = namedtuple("Check", "name worst tolerance ok")
+
+
+def _check(cfg: RunConfig, name: str, errors, by_alpha=False) -> Check:
+    """Check ``name``: the largest of ``errors``, folded in sample order
+    from 0.0, against ``cfg.tolerance`` or else ``TOLERANCES[name]``. A NaN
+    or inf error is a NonFiniteResult naming its point or, ``by_alpha``,
+    its alpha (errors[k] is alpha k + 1's)."""
+    values = errors.tolist()
+    check_lanes(np.isfinite(errors), lambda k: NonFiniteResult(
+        f"{name} {values[k]} not finite"
+        + (f" at alpha {k + 1}" if by_alpha else ""),
+        point=None if by_alpha else k))
+    worst = max([0.0] + values)
+    tolerance = TOLERANCES[name] if cfg.tolerance is None else cfg.tolerance
+    return Check(name, worst, tolerance, worst <= tolerance)
+
+
+def _report(cfg: RunConfig, command: str, results: list[Check],
             **body) -> tuple[dict, bool]:
     """A command's report: what every report carries (the command, the
     pair, the seed and the verdict) around the command's own fields."""
+    verdict = all(check.ok for check in results)
     report = {"command": command,
               "pair": {"base": cfg.base, "comparison": cfg.comparison},
               "seed": cfg.seed, "verdict": _pass_fail(verdict), **body}
@@ -78,7 +97,6 @@ def _points(cfg: RunConfig, pair: ProjectivePair, command: str, count: int):
 def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     """Per-point report of all tensors, integrals, and cross-check deltas."""
     pair = cfg.build_pair()
-    tol = cfg.tolerance if cfg.tolerance is not None else EVALUATE_TOL
     n = pair.dim
     points = _points(cfg, pair, "evaluate", cfg.samples.count)
     jets = pair_jets(pair, points)
@@ -98,12 +116,12 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
         "ri0_rel_err": _rel_err(ri0, i0),
         "ri1_rel_err": _rel_err(ri1, i1),
         "q0_abs": np.abs(fiv.coeffs[:, 0]),
-        "f_n": fiv.f[:, -1],
     }
+    results = [_check(cfg, key, value) for key, value in checks.items()]
+    worst = {check.name: check.worst for check in results}
+    results.pop()  # q0_abs is reported, not checked
     checks = {key: value.tolist() for key, value in checks.items()}
-    # the fold of a point-by-point max, in point order
-    worst = {key: max([0.0] + values) for key, values in checks.items()
-             if key != "f_n"}
+    checks["f_n"] = fiv.f[:, -1].tolist()
     records = [{
         "index": idx, "x": x, "y": y, "F": F, "F_comparison": F_t,
         "g": g, "h": h, "H": H, "f": f, "delta": delta,
@@ -114,21 +132,15 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
                          jet_t.F.tolist(), jet.g, jet.h, fiv.H, fiv.f,
                          fiv.delta, m.tolist(), i0.tolist(), i1.tolist(),
                          sarlet_K(jets)))]
-    fn1_tol = FN1_TOL if cfg.tolerance is None else tol
-    verdict = (worst["f1_rel_err"] <= tol and worst["ri0_rel_err"] <= tol
-               and worst["ri1_rel_err"] <= tol
-               and worst["fn1_rel_err"] <= fn1_tol)
-    return _report(cfg, "evaluate", verdict, tolerance=tol, records=records,
-                   worst=worst)
+    return _report(cfg, "evaluate", results, tolerance=results[0].tolerance,
+                   records=records, worst=worst)
 
 
 def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     """Integrate base-metric geodesics and report first-integral drift."""
     pair = cfg.build_pair()
-    tol = cfg.tolerance if cfg.tolerance is not None else DRIFT_TOL
     n = pair.dim
-    trajectories = []
-    all_pass = True
+    trajectories, results = [], []
     points = _points(cfg, pair, "geodesic", cfg.samples.trajectories)
     for idx in range(len(points)):
         p0 = points[idx]
@@ -139,17 +151,17 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
                 pair.base, p0,
                 **asdict(cfg.integrator)).within(pair.comparison.domain)
             f_vals = integrals_along(pair, traj)
+            drift = np.abs(f_vals - f_vals[0]).max(axis=0)
+            rel_drift = drift / np.maximum(1.0, np.abs(f_vals[0]))
+            results.append(_check(cfg, "max_rel_drift", rel_drift[:n - 1],
+                                  by_alpha=True))
         except FinvarError as exc:
             exc.trajectory = idx
             raise
         energy = trajectory_energy(traj)
-        drift = np.abs(f_vals - f_vals[0]).max(axis=0)
-        rel_drift = drift / np.maximum(1.0, np.abs(f_vals[0]))
         energy_drift = float(np.abs(energy - energy[0]).max() / energy[0])
         # verdict is about the first integrals; energy drift is reported
         # alongside as an integration diagnostic
-        ok = bool(np.all(rel_drift[:n - 1] <= tol))
-        all_pass = all_pass and ok
         trajectories.append({
             "index": idx,
             "initial": {"x": p0.x, "y": p0.y},
@@ -163,13 +175,13 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
             "domain_exit": traj.domain_exit,
             "n_accepted": traj.n_accepted,
             "n_rejected": traj.n_rejected,
-            "verdict": _pass_fail(ok),
+            "verdict": _pass_fail(results[-1].ok),
             "series": {
                 "t": traj.times, "x": traj.jets.x, "y": traj.jets.y,
                 "f": f_vals, "energy": energy,
             },
         })
-    return _report(cfg, "geodesic", all_pass, tolerance=tol,
+    return _report(cfg, "geodesic", results, tolerance=results[0].tolerance,
                    energy_tolerance=ENERGY_TOL,
                    integrator=asdict(cfg.integrator),
                    trajectories=trajectories)
@@ -178,11 +190,11 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Projective-equivalence residual over a seeded sample grid."""
     pair = cfg.build_pair()
-    tol = cfg.tolerance if cfg.tolerance is not None else RAPCSAK_TOL
     samples = _points(cfg, pair, "verify", cfg.samples.count)
     rep = rapcsak_residual(pair, samples)
-    return _report(cfg, "verify", rep.passes(tol), tolerance=tol,
-                   n_samples=len(samples), max_residual=rep.max_residual,
+    check = _check(cfg, "max_residual", rep.norms)
+    return _report(cfg, "verify", [check], tolerance=check.tolerance,
+                   n_samples=len(samples), max_residual=check.worst,
                    mean_residual=rep.mean_residual,
                    residual_norms=rep.norms)
 
@@ -190,26 +202,16 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     """Cross-validate the polynomial path against the brute-force oracles."""
     pair = cfg.build_pair()
-    tol = cfg.tolerance
-    interp_tol = tol if tol is not None else ORACLE_INTERP_TOL
-    comb_tol = tol if tol is not None else ORACLE_COMB_TOL
     points = _points(cfg, pair, "oracle", cfg.samples.count)
     jets = pair_jets(pair, points)
     fiv = first_integrals(jets)
     n = pair.dim
     checks = []
-    all_pass = True
 
     a = fiv.coeffs
     errs = (np.abs(a - charpoly_by_interpolation(fiv.H)).max(axis=-1)
             / np.maximum(1.0, np.abs(a).max(axis=-1)))
-    worst = max([0.0] + errs.tolist())
-    ok = worst <= interp_tol
-    all_pass = all_pass and ok
-    checks.append({"name": "charpoly_interpolation", "cases": len(points),
-                   "max_rel_err": worst, "tolerance": interp_tol,
-                   "status": _pass_fail(ok)})
-
+    results = [_check(cfg, "charpoly_interpolation", errs)]
     # the oracle refuses a dimension at alpha = 1, before any check is added
     for alpha in range(1, n + 1):
         try:
@@ -218,13 +220,14 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
             checks.append({"name": "delta_combinatorial", "alpha": alpha,
                            "status": "skipped", "reason": str(exc)})
             break
-        worst = max([0.0] + _rel_err(delta, fiv.delta[:, alpha - 1]).tolist())
-        ok = worst <= comb_tol
-        all_pass = all_pass and ok
-        checks.append({"name": "delta_combinatorial", "alpha": alpha,
-                       "cases": len(points), "max_rel_err": worst,
-                       "tolerance": comb_tol, "status": _pass_fail(ok)})
-    return _report(cfg, "oracle", all_pass, checks=checks)
+        results.append(_check(cfg, "delta_combinatorial",
+                              _rel_err(delta, fiv.delta[:, alpha - 1])))
+    # results[alpha] checks delta_alpha for alpha >= 1; a skipped one is last
+    rows = [{"name": check.name, **({"alpha": alpha} if alpha else {}),
+             "cases": len(points), "max_rel_err": check.worst,
+             "tolerance": check.tolerance, "status": _pass_fail(check.ok)}
+            for alpha, check in enumerate(results)]
+    return _report(cfg, "oracle", results, checks=rows + checks)
 
 
 COMMANDS = {

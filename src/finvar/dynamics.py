@@ -185,7 +185,9 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
     step shrinks h by its factor. A step below the floor (``H_MIN``, or the
     first step if smaller) short of ``t_end`` ends the run: as
     ``domain_exit`` if a :class:`DomainError` came since the last accepted
-    step, else as :class:`IntegratorStall`. A non-reversible metric rejects
+    step, else as :class:`IntegratorStall`. A step accepted after such a
+    :class:`DomainError` that leaves the base point bitwise unchanged ends
+    the run as ``domain_exit`` too. A non-reversible metric rejects
     ``t_end < 0`` with :class:`NonReversibleBackward`.
     """
     if p0.x.shape != (metric.dim,):
@@ -256,7 +258,7 @@ def _integrate_rkf45(metric, rhs, z0, settings):
     h_min = min(H_MIN, abs(h)) or H_MIN
     t, z = 0.0, z0
     times, jets = [0.0], [_state_jet(metric, z0)]
-    n_rej = 0
+    n, n_rej = metric.dim, 0
     boundary_pressure = False
     while sign * (t_end - t) > 0.0:
         # checked only short of t_end, so the sliver step after a clamped
@@ -281,6 +283,11 @@ def _integrate_rkf45(metric, rhs, z0, settings):
             boundary_pressure = True
         if jet is None:
             n_rej += 1
+        elif boundary_pressure and z_new[:n].tobytes() == z[:n].tobytes():
+            # the base point froze at the domain margin, where h need not
+            # fall to its floor: the step is the boundary, neither kept
+            # nor counted
+            break
         else:
             t += h
             z = z_new
@@ -323,9 +330,6 @@ class RapcsakReport:
     @property
     def mean_residual(self) -> float:
         return float(self.norms.mean())
-
-    def passes(self, tol: float) -> bool:
-        return self.max_residual <= tol
 
 
 def rapcsak_residual(pair: ProjectivePair,

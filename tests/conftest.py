@@ -1,7 +1,9 @@
 """Shared fixtures: catalog metrics, standard pairs, seeded samplers, and
 the unparameterized distance of two sampled paths."""
 
+import contextlib
 import functools
+import signal
 
 import numpy as np
 import pytest
@@ -141,3 +143,20 @@ def path_distance(xs_a, xs_b, count=200):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@contextlib.contextmanager
+def wall_clock(seconds):
+    """Fail the enclosed code if it runs longer than ``seconds`` of wall
+    time, interrupting it then, so that a run that would not end fails
+    instead of hanging the suite (a SIGALRM timer; main thread, POSIX)."""
+    def expire(signum, frame):
+        pytest.fail(f"ran longer than {seconds} s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

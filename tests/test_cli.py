@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finvar
+import finvar.cli
 from finvar.cli import _build_parser, main
 from finvar.metrics import MAX_NESTING
+
+from conftest import wall_clock
 
 NAN = float("nan")
 
@@ -253,6 +256,28 @@ class TestGeodesic:
         assert code == 0
         for traj in json.loads(out)["trajectories"]:
             assert traj["t_final"] == t_end and not traj["domain_exit"]
+
+    def test_base_point_frozen_at_the_margin_ends_the_run(self, tmp_path,
+                                                          capsys):
+        # klein's geodesics reach its 1e-9 domain margin near t = 10 and
+        # freeze there in floats, with h above its floor: each run ends as
+        # a domain exit at its first frozen step instead of creeping on
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "klein", "dim": 2},
+            "comparison": {"kind": "funk", "dim": 2},
+        }, samples={"trajectories": 3, "velocity_scale": 1.0},
+            integrator={"t_end": 50.0})
+        with wall_clock(30):
+            code, out, err = run(capsys, "geodesic", "--config", cfg)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "pass"
+        assert [(t["domain_exit"], t["n_accepted"], t["n_rejected"],
+                 t["n_samples"]) for t in report["trajectories"]] == [
+            (True, 158, 53, 159), (True, 161, 60, 162), (True, 149, 64, 150)]
+        assert [t["t_final"] for t in report["trajectories"]] == pytest.approx(
+            [10.16805800877421, 9.929287082579695, 9.561621151907412],
+            rel=1e-12)
 
     def test_out_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -761,6 +786,85 @@ class TestCliContract:
             assert isinstance(json.loads(lines[0]), dict)
         if code == 1:
             assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("n, factor, message", [
+        (2, 1e60, "ri0_rel_err nan not finite (point 0)"),
+        (3, 1e-30, "ri1_rel_err inf not finite (point 0)"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_check_error_is_a_runtime_error(self, tmp_path, capsys,
+                                                       n, factor, message):
+        # at velocity scale 1e100, ri0 is inf / inf at factor 1e60, and
+        # ri1's error overflows at factor 1e-30 while I1 is about 2e215:
+        # neither may be folded into a verdict
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "klein", "dim": n},
+            "comparison": {"kind": "scaled", "factor": factor,
+                           "base": {"kind": "funk", "dim": n}},
+        }, samples={"count": 3, "velocity_scale": 1e100})
+        code, out, err = run(capsys, "evaluate", "--config", cfg)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "NonFiniteResult",
+                                   "message": message}
+
+    def test_non_finite_drift_names_its_alpha(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a drift check's samples are the alphas of one trajectory
+        integrals_along = finvar.cli.integrals_along
+
+        def overflowing(pair, traj):
+            f_vals = integrals_along(pair, traj)
+            f_vals[-1, 1] = np.inf
+            return f_vals
+
+        monkeypatch.setattr(finvar.cli, "integrals_along", overflowing)
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": 3},
+            "comparison": {"kind": "klein", "dim": 3},
+        }, integrator={"t_end": 0.2})
+        code, out, err = run(capsys, "geodesic", "--config", cfg)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "NonFiniteResult",
+            "message": "max_rel_drift inf not finite at alpha 2 "
+                       "(trajectory 0)"}
+
+    def test_non_finite_oracle_error_names_its_point(self, tmp_path, capsys,
+                                                     monkeypatch):
+        interpolation = finvar.cli.charpoly_by_interpolation
+
+        def nan_at_point_1(H):
+            coeffs = interpolation(H)
+            coeffs[1, 0] = np.nan
+            return coeffs
+
+        monkeypatch.setattr(finvar.cli, "charpoly_by_interpolation",
+                            nan_at_point_1)
+        cfg = write_config(tmp_path, samples={"count": 3})
+        code, out, err = run(capsys, "oracle", "--config", cfg)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "NonFiniteResult",
+            "message": "charpoly_interpolation nan not finite (point 1)"}
+
+    @pytest.mark.parametrize("command, defaults", [
+        ("evaluate", [1e-9]), ("geodesic", [1e-6]), ("verify", [1e-8]),
+        ("oracle", [1e-9, 1e-8, 1e-8])])
+    def test_tolerance_replaces_every_default(self, tmp_path, capsys,
+                                              command, defaults):
+        # oracle echoes one tolerance per check: interpolation, then
+        # delta_1 and delta_2
+        def echoed(argv):
+            code, out, _ = run(capsys, command, "--config", cfg, *argv)
+            assert code == 0
+            report = json.loads(out)
+            if "tolerance" in report:
+                return [report["tolerance"]]
+            return [check["tolerance"] for check in report["checks"]]
+
+        cfg = write_config(tmp_path, samples={"count": 3, "trajectories": 1},
+                           integrator={"t_end": 0.2})
+        assert echoed([]) == defaults
+        assert echoed(["--tolerance", "1e-7"]) == [1e-7] * len(defaults)
 
     def test_tolerance_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, pair={
