@@ -140,6 +140,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     """Integrate base-metric geodesics and report first-integral drift."""
     pair = cfg.build_pair()
     n = pair.dim
+    cfg.integrator.check_dim(n)
     trajectories, results = [], []
     points = _points(cfg, pair, "geodesic", cfg.samples.trajectories)
     for idx in range(len(points)):

@@ -2,7 +2,8 @@
 
 The geodesic flow is the first-order system (x', y') = (y, -2G). The jet
 of the metric at a state carries that state and its spray G, so the flow
-reads one jet and nothing else.
+reads one jet and nothing else; a stage, whose jet is not kept, forms the
+spray alone.
 Two integrators are provided: classical fixed-step RK4 and the adaptive
 Runge-Kutta-Fehlberg 4(5) pair, which propagates the fifth-order solution
 (local extrapolation) and uses the classical embedded error estimate for
@@ -18,6 +19,7 @@ bitwise those of ``sum(w * k for w, k in zip(weights, stages))``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -28,17 +30,19 @@ from .autodiff import check_lanes, lane, lane_power
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
-                      TangentPoint, _jet_arrays, _matvec, check_number,
-                      metric_jet)
+                      TangentPoint, _jet_arrays, _matvec, _spray_at,
+                      check_number, metric_jet)
 
 # Step size floor of rkf45, lowered to its first step |t_end| / 100 when
 # that is smaller: a step below it short of t_end ends the run.
 H_MIN = 1e-12
 
 
-# The most steps rk4 may take. A trajectory keeps one jet per step, about
-# 2 KB at n = 2 and 6 KB at n = 8 at the peak, so 10**6 steps reach
-# gigabytes; the benchmark's rk4 runs take 150 steps.
+# The most steps rk4 may take up to n = 8. A trajectory keeps one jet per
+# step, about 2 KB at n = 2 and 6 KB at n = 8 at the peak, so 10**6 steps
+# reach gigabytes; the benchmark's rk4 runs take 150 steps. A kept jet
+# grows with n^2 (about 277 KB at n = 64), so above n = 8 the steps times
+# n^2 stay at most RK4_MAX_STEPS * 8^2.
 RK4_MAX_STEPS = 10 ** 5
 
 
@@ -73,9 +77,27 @@ class IntegratorSettings:
             raise ConfigError(f"rkf45 needs positive tolerances, got "
                               f"rtol={self.rtol!r} atol={self.atol!r}")
 
+    @property
+    def rk4_steps(self) -> int:
+        """The steps of an rk4 run, ceil(|t_end| / step) and at least 1."""
+        return max(1, math.ceil(abs(self.t_end) / float(self.step)))
 
-def _flow(jet: MetricJet) -> np.ndarray:
-    return np.concatenate((jet.y, -2.0 * jet.G))
+    def check_dim(self, n: int) -> None:
+        """:class:`ConfigError` unless a run in dimension ``n`` keeps no
+        more than the jets of RK4_MAX_STEPS rk4 steps at n = 8: checked
+        before the first jet, once the metric gives ``n``."""
+        if self.method != "rk4":
+            return
+        if self.rk4_steps * n * n > RK4_MAX_STEPS * 64:
+            raise ConfigError(
+                f"rk4 step count times n^2 must be at most "
+                f"{RK4_MAX_STEPS * 64}, got {self.rk4_steps} steps at "
+                f"n = {n}")
+
+
+def _flow(y: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(x', y') = (y, -2G) at the state (x, y)."""
+    return np.concatenate((y, -2.0 * G))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +158,14 @@ def _state_jet(metric: FinslerMetric, z: np.ndarray) -> MetricJet:
     return _jet_arrays(metric, z[:n], z[n:])
 
 
+def _stage_flow(metric: FinslerMetric, z: np.ndarray) -> np.ndarray:
+    """The flow of ``metric`` at the state z = (x, y) of a stage, whose jet
+    is not kept: the bits of ``_flow`` of :func:`_state_jet`, from the
+    spray alone."""
+    n = metric.dim
+    return _flow(z[n:], _spray_at(metric, z[:n], z[n:]))
+
+
 # Fehlberg 4(5) tableau.
 _RKF_A = (
     (),
@@ -194,16 +224,13 @@ def integrate_geodesic(metric: FinslerMetric, p0: TangentPoint, t_end: float,
         raise ConfigError(f"initial condition has shape {p0.x.shape}, "
                           f"metric has dimension {metric.dim}")
     settings = IntegratorSettings(t_end=t_end, **settings)
+    settings.check_dim(metric.dim)
     if t_end < 0.0 and not metric.reversible:
         raise NonReversibleBackward(
             f"{metric.name} is not reversible; integrate forward only")
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        return _flow(_state_jet(metric, z))
-
     z0 = np.concatenate((p0.x, p0.y))
     times, jets, domain_exit, n_rej = INTEGRATORS[settings.method](
-        metric, rhs, z0, settings)
+        metric, functools.partial(_stage_flow, metric), z0, settings)
     return GeodesicTrajectory(
         times=np.asarray(times), metric=metric, jets=_stack(jets),
         domain_exit=domain_exit, n_accepted=len(times) - 1, n_rejected=n_rej)
@@ -229,13 +256,13 @@ def _stack(jets: list[MetricJet]) -> MetricJet:
 
 def _integrate_rk4(metric, rhs, z0, settings):
     t_end = settings.t_end
-    n_steps = max(1, math.ceil(abs(t_end) / float(settings.step)))
+    n_steps = settings.rk4_steps
     h = t_end / n_steps
     times, jets = [0.0], [_state_jet(metric, z0)]
     z = z0
     domain_exit = False
     for k in range(n_steps):
-        k1 = _flow(jets[-1])
+        k1 = _flow(jets[-1].y, jets[-1].G)
         try:
             k2 = rhs(z + 0.5 * h * k1)
             k3 = rhs(z + 0.5 * h * k2)
@@ -271,11 +298,15 @@ def _integrate_rkf45(metric, rhs, z0, settings):
         if sign * (t + h) > sign * t_end:
             h = t_end - t
         jet, factor = None, 0.5
+        k1 = _flow(jets[-1].y, jets[-1].G)
         try:
-            z_new, err = _rkf45_step(rhs, z, _flow(jets[-1]), h)
-            if np.all(np.isfinite(z_new)):
+            z_new, err = _rkf45_step(rhs, z, k1, h)
+            if np.isfinite(z_new).all():
                 scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
-                err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+                # the root mean square, with the bits of np.mean's sum and
+                # division and without its per-call cost
+                q = (err / scale) ** 2
+                err_norm = math.sqrt(np.add.reduce(q) / q.size)
                 if err_norm <= 1.0:
                     jet = _state_jet(metric, z_new)
                 factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0

@@ -256,15 +256,35 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray, *,
                 spray: bool = True) -> MetricJet:
     """The :class:`MetricJet` at one point (x, y of shape (n,)), or the
-    stacked jet at the rows of stacks x, y of shape (N, n). The spray solves
-    the Euler-Lagrange condition for F^2:
+    stacked jet at the rows of stacks x, y of shape (N, n), from one
+    :func:`_jet_pass`; without the spray, G is None."""
+    n = x.shape[-1]
+    F, grad, FH, S, g_inv, det_g = _jet_pass(metric, x, y, spray=spray)
+    G = _spray(y, F, grad, S, g_inv) if spray else None
+    return MetricJet(x=x, y=y, F=F, F_y=grad[..., -n:].copy(), g=S[..., -n:],
+                     g_inv=g_inv, h=FH[..., -n:], det_g=det_g, G=G)
 
-        G^i = 1/4 g^{il} ( y^k d^2F^2/dy^l dx^k - dF^2/dx^l )
+
+def _spray_at(metric: FinslerMetric, x: np.ndarray, y: np.ndarray
+             ) -> np.ndarray:
+    """The spray G of ``metric`` at one point (x, y of shape (n,)), or at
+    the rows of stacks, with the bits of :func:`_jet_arrays`'s G and its
+    checks and errors, without assembling the other tensors of the jet."""
+    F, grad, _, S, g_inv, _ = _jet_pass(metric, x, y)
+    return _spray(y, F, grad, S, g_inv)
+
+
+def _jet_pass(metric: FinslerMetric, x: np.ndarray, y: np.ndarray, *,
+              spray: bool = True):
+    """One joint AD pass of ``metric`` at (x, y), one point or the rows of
+    stacks, certified, and the blocks every jet part is read from:
+    ``(F, grad, FH, S, g_inv, det_g)``.
 
     Two products give every second-derivative block: FH = F [F_yx | F_yy]
-    holds h = FH[:, n:], and S = F_y (x) [F_x | F_y] + FH holds g = S[:, n:]
-    and d^2F^2/dy dx = 2 S[:, :n]. Without the spray the pass seeds y
-    alone, its rows are F_yy, and FH = h and S = g whole.
+    holds h = FH[..., n:], and S = F_y (x) [F_x | F_y] + FH holds
+    g = S[..., n:] and d^2F^2/dy dx = 2 S[..., :n], and F_y is
+    grad[..., -n:]. Without the spray the pass seeds y alone: grad is F_y
+    and the rows are F_yy, so FH = h and S = g whole.
 
     Every failure names the metric, and in a stack the first failing point.
     """
@@ -275,24 +295,28 @@ def _jet_arrays(metric: FinslerMetric, x: np.ndarray, y: np.ndarray, *,
         # NaN and +-inf fail too, in either layout
         check_lanes((F >= F_FLOOR) & (F < math.inf), lambda i: floor_error(
             "value {}", lane(F, i), i, "below the positivity floor"))
-        F_y = jet.grad[..., -n:]
-        # F against vectors and against matrices, in either layout
-        F_v = np.asarray(F)[..., None]
-        FH = F_v[..., None] * jet.hess
-        S = _outer(F_y, jet.grad) + FH
-        h, g = FH[..., -n:], S[..., -n:]
-        g_inv, det_g = linalg.inverse(g)
+        # F against matrices, in either layout
+        FH = np.asarray(F)[..., None, None] * jet.hess
+        S = _outer(jet.grad[..., -n:], jet.grad) + FH
+        g_inv, det_g = linalg.inverse(S[..., -n:])
     except FinvarError as exc:
         if exc.metric is None:
             exc.metric = metric.name
         raise
-    G = None
-    if spray:
-        F2_yx = 2.0 * S[..., :n]
-        F2_x = 2.0 * F_v * jet.grad[..., :n]
-        G = 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
-    return MetricJet(x=x, y=y, F=F, F_y=F_y.copy(), g=g, g_inv=g_inv, h=h,
-                     det_g=det_g, G=G)
+    return F, jet.grad, FH, S, g_inv, det_g
+
+
+def _spray(y: np.ndarray, F, grad: np.ndarray, S: np.ndarray,
+           g_inv: np.ndarray) -> np.ndarray:
+    """The spray from the blocks of an x-seeded :func:`_jet_pass`, which
+    solves the Euler-Lagrange condition for F^2:
+
+        G^i = 1/4 g^{il} ( y^k d^2F^2/dy^l dx^k - dF^2/dx^l )
+    """
+    n = y.shape[-1]
+    F2_yx = 2.0 * S[..., :n]
+    F2_x = 2.0 * np.asarray(F)[..., None] * grad[..., :n]
+    return 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
 
 
 # -- catalog ---------------------------------------------------------------

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finvar.config
+import finvar.metrics
 from finvar import (ConfigError, ProjectivePair, TangentPoint, catalog_metric,
                     integrate_geodesic)
 from finvar.config import (MAX_REJECTIONS, IntegratorSettings, RunConfig,
                            SampleSettings, load_config, sample_tangent_points)
+from finvar.cli import main
 from finvar.dynamics import RK4_MAX_STEPS
 
 from conftest import make_pair
@@ -324,6 +326,57 @@ def test_rk4_takes_at_most_its_step_bound():
     with pytest.raises(ConfigError, match="must be at most"):
         IntegratorSettings(method="rk4", step=0.5,
                            t_end=-(RK4_MAX_STEPS + 1) / 2)
+
+
+def test_rk4_bound_scales_with_the_jet_size():
+    # up to n = 8 the step bound alone; above it, steps * n^2 at most
+    # RK4_MAX_STEPS * 8^2: 1562 steps at n = 64
+    IntegratorSettings(method="rk4", step=0.5,
+                       t_end=RK4_MAX_STEPS / 2).check_dim(8)
+    IntegratorSettings(method="rk4", step=1.0, t_end=1562.0).check_dim(64)
+    for steps, n in ((RK4_MAX_STEPS, 9), (1563, 64)):
+        settings = IntegratorSettings(method="rk4", step=1.0,
+                                      t_end=float(steps))
+        with pytest.raises(ConfigError) as info:
+            settings.check_dim(n)
+        assert str(info.value) == (
+            f"rk4 step count times n^2 must be at most 6400000, got "
+            f"{steps} steps at n = {n}")
+    # rkf45 keeps what it accepts, unbounded here
+    IntegratorSettings(t_end=1e6).check_dim(64)
+
+
+def _forbid_jets(monkeypatch) -> None:
+    """Fail at once on any pass of a metric's jet from now on, so that a
+    run the bound should refuse cannot go ahead."""
+    def jet_pass(*args, **kwargs):
+        raise AssertionError("a jet was evaluated")
+
+    monkeypatch.setattr(finvar.metrics, "xy_jet2", jet_pass)
+
+
+def test_rk4_at_n64_is_refused_before_any_jet(monkeypatch):
+    _forbid_jets(monkeypatch)
+    metric = catalog_metric({"kind": "klein", "dim": 64})
+    p0 = TangentPoint(np.zeros(64), np.eye(64)[0])
+    with pytest.raises(ConfigError, match="10000 steps at n = 64"):
+        integrate_geodesic(metric, p0, 1.0, method="rk4", step=1e-4)
+
+
+def test_geodesic_command_refuses_rk4_at_n64_before_any_jet(
+        tmp_path, monkeypatch, capsys):
+    _forbid_jets(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "pair": {"base": {"kind": "klein", "dim": 64},
+                 "comparison": {"kind": "funk", "dim": 64}},
+        "integrator": {"method": "rk4", "step": 1e-4, "t_end": 1.0}}))
+    assert main(["geodesic", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "message": "rk4 step count times n^2 must be at most 6400000, got "
+                   "10000 steps at n = 64"}
 
 
 def test_a_box_of_another_length_is_refused_in_any_sequence():

@@ -4,21 +4,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import finvar.metrics
-from finvar import (ConfigError, IntegratorStall, NonReversibleBackward,
-                    ProjectivePair, TangentPoint, integrate_geodesic,
-                    metric_jet, rapcsak_residual, trajectory_energy)
+from finvar import (ConfigError, FinvarError, IntegratorStall,
+                    NonReversibleBackward, ProjectivePair, TangentPoint,
+                    integrate_geodesic, metric_jet, rapcsak_residual,
+                    trajectory_energy)
 from finvar.autodiff import gsqrt, xy_jet2
-from finvar.dynamics import _RKF_A, _RKF_B5, _RKF_ERR, _flow, _rkf45_step
+from finvar.dynamics import (_RKF_A, _RKF_B5, _RKF_ERR, _flow, _rkf45_step,
+                             _stage_flow, _state_jet)
 from finvar.metrics import FinslerMetric
 
 import symbolic_oracle
-from conftest import (JET_FIELDS, curved_matrix, make_metric, make_pair,
-                      metric_id, path_distance, sample_points, symbolic_cases,
-                      wall_clock)
+from conftest import (JET_FIELDS, catalog_metrics, curved_matrix,
+                      make_metric, make_pair, metric_id, path_distance,
+                      sample_points, symbolic_cases, wall_clock)
 
 
 def hyperbolic_matrix(xs):
@@ -117,13 +119,13 @@ class TestChristoffel:
 class TestGeodesicRhs:
     def test_euclid_rhs(self):
         p = TangentPoint([0.1, 0.3], [2.0, -1.0])
-        rhs = _flow(metric_jet(EUCLID, p))
+        rhs = _stage_flow(EUCLID, np.concatenate((p.x, p.y)))
         assert np.allclose(rhs[:2], p.y, rtol=0, atol=0)
         assert np.abs(rhs[2:]).max() < 1e-14
 
     def test_klein_rhs_matches_spray(self):
         p = TangentPoint([0.2, 0.0], [0.0, 1.0])
-        rhs = _flow(metric_jet(KLEIN, p))
+        rhs = _stage_flow(KLEIN, np.concatenate((p.x, p.y)))
         G = metric_jet(KLEIN, p).G
         assert np.allclose(rhs[2:], -2.0 * G, rtol=0, atol=0)
 
@@ -131,10 +133,57 @@ class TestGeodesicRhs:
         p = TangentPoint([0.1, -0.2], [0.5, 0.3])
         lam = 2.0
         q = TangentPoint(p.x, lam * p.y)
-        a = _flow(metric_jet(FUNK, p))
-        b = _flow(metric_jet(FUNK, q))
+        a = _stage_flow(FUNK, np.concatenate((p.x, p.y)))
+        b = _stage_flow(FUNK, np.concatenate((q.x, q.y)))
         assert np.abs(b[:2] - lam * a[:2]).max() < 1e-12
         assert np.abs(b[2:] - lam ** 2 * a[2:]).max() <= 1e-10 * np.abs(a[2:]).max()
+
+
+# Every catalog family at each working dimension, built once.
+CATALOG = {n: catalog_metrics(n) for n in (2, 3, 5, 8)}
+
+
+@st.composite
+def catalog_states(draw):
+    """A catalog metric and an in-domain state z = (x, y) of it."""
+    n = draw(st.sampled_from(list(CATALOG)))
+    metric = draw(st.sampled_from(CATALOG[n]))
+    coords = st.floats(-0.3, 0.3, allow_subnormal=False)
+    x = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-2.0, 2.0, allow_subnormal=False),
+                               min_size=n, max_size=n)
+                      .filter(lambda v: max(map(abs, v)) > 1e-3)))
+    assume(metric.domain(x))
+    return metric, np.concatenate((x, y))
+
+
+@given(catalog_states())
+@settings(max_examples=200, deadline=None)
+def test_stage_flow_has_the_bits_of_the_jets_flow(case):
+    metric, z = case
+    jet = _state_jet(metric, z)
+    assert _stage_flow(metric, z).tobytes() == _flow(jet.y, jet.G).tobytes()
+
+
+def _error(f):
+    """Type, message and metric of the error that ``f()`` raises."""
+    with pytest.raises(FinvarError) as info:
+        f()
+    return type(info.value), str(info.value), info.value.metric
+
+
+@pytest.mark.parametrize("n", list(CATALOG))
+def test_stage_flow_fails_as_the_jet_does(n):
+    far = np.zeros(n)
+    far[0] = 4.0
+    for metric in CATALOG[n]:
+        states = [np.concatenate((np.full(n, 0.1), np.zeros(n)))]
+        if not metric.domain(far):
+            states.append(np.concatenate((far, np.ones(n))))
+        for z in states:
+            stage = _error(lambda: _stage_flow(metric, z))
+            assert stage == _error(lambda: _state_jet(metric, z))
+            assert stage[2] == metric.name
 
 
 class TestIntegration:
