@@ -37,23 +37,21 @@ TOLERANCES = {"f1_rel_err": 1e-9, "fn1_rel_err": 1e-12, "ri0_rel_err": 1e-9,
 ENERGY_TOL = 1e-8
 
 
-def _rel_err(a, b):
-    """|a - b| / max(1, |b|), elementwise over arrays."""
-    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
-
-
 def _pass_fail(ok) -> str:
     return "pass" if ok else "fail"
 
 
-Check = namedtuple("Check", "name worst tolerance ok")
+Check = namedtuple("Check", "name errors worst tolerance ok")
 
 
-def _check(cfg: RunConfig, name: str, errors, by_alpha=False) -> Check:
-    """Check ``name``: the largest of ``errors``, folded in sample order
-    from 0.0, against ``cfg.tolerance`` or else ``TOLERANCES[name]``. A NaN
-    or inf error is a NonFiniteResult naming its point or, ``by_alpha``,
-    its alpha (errors[k] is alpha k + 1's)."""
+def _check(cfg: RunConfig, name: str, error, scale=None,
+           by_alpha=False) -> Check:
+    """Check ``name``: its per-sample ``errors`` are ``error`` or, given a
+    reference ``scale``, error / max(1, scale), the one normaliser of every
+    relative error; their largest, folded in sample order from 0.0, meets
+    ``cfg.tolerance`` or else ``TOLERANCES[name]``. A NaN or inf error is a
+    NonFiniteResult naming its point or, ``by_alpha``, its alpha k + 1."""
+    errors = error if scale is None else error / np.maximum(1.0, scale)
     values = errors.tolist()
     check_lanes(np.isfinite(errors), lambda k: NonFiniteResult(
         f"{name} {values[k]} not finite"
@@ -61,7 +59,7 @@ def _check(cfg: RunConfig, name: str, errors, by_alpha=False) -> Check:
         point=None if by_alpha else k))
     worst = max([0.0] + values)
     tolerance = TOLERANCES[name] if cfg.tolerance is None else cfg.tolerance
-    return Check(name, worst, tolerance, worst <= tolerance)
+    return Check(name, errors, worst, tolerance, worst <= tolerance)
 
 
 def _report(cfg: RunConfig, command: str, results: list[Check],
@@ -75,12 +73,6 @@ def _report(cfg: RunConfig, command: str, results: list[Check],
     return report, verdict
 
 
-def _default_velocity_scale(cfg: RunConfig, command: str) -> float:
-    if cfg.samples.velocity_scale is not None:
-        return cfg.samples.velocity_scale
-    return 0.3 if command == "geodesic" else 1.0
-
-
 def _points(cfg: RunConfig, pair: ProjectivePair, command: str, count: int):
     if cfg.points:
         n = len(cfg.points[0]["x"])
@@ -88,10 +80,12 @@ def _points(cfg: RunConfig, pair: ProjectivePair, command: str, count: int):
             raise ConfigError(f"points[0].x needs {pair.dim} entries, the "
                               f"dimension of the pair, got {n}")
         return cfg.explicit_points()
+    scale = cfg.samples.velocity_scale
+    if scale is None:
+        scale = 0.3 if command == "geodesic" else 1.0
     rng = np.random.default_rng(cfg.seed)
-    return sample_tangent_points(
-        pair, count, rng, box=cfg.samples.box,
-        velocity_scale=_default_velocity_scale(cfg, command))
+    return sample_tangent_points(pair, count, rng, box=cfg.samples.box,
+                                 velocity_scale=scale)
 
 
 def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
@@ -110,18 +104,16 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     f1, fn1 = fiv.f[:, 0], fiv.f[:, n - 2]
     ri0 = lane_power(jet.F, 2) / lane_power(f1, 2.0 / (n + 1))
     ri1 = fn1 * lane_power(jet_t.F, 3) * lane_power(m, 3) / jet.F
-    checks = {
-        "f1_rel_err": _rel_err(f1, f1_closed_form(jets)),
-        "fn1_rel_err": _rel_err(fn1, fn1_closed_form(jets)),
-        "ri0_rel_err": _rel_err(ri0, i0),
-        "ri1_rel_err": _rel_err(ri1, i1),
-        "q0_abs": np.abs(fiv.coeffs[:, 0]),
-    }
-    results = [_check(cfg, key, value) for key, value in checks.items()]
+    results = [_check(cfg, key, np.abs(value - exact), np.abs(exact))
+               for key, value, exact in (
+                   ("f1_rel_err", f1, f1_closed_form(jets)),
+                   ("fn1_rel_err", fn1, fn1_closed_form(jets)),
+                   ("ri0_rel_err", ri0, i0), ("ri1_rel_err", ri1, i1))]
+    results.append(_check(cfg, "q0_abs", np.abs(fiv.coeffs[:, 0])))
     worst = {check.name: check.worst for check in results}
-    results.pop()  # q0_abs is reported, not checked
-    checks = {key: value.tolist() for key, value in checks.items()}
+    checks = {check.name: check.errors.tolist() for check in results}
     checks["f_n"] = fiv.f[:, -1].tolist()
+    results.pop()  # q0_abs is reported, not checked
     records = [{
         "index": idx, "x": x, "y": y, "F": F, "F_comparison": F_t,
         "g": g, "h": h, "H": H, "f": f, "delta": delta,
@@ -139,8 +131,7 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
     """Integrate base-metric geodesics and report first-integral drift."""
     pair = cfg.build_pair()
-    n = pair.dim
-    cfg.integrator.check_dim(n)
+    cfg.integrator.check_dim(pair.dim)
     trajectories, results = [], []
     points = _points(cfg, pair, "geodesic", cfg.samples.trajectories)
     for idx in range(len(points)):
@@ -153,9 +144,9 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
                 **asdict(cfg.integrator)).within(pair.comparison.domain)
             f_vals = integrals_along(pair, traj)
             drift = np.abs(f_vals - f_vals[0]).max(axis=0)
-            rel_drift = drift / np.maximum(1.0, np.abs(f_vals[0]))
-            results.append(_check(cfg, "max_rel_drift", rel_drift[:n - 1],
-                                  by_alpha=True))
+            # f_n is 1.0 exactly, so its drift is 0.0 and decides nothing
+            results.append(_check(cfg, "max_rel_drift", drift,
+                                  np.abs(f_vals[0]), by_alpha=True))
         except FinvarError as exc:
             exc.trajectory = idx
             raise
@@ -168,7 +159,7 @@ def cmd_geodesic(cfg: RunConfig) -> tuple[dict, bool]:
             "initial": {"x": p0.x, "y": p0.y},
             "f_initial": f_vals[0],
             "max_abs_drift": drift,
-            "max_rel_drift": rel_drift,
+            "max_rel_drift": results[-1].errors,
             "energy_initial": float(energy[0]),
             "energy_rel_drift": energy_drift,
             "n_samples": len(traj),
@@ -197,7 +188,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     return _report(cfg, "verify", [check], tolerance=check.tolerance,
                    n_samples=len(samples), max_residual=check.worst,
                    mean_residual=rep.mean_residual,
-                   residual_norms=rep.norms)
+                   residual_norms=check.errors)
 
 
 def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
@@ -206,23 +197,21 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     points = _points(cfg, pair, "oracle", cfg.samples.count)
     jets = pair_jets(pair, points)
     fiv = first_integrals(jets)
-    n = pair.dim
     checks = []
-
-    a = fiv.coeffs
-    errs = (np.abs(a - charpoly_by_interpolation(fiv.H)).max(axis=-1)
-            / np.maximum(1.0, np.abs(a).max(axis=-1)))
-    results = [_check(cfg, "charpoly_interpolation", errs)]
+    a, q = fiv.coeffs, charpoly_by_interpolation(fiv.H)
+    results = [_check(cfg, "charpoly_interpolation",
+                      np.abs(a - q).max(axis=-1), np.abs(a).max(axis=-1))]
     # the oracle refuses a dimension at alpha = 1, before any check is added
-    for alpha in range(1, n + 1):
+    for alpha in range(1, pair.dim + 1):
         try:
             delta = delta_alpha_combinatorial(jets, alpha)
         except OracleScopeExceeded as exc:
             checks.append({"name": "delta_combinatorial", "alpha": alpha,
                            "status": "skipped", "reason": str(exc)})
             break
+        exact = fiv.delta[:, alpha - 1]
         results.append(_check(cfg, "delta_combinatorial",
-                              _rel_err(delta, fiv.delta[:, alpha - 1])))
+                              np.abs(delta - exact), np.abs(exact)))
     # results[alpha] checks delta_alpha for alpha >= 1; a skipped one is last
     rows = [{"name": check.name, **({"alpha": alpha} if alpha else {}),
              "cases": len(points), "max_rel_err": check.worst,

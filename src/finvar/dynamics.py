@@ -30,8 +30,8 @@ from .autodiff import check_lanes, lane, lane_power
 from .errors import (ConfigError, DomainError, IntegratorStall,
                      NonFiniteResult, NonReversibleBackward)
 from .metrics import (FinslerMetric, MetricJet, ProjectivePair,
-                      TangentPoint, _jet_arrays, _matvec, _spray_at,
-                      check_number, metric_jet)
+                      TangentPoint, _check_dim, _jet_arrays, _matvec,
+                      _spray_at, check_number)
 
 # Step size floor of rkf45, lowered to its first step |t_end| / 100 when
 # that is smaller: a step below it short of t_end ends the run.
@@ -373,7 +373,8 @@ def rapcsak_residual(pair: ProjectivePair,
     the comparison metric shares the base metric's unparameterized geodesics.
     """
     n = pair.dim
-    base_jets = metric_jet(pair.base, samples)
+    _check_dim(pair.base, samples)
+    G = _spray_at(pair.base, samples.x, samples.y)
     cjet = pair.comparison.jet2(samples.x, samples.y)
     # the raw jet enters the residual directly: an overflow there, or in
     # the residual norm, must not pass for a large residual
@@ -383,7 +384,7 @@ def rapcsak_residual(pair: ProjectivePair,
                                           metric=pair.comparison.name,
                                           point=i))
     residuals = (_matvec(cjet.hess[..., :n], samples.y)
-                 - 2.0 * _matvec(cjet.hess[..., n:], base_jets.G)
+                 - 2.0 * _matvec(cjet.hess[..., n:], G)
                  - cjet.grad[..., :n])
     report = RapcsakReport(residuals=residuals)
     check_lanes(np.isfinite(report.norms), lambda i: NonFiniteResult(

@@ -103,6 +103,17 @@ def build_H(jets: PairJets) -> np.ndarray:
     return _per_matrix(jet.F / jet_t.F) * (jet.g_inv @ jet_t.h)
 
 
+def square_matrices(M) -> np.ndarray:
+    """``M`` as a float matrix (n, n) or stack (N, n, n), n >= 2; else a
+    ConfigError."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1] if M.ndim >= 2 else 0
+    if M.ndim < 2 or M.shape[-2] != n or n < 2:
+        raise ConfigError(f"charpoly needs a square matrix of size >= 2, "
+                          f"got shape {M.shape}")
+    return M
+
+
 def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
     """Coefficients of det(M + Lambda I) in increasing powers of Lambda, for
     one matrix (n, n) or each of a stack (N, n, n).
@@ -111,11 +122,8 @@ def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
     complex arithmetic, adequate for the package's working range n <= 8.
     The leading coefficient is exactly 1.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1] if M.ndim >= 2 else 0
-    if M.ndim < 2 or M.shape[-2] != n or n < 2:
-        raise ConfigError(f"charpoly needs a square matrix of size >= 2, "
-                          f"got shape {M.shape}")
+    M = square_matrices(M)
+    n = M.shape[-1]
     A = -M
     eye = np.eye(n)
     coeffs = np.empty(M.shape[:-2] + (n + 1,))

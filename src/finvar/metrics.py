@@ -231,10 +231,15 @@ def metric_jet(metric: FinslerMetric, points: TangentPoint, *,
     """Assemble every tensor of ``metric`` from one joint AD pass: the
     one-point :class:`MetricJet` at one point, the stacked jet at a stack.
     Without the spray the pass seeds the velocity alone, and G is None."""
+    _check_dim(metric, points)
+    return _jet_arrays(metric, points.x, points.y, spray=spray)
+
+
+def _check_dim(metric: FinslerMetric, points: TangentPoint) -> None:
+    """Refuse ``points`` of another dimension than ``metric``'s."""
     if points.dim != metric.dim:
         raise ConfigError(
             f"{metric.name} has dimension {metric.dim}, point has {points.dim}")
-    return _jet_arrays(metric, points.x, points.y, spray=spray)
 
 
 # Metric values under this floor are treated as a collapsed velocity; jets

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import lane_power
 from .errors import ConfigError, OracleScopeExceeded
-from .integrals import PairJets
+from .integrals import PairJets, square_matrices
 
 # (n!)^2 terms; beyond n=3 the sum is too slow to serve as a quick oracle.
 PERMUTATION_CUTOFF = 3
@@ -39,11 +39,8 @@ def charpoly_by_interpolation(M: np.ndarray) -> np.ndarray:
     takes one complex determinant pass over all (N, n+1) shifted matrices
     and one FFT.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1] if M.ndim >= 2 else 0
-    if M.ndim < 2 or M.shape[-2] != n or n < 2:
-        raise ConfigError(f"expected a square matrix of size >= 2, "
-                          f"got shape {M.shape}")
+    M = square_matrices(M)
+    n = M.shape[-1]
     s = np.abs(M).max(axis=(-2, -1))
     s = np.where(s == 0.0, 1.0, s)[..., None]
     nodes = s * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))

@@ -9,7 +9,9 @@ the value, the 2n-gradient (F_x, F_y) and the velocity Hessian rows
 [F_yx | F_yy]. The jet is lambdified to mpmath once per metric and cached.
 Every tensor built from it, g, h and the spray G, is formed numerically in
 ``DPS``-digit mpmath: forming g^-1 and G symbolically took 27 s for funk
-at n = 8, against about 2 s for its jet alone.
+at n = 8, against about 2 s for its jet alone. So are the first integrals
+f_alpha of a pair (:func:`first_integrals`), from the eigenvalues of H
+rather than production's Faddeev-LeVerrier recursion.
 
 For a Riemannian matrix field A(x), :func:`christoffel` gives the
 Christoffel symbols from the symbolic derivatives of A, so the spray
@@ -82,6 +84,19 @@ def jet(metric, x, y):
                                                                dtype=float)
 
 
+def _exact_tensors(metric, x, y):
+    """The exact jet F, gradient and Hessian rows at (x, y), then g =
+    h + F_y F_y^T and h = F F_yy, in mpmath at the current precision."""
+    n = metric.dim
+    F, grad, hess = _exact_jet(metric, x, y)
+    F_y = grad[n:]
+    h = mpmath.matrix([[F * hess[i][n + j] for j in range(n)]
+                       for i in range(n)])
+    g = h + mpmath.matrix([[F_y[i] * F_y[j] for j in range(n)]
+                           for i in range(n)])
+    return F, grad, hess, g, h
+
+
 def tensors(metric, x, y):
     """g, h, the spray G and the size of the terms that form G, at one
     point.
@@ -93,12 +108,8 @@ def tensors(metric, x, y):
     """
     n = metric.dim
     with mpmath.workdps(DPS):
-        F, grad, hess = _exact_jet(metric, x, y)
+        F, grad, hess, g, h = _exact_tensors(metric, x, y)
         F_x, F_y = grad[:n], grad[n:]
-        h = mpmath.matrix([[F * hess[i][n + j] for j in range(n)]
-                           for i in range(n)])
-        g = h + mpmath.matrix([[F_y[i] * F_y[j] for j in range(n)]
-                               for i in range(n)])
         yv = _mpf(y)
         # (F^2_yx y)_i and (F^2_x)_i
         F2_yx_y = [2 * sum((F_y[i] * F_x[k] + F * hess[i][k]) * yv[k]
@@ -112,6 +123,33 @@ def tensors(metric, x, y):
         return (np.array(g.tolist(), dtype=float),
                 np.array(h.tolist(), dtype=float),
                 np.array(G.tolist(), dtype=float)[:, 0], float(scale))
+
+
+def first_integrals(base, comparison, x, y) -> np.ndarray:
+    """f_1..f_n of the pair (base, comparison) at one point, in the layout
+    of :class:`finvar.integrals.FirstIntegralVector`'s ``f``.
+
+    H = (F/F~) g^-1 h~ is formed in mpmath from both exact jets, as the
+    symmetric matrix S = (F/F~) L^-1 h~ L^-T similar to it, with g = L L^T
+    its Cholesky factorization. The characteristic polynomial
+    det(H + Lambda I) = prod_k (Lambda + lambda_k) is then expanded from
+    the eigenvalues lambda_k of S (``mpmath.eigsy``, Jacobi rotations),
+    not by the Faddeev-LeVerrier recursion production runs: f_alpha, the
+    coefficient of Lambda^alpha, is the elementary symmetric function
+    e_(n-alpha) of the eigenvalues.
+    """
+    n = base.dim
+    with mpmath.workdps(DPS):
+        F, _, _, g, _ = _exact_tensors(base, x, y)
+        F_t, _, _, _, h_t = _exact_tensors(comparison, x, y)
+        L_inv = mpmath.cholesky(g) ** -1
+        S = (F / F_t) * (L_inv * h_t * L_inv.T)
+        # e[k] = e_k of the eigenvalues taken so far
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        for lam in mpmath.eigsy(S, eigvals_only=True):
+            for k in range(n, 0, -1):
+                e[k] += e[k - 1] * lam
+        return np.array([float(e[n - alpha]) for alpha in range(1, n + 1)])
 
 
 @functools.cache

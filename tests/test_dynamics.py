@@ -493,6 +493,14 @@ class TestRapcsak:
             rapcsak_residual(make_pair("euclidean", "klein", 2),
                              TangentPoint(np.empty((0, 2)), np.empty((0, 2))))
 
+    def test_samples_of_another_dimension_rejected(self):
+        # refused as metric_jet refuses them, before any jet
+        pair = make_pair("euclidean", "klein", 2)
+        with pytest.raises(ConfigError) as exc:
+            rapcsak_residual(pair, TangentPoint([0.1, 0.0, 0.0],
+                                                [0.0, 0.3, 0.1]))
+        assert str(exc.value) == "euclidean has dimension 2, point has 3"
+
     def test_report_shape(self):
         pair = make_pair("euclidean", "funk", 2)
         pts = sample_points(pair, 7, seed=59)

@@ -15,6 +15,7 @@ from finvar import (ConfigError, PairJets, ProjectivePair, SingularMetric,
                     painleve_I0, sarlet_K, tm_I1)
 from finvar.oracle import charpoly_by_interpolation
 
+import symbolic_oracle
 from conftest import (PASSING_KINDS, catalog_metric, catalog_metrics,
                       make_metric, make_pair, randers_extras, sample_points)
 
@@ -76,11 +77,15 @@ class TestCharpoly:
             b = charpoly_by_interpolation(M)
             assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max())
 
-    def test_shape_guards(self):
-        with pytest.raises(ConfigError):
-            charpoly_coefficients(np.zeros((2, 3)))
-        with pytest.raises(ConfigError):
-            charpoly_coefficients(np.zeros((1, 1)))
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1), (4, 3, 2)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_shape_guards(self, shape):
+        # production and the interpolation oracle refuse alike
+        for charpoly in (charpoly_coefficients, charpoly_by_interpolation):
+            with pytest.raises(ConfigError) as exc:
+                charpoly(np.zeros(shape))
+            assert str(exc.value) == (f"charpoly needs a square matrix of "
+                                      f"size >= 2, got shape {shape}")
 
     @given(st.integers(min_value=2, max_value=6), st.integers())
     @settings(max_examples=40, deadline=None)
@@ -159,6 +164,36 @@ def scaled_pair_points(draw):
     points = sample_points(pair, draw(st.integers(1, 6)),
                            seed=draw(st.integers(0, 2 ** 16)))
     return pair, points
+
+
+# Pairs checked against the exact f_alpha: the related pairs, funk-klein,
+# curved_x1 against its quadratic-potential Randers metric, and both
+# negative controls.
+EXACT_KINDS = [*PASSING_KINDS, ("funk", "klein"), ("curved", "curved_randers"),
+               ("euclidean", "curved"), ("euclidean", "x2_dx1")]
+
+
+def exact_case_pair(kinds, n):
+    """The pair of ``kinds``, where ``x2_dx1`` and ``curved_randers`` name
+    the Randers metrics of :func:`randers_extras`."""
+    extras = dict(zip(("x2_dx1", "curved_randers"), randers_extras(n)))
+    return ProjectivePair(*(extras[kind] if kind in extras
+                            else make_metric(kind, n) for kind in kinds))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5,
+                               pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("kinds", EXACT_KINDS, ids="-".join)
+def test_first_integrals_match_the_exact_reference(kinds, n):
+    # the exact f_alpha come from the eigenvalues of H in 40-digit mpmath,
+    # production's from the Faddeev-LeVerrier recursion in float64
+    pair = exact_case_pair(kinds, n)
+    points = sample_points(pair, 5, seed=131)
+    for f, p in zip(first_integrals(pair_jets(pair, points)).f, points):
+        exact = symbolic_oracle.first_integrals(pair.base, pair.comparison,
+                                                p.x, p.y)
+        assert np.all(exact > 0.0)
+        assert np.all(np.abs(f - exact) <= 1e-12 * exact)
 
 
 class TestPairAlgebra:
@@ -412,3 +447,22 @@ class TestConservationSmoke:
                                                [0.0, 0.3, 0.1]), 0.1)
         with pytest.raises(ConfigError):
             integrals_along(make_pair("euclidean", "klein", 2), traj)
+
+
+@pytest.mark.parametrize("integrator", [{"method": "rk4", "step": 0.05},
+                                        {"method": "rkf45"}],
+                         ids=lambda integrator: integrator["method"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kinds", [("klein", "funk"), ("funk", "klein"),
+                                   ("euclidean", "randers_df")],
+                         ids="-".join)
+def test_f_n_is_exactly_one_along_trajectories(kinds, n, integrator):
+    # f_n's drift is then exactly 0.0, so finvar geodesic's verdict may
+    # read every alpha: f_n can neither decide it nor be NaN
+    pair = make_pair(*kinds, n)
+    for p0 in sample_points(pair, 2, seed=137, velocity_scale=0.3):
+        traj = integrate_geodesic(pair.base, p0, 1.0, **integrator).within(
+            pair.comparison.domain)
+        f_n = integrals_along(pair, traj)[:, -1]
+        assert len(traj) > 1
+        assert f_n.tobytes() == np.ones(len(traj)).tobytes()

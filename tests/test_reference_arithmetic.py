@@ -1,14 +1,18 @@
-"""Hyper-dual products, the metric-jet assembly and the oracle's pair sum,
-byte for byte against the formulas they replaced.
+"""Hyper-dual products, the metric-jet assembly, the oracle's pair sum and
+the verdicts' relative errors, byte for byte against the formulas they
+replaced.
 
 Each reference below is the earlier form of the same arithmetic: the full
 (m, m) outer product of two gradients sliced to the kept rows, the second-
-derivative blocks of a metric jet from four products, and the permutation-
-pair sum added term by term in a Python loop. The inputs carry +-0.0, +-inf
-and NaN. The NaNs share one payload: IEEE 754 leaves the payload of a
-product of two NaNs to the hardware, and on x86 it is the first operand's,
-so only for NaNs of two payloads could a commuted product differ in bytes
-(no report shows a NaN's sign).
+derivative blocks of a metric jet from four products, the permutation-
+pair sum added term by term in a Python loop, and the three relative
+errors each command normalised itself before ``cli._check`` took the
+scale. The inputs carry +-0.0, +-inf and NaN. The NaNs share one payload:
+IEEE 754 leaves the payload of a product of two NaNs to the hardware, and
+on x86 it is the first operand's, so only for NaNs of two payloads could
+a commuted product differ in bytes (no report shows a NaN's sign). The
+verdict tests draw NaNs of any payload, but a NaN error ends in an error
+message, and only the messages are compared then.
 """
 
 import itertools
@@ -17,8 +21,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from finvar import SingularMetric, linalg, metrics
+from finvar import NonFiniteResult, SingularMetric, cli, linalg, metrics
 from finvar.autodiff import (HyperDual, Jet2, _dot_arrays, _seed_arrays,
                              lane_power)
 from finvar.oracle import _perm_sign, delta_alpha_combinatorial
@@ -300,3 +307,110 @@ def reference_delta(jets, alpha, total):
     prefactor = (lane_power(jets.base.F / jets.comparison.F, n - alpha)
                  / (math.factorial(alpha - 1) * math.factorial(n - alpha)))
     return prefactor * total
+
+
+# -- the verdicts' relative errors ------------------------------------------
+
+
+def old_rel_err(a, b):
+    """evaluate's four cross-checks and oracle's delta_combinatorial."""
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
+
+
+def old_charpoly_err(a, q):
+    """oracle's charpoly_interpolation, per point."""
+    return (np.abs(a - q).max(axis=-1)
+            / np.maximum(1.0, np.abs(a).max(axis=-1)))
+
+
+def old_rel_drift(f_vals):
+    """geodesic's max_rel_drift, per alpha; the check read [:n - 1]."""
+    drift = np.abs(f_vals - f_vals[0]).max(axis=0)
+    return drift / np.maximum(1.0, np.abs(f_vals[0]))
+
+
+def old_verdict(name, errors, by_alpha=False):
+    """The earlier check of ``errors``: their worst, folded in order from
+    0.0, or the message of the NonFiniteResult for the first NaN or inf."""
+    values = errors.tolist()
+    for k, value in enumerate(values):
+        if not math.isfinite(value):
+            return str(NonFiniteResult(
+                f"{name} {value} not finite"
+                + (f" at alpha {k + 1}" if by_alpha else ""),
+                point=None if by_alpha else k))
+    return max([0.0] + values)
+
+
+def assert_same_verdict(name, error, scale, reference, checked=None,
+                        by_alpha=False):
+    """``cli._check`` on ``error`` and ``scale`` gives the errors
+    ``reference`` and the verdict of ``checked`` (by default all of
+    ``reference``) under the earlier check, to the byte, or raises its
+    message."""
+    expected = old_verdict(name, reference if checked is None else checked,
+                           by_alpha)
+    cfg = SimpleNamespace(tolerance=None)
+    with np.errstate(all="ignore"):
+        if isinstance(expected, str):
+            with pytest.raises(NonFiniteResult) as exc:
+                cli._check(cfg, name, error, scale, by_alpha=by_alpha)
+            assert str(exc.value) == expected
+            return
+        check = cli._check(cfg, name, error, scale, by_alpha=by_alpha)
+    assert_same_bytes(check.errors, reference)
+    assert_same_bytes(check.worst, expected)
+    assert type(check.worst) is float
+    assert check.ok == (expected <= cli.TOLERANCES[name])
+
+
+# +-0.0, +-inf and NaN, and magnitudes on both sides of 1
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                    st.floats(-2.0, 2.0), st.floats())
+
+
+def entries(shape):
+    return hnp.arrays(np.float64, shape, elements=ENTRIES)
+
+
+@given(st.data(), st.integers(1, 6),
+       st.sampled_from(["f1_rel_err", "fn1_rel_err", "ri0_rel_err",
+                        "ri1_rel_err", "delta_combinatorial"]))
+@settings(max_examples=150, deadline=None)
+def test_check_forms_the_cross_check_errors(data, points, name):
+    a, b = data.draw(entries(points)), data.draw(entries(points))
+    with np.errstate(all="ignore"):
+        error, scale, reference = np.abs(a - b), np.abs(b), old_rel_err(a, b)
+    assert_same_verdict(name, error, scale, reference)
+
+
+@given(st.data(), st.integers(1, 6), st.integers(2, 8))
+@settings(max_examples=150, deadline=None)
+def test_check_forms_the_charpoly_errors(data, points, n):
+    a, q = (data.draw(entries((points, n + 1))) for _ in range(2))
+    with np.errstate(all="ignore"):
+        error = np.abs(a - q).max(axis=-1)
+        scale = np.abs(a).max(axis=-1)
+        reference = old_charpoly_err(a, q)
+    assert_same_verdict("charpoly_interpolation", error, scale, reference)
+
+
+@given(st.data(), st.integers(1, 6), st.integers(2, 8))
+@settings(max_examples=150, deadline=None)
+def test_check_forms_the_drift_errors_of_every_alpha(data, samples, n):
+    # f_n is 1.0 at every sample, as integrals_along gives it: its drift is
+    # 0.0, so the check of all n alphas has the verdict of the first n - 1
+    f_vals = data.draw(entries((samples, n)))
+    f_vals[:, -1] = 1.0
+    with np.errstate(all="ignore"):
+        drift = np.abs(f_vals - f_vals[0]).max(axis=0)
+        reference = old_rel_drift(f_vals)
+    assert_same_verdict("max_rel_drift", drift, np.abs(f_vals[0]), reference,
+                        checked=reference[:n - 1], by_alpha=True)
+
+
+@pytest.mark.parametrize("name", ["q0_abs", "max_residual"])
+def test_check_without_a_scale_keeps_the_errors(name):
+    error = np.array([0.5, -0.0, 3.0])
+    check = cli._check(SimpleNamespace(tolerance=None), name, error)
+    assert check.errors is error and check.worst == 3.0
