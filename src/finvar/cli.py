@@ -88,6 +88,10 @@ def _points(cfg: RunConfig, pair: ProjectivePair, command: str, count: int):
                                  velocity_scale=scale)
 
 
+# evaluate's cross-checks, in report and CSV column order
+CROSS_CHECKS = ("f1_rel_err", "fn1_rel_err", "ri0_rel_err", "ri1_rel_err")
+
+
 def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     """Per-point report of all tensors, integrals, and cross-check deltas."""
     pair = cfg.build_pair()
@@ -104,16 +108,15 @@ def cmd_evaluate(cfg: RunConfig) -> tuple[dict, bool]:
     f1, fn1 = fiv.f[:, 0], fiv.f[:, n - 2]
     ri0 = lane_power(jet.F, 2) / lane_power(f1, 2.0 / (n + 1))
     ri1 = fn1 * lane_power(jet_t.F, 3) * lane_power(m, 3) / jet.F
-    results = [_check(cfg, key, np.abs(value - exact), np.abs(exact))
-               for key, value, exact in (
-                   ("f1_rel_err", f1, f1_closed_form(jets)),
-                   ("fn1_rel_err", fn1, fn1_closed_form(jets)),
-                   ("ri0_rel_err", ri0, i0), ("ri1_rel_err", ri1, i1))]
-    results.append(_check(cfg, "q0_abs", np.abs(fiv.coeffs[:, 0])))
-    worst = {check.name: check.worst for check in results}
-    checks = {check.name: check.errors.tolist() for check in results}
+    exact = (f1_closed_form(jets), fn1_closed_form(jets), i0, i1)
+    results = [_check(cfg, name, np.abs(value - ref), np.abs(ref))
+               for name, value, ref in zip(CROSS_CHECKS, (f1, fn1, ri0, ri1),
+                                           exact)]
+    # q0 is reported beside the cross-checks and never votes
+    reported = [*results, _check(cfg, "q0_abs", np.abs(fiv.coeffs[:, 0]))]
+    worst = {check.name: check.worst for check in reported}
+    checks = {check.name: check.errors.tolist() for check in reported}
     checks["f_n"] = fiv.f[:, -1].tolist()
-    results.pop()  # q0_abs is reported, not checked
     records = [{
         "index": idx, "x": x, "y": y, "F": F, "F_comparison": F_t,
         "g": g, "h": h, "H": H, "f": f, "delta": delta,
@@ -187,7 +190,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     check = _check(cfg, "max_residual", rep.norms)
     return _report(cfg, "verify", [check], tolerance=check.tolerance,
                    n_samples=len(samples), max_residual=check.worst,
-                   mean_residual=rep.mean_residual,
+                   mean_residual=float(check.errors.mean()),
                    residual_norms=check.errors)
 
 
@@ -197,35 +200,29 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, bool]:
     points = _points(cfg, pair, "oracle", cfg.samples.count)
     jets = pair_jets(pair, points)
     fiv = first_integrals(jets)
-    checks = []
+    results, rows = [], []
+
+    def add(check: Check, **alpha) -> None:
+        results.append(check)
+        rows.append({"name": check.name, **alpha, "cases": len(points),
+                     "max_rel_err": check.worst, "tolerance": check.tolerance,
+                     "status": _pass_fail(check.ok)})
+
     a, q = fiv.coeffs, charpoly_by_interpolation(fiv.H)
-    results = [_check(cfg, "charpoly_interpolation",
-                      np.abs(a - q).max(axis=-1), np.abs(a).max(axis=-1))]
+    add(_check(cfg, "charpoly_interpolation", np.abs(a - q).max(axis=-1),
+               np.abs(a).max(axis=-1)))
     # the oracle refuses a dimension at alpha = 1, before any check is added
     for alpha in range(1, pair.dim + 1):
         try:
             delta = delta_alpha_combinatorial(jets, alpha)
         except OracleScopeExceeded as exc:
-            checks.append({"name": "delta_combinatorial", "alpha": alpha,
-                           "status": "skipped", "reason": str(exc)})
+            rows.append({"name": "delta_combinatorial", "alpha": alpha,
+                         "status": "skipped", "reason": str(exc)})
             break
         exact = fiv.delta[:, alpha - 1]
-        results.append(_check(cfg, "delta_combinatorial",
-                              np.abs(delta - exact), np.abs(exact)))
-    # results[alpha] checks delta_alpha for alpha >= 1; a skipped one is last
-    rows = [{"name": check.name, **({"alpha": alpha} if alpha else {}),
-             "cases": len(points), "max_rel_err": check.worst,
-             "tolerance": check.tolerance, "status": _pass_fail(check.ok)}
-            for alpha, check in enumerate(results)]
-    return _report(cfg, "oracle", results, checks=rows + checks)
-
-
-COMMANDS = {
-    "evaluate": cmd_evaluate,
-    "geodesic": cmd_geodesic,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-}
+        add(_check(cfg, "delta_combinatorial", np.abs(delta - exact),
+                   np.abs(exact)), alpha=alpha)
+    return _report(cfg, "oracle", results, checks=rows)
 
 
 # -- output -------------------------------------------------------------------
@@ -247,12 +244,11 @@ def _names(prefix: str, n: int) -> list:
 def _csv_evaluate(report: dict) -> str:
     records = report["records"]
     n = len(records[0]["x"])
-    checks = ("f1_rel_err", "fn1_rel_err", "ri0_rel_err", "ri1_rel_err")
     header = ["index", *_names("x", n), *_names("y", n), "F", "F_comparison",
-              *_names("f", n), "mu", "I0", "I1", *checks]
+              *_names("f", n), "mu", "I0", "I1", *CROSS_CHECKS]
     return _csv(header, ([r["index"], *r["x"], *r["y"], r["F"],
                           r["F_comparison"], *r["f"], r["mu"], r["I0"],
-                          r["I1"], *(r["checks"][key] for key in checks)]
+                          r["I1"], *(r["checks"][key] for key in CROSS_CHECKS)]
                          for r in records))
 
 
@@ -284,11 +280,17 @@ def _csv_oracle(report: dict) -> str:
                           for check in report["checks"]))
 
 
-_CSV_WRITERS = {
-    "evaluate": _csv_evaluate,
-    "geodesic": _csv_geodesic,
-    "verify": _csv_verify,
-    "oracle": _csv_oracle,
+# Every command once: what it runs, its CSV writer and its help line.
+Command = namedtuple("Command", "run csv help")
+COMMANDS = {
+    "evaluate": Command(cmd_evaluate, _csv_evaluate,
+                        "tensors, integrals, and cross-checks at points"),
+    "geodesic": Command(cmd_geodesic, _csv_geodesic,
+                        "integrate geodesics and report conservation drift"),
+    "verify": Command(cmd_verify, _csv_verify,
+                      "projective-equivalence residual on a sample grid"),
+    "oracle": Command(cmd_oracle, _csv_oracle,
+                      "brute-force cross-validation of the polynomial path"),
 }
 
 
@@ -368,7 +370,7 @@ def _encode(obj, indent: str) -> str:
 
 def _emit(cfg: RunConfig, command: str, report: dict) -> None:
     if cfg.fmt == "csv":
-        text = _CSV_WRITERS[command](report)
+        text = COMMANDS[command].csv(report)
     else:
         text = _encode(report, "") + "\n"
     if cfg.out:
@@ -396,12 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="finvar",
         description="First integrals of projectively related Finsler metrics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("evaluate", "tensors, integrals, and cross-checks at points"),
-            ("geodesic", "integrate geodesics and report conservation drift"),
-            ("verify", "projective-equivalence residual on a sample grid"),
-            ("oracle", "brute-force cross-validation of the polynomial path")):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
@@ -423,7 +421,7 @@ def main(argv=None) -> int:
             cfg = replace(load_config(args.config),
                           **{key: value for key, value in flags.items()
                              if value is not None})
-            report, verdict = COMMANDS[args.command](cfg)
+            report, verdict = COMMANDS[args.command].run(cfg)
         _emit(cfg, args.command, report)
         return 0 if verdict else 1
     except ConfigError as exc:

@@ -354,14 +354,6 @@ class RapcsakReport:
         object.__setattr__(self, "norms",
                           np.linalg.norm(self.residuals, axis=-1))
 
-    @property
-    def max_residual(self) -> float:
-        return float(self.norms.max())
-
-    @property
-    def mean_residual(self) -> float:
-        return float(self.norms.mean())
-
 
 def rapcsak_residual(pair: ProjectivePair,
                      samples: TangentPoint) -> RapcsakReport:

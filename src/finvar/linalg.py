@@ -55,7 +55,10 @@ def inverse(a: np.ndarray):
     positive definite: its entries must be finite, the Cholesky
     factorization must succeed, the squared pivots diag(L)^2 must stay above
     ``PIVOT_RTOL`` times the largest, and the determinant must be finite and
-    positive. On a stack the error names the first failing matrix.
+    positive. On a stack the certificates run in that order over the whole
+    stack, and the error names the first matrix that fails the first
+    failing certificate, not the first failing matrix: ``[indefinite,
+    NaN]`` raises the finiteness error at point 1.
     """
     a = np.asarray(a)
     # a failed factor is NaN-filled (an invalid flag) and the product of

@@ -1,7 +1,9 @@
 """End-to-end CLI runs: reports, formats, determinism, exit codes."""
 
+import argparse
 import contextlib
 import copy
+import dataclasses
 import importlib
 import io
 import json
@@ -937,6 +939,97 @@ class TestCliContract:
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: finvar") and captured.err == ""
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argument parser as it was built before the command table held
+    each command's help line: the reference for the help texts."""
+    parser = argparse.ArgumentParser(
+        prog="finvar",
+        description="First integrals of projectively related Finsler metrics")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (
+            ("evaluate", "tensors, integrals, and cross-checks at points"),
+            ("geodesic", "integrate geodesics and report conservation drift"),
+            ("verify", "projective-equivalence residual on a sample grid"),
+            ("oracle", "brute-force cross-validation of the polynomial path")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="JSON config file")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--tolerance", type=float, default=None)
+        p.add_argument("--out", default=None)
+    return parser
+
+
+class TestChecksByName:
+    """Each report row comes from its own check record: an oracle row
+    carries its own alpha, q0 is reported and never votes, and the command
+    table gives the help texts of the reference parser."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_oracle_rows_carry_alpha_1_to_n(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": n},
+            "comparison": {"kind": "klein", "dim": n},
+        }, samples={"count": 4})
+        code, out, _ = run(capsys, "oracle", "--config", cfg)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c.get("alpha")) for c in checks] == [
+            ("charpoly_interpolation", None),
+            *(("delta_combinatorial", alpha) for alpha in range(1, n + 1))]
+        assert all(c["status"] == "pass" for c in checks)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_oracle_skipped_row_comes_last_with_alpha_1(self, tmp_path,
+                                                        capsys, n):
+        cfg = write_config(tmp_path, pair={
+            "base": {"kind": "euclidean", "dim": n},
+            "comparison": {"kind": "klein", "dim": n},
+        }, samples={"count": 3})
+        code, out, _ = run(capsys, "oracle", "--config", cfg)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c.get("alpha"), c["status"]) for c in checks] == [
+            ("charpoly_interpolation", None, "pass"),
+            ("delta_combinatorial", 1, "skipped")]
+
+    def test_q0_never_votes(self, tmp_path, capsys, monkeypatch):
+        # q0 set to 0.5 at every point, far above --tolerance, while the
+        # four cross-checks read the true f_alpha
+        first_integrals = finvar.cli.first_integrals
+
+        def large_q0(jets):
+            fiv = first_integrals(jets)
+            coeffs = np.array(fiv.coeffs)
+            coeffs[:, 0] = 0.5
+            return dataclasses.replace(fiv, coeffs=coeffs)
+
+        monkeypatch.setattr(finvar.cli, "first_integrals", large_q0)
+        cfg = write_config(tmp_path, samples={"count": 3})
+        code, out, _ = run(capsys, "evaluate", "--config", cfg,
+                           "--tolerance", "1e-6")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "pass"
+        assert report["worst"]["q0_abs"] == 0.5
+        assert [r["checks"]["q0_abs"] for r in report["records"]] == [0.5] * 3
+        assert all(report["worst"][name] <= 1e-6
+                   for name in finvar.cli.CROSS_CHECKS)
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"]
+                                                     for command in COMMANDS])
+    def test_help_texts_are_the_reference_parsers(self, capsys, monkeypatch,
+                                                  argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parse in (main, reference_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1] and texts[0].err == ""
 
 
 class TestRepeatedMain:

@@ -467,17 +467,17 @@ class TestRapcsak:
     def test_identity_pair_residual_vanishes(self):
         pair = make_pair("klein", "klein", 2)
         rep = rapcsak_residual(pair, sample_points(pair, 30, seed=43))
-        assert rep.max_residual <= 1e-10
+        assert rep.norms.max() <= 1e-10
 
     def test_euclid_klein_passes(self):
         pair = make_pair("euclidean", "klein", 2)
         rep = rapcsak_residual(pair, sample_points(pair, 100, seed=47))
-        assert rep.max_residual <= 1e-8
+        assert rep.norms.max() <= 1e-8
 
     def test_curved_pair_fails(self):
         pair = make_pair("euclidean", "curved", 2)
         rep = rapcsak_residual(pair, sample_points(pair, 100, seed=47))
-        assert rep.max_residual >= 1e-2
+        assert rep.norms.max() >= 1e-2
 
     def test_non_closed_beta_fails(self):
         from finvar import catalog_metric
@@ -485,7 +485,7 @@ class TestRapcsak:
                                "beta": {"covector": "x2_dx1"}})
         pair = ProjectivePair(EUCLID, comp)
         rep = rapcsak_residual(pair, sample_points(pair, 100, seed=53))
-        assert rep.max_residual >= 1e-2
+        assert rep.norms.max() >= 1e-2
 
     def test_empty_samples_rejected(self):
         # a stack of no samples is refused when it is built
@@ -507,4 +507,4 @@ class TestRapcsak:
         rep = rapcsak_residual(pair, pts)
         assert rep.residuals.shape == (7, 2)
         assert rep.norms.shape == (7,)
-        assert rep.max_residual == rep.norms.max() <= 1e-8
+        assert rep.norms.max() <= 1e-8

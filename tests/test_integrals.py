@@ -196,6 +196,42 @@ def test_first_integrals_match_the_exact_reference(kinds, n):
         assert np.all(np.abs(f - exact) <= 1e-12 * exact)
 
 
+def relative_lie_derivatives(kinds, n) -> np.ndarray:
+    """|X f_alpha| / |f_alpha| of the exact f_alpha of the pair of ``kinds``
+    at three sample points, one row per point."""
+    pair = exact_case_pair(kinds, n)
+    return np.array([
+        np.abs(symbolic_oracle.lie_derivative(pair.base, pair.comparison,
+                                              p.x, p.y))
+        / np.abs(symbolic_oracle.first_integrals(pair.base, pair.comparison,
+                                                 p.x, p.y))
+        for p in sample_points(pair, 3, seed=151)])
+
+
+# Related pairs whose exact f_alpha vary along the geodesics: a Randers
+# metric over the base's own alpha would give constant binomial f_alpha.
+LIE_KINDS = [("klein", "funk"), ("funk", "klein"), ("euclidean", "klein"),
+             ("curved", "curved_randers")]
+
+
+@pytest.mark.parametrize("kinds, n", [
+    (("klein", "funk"), 2), *((kinds, 3) for kinds in LIE_KINDS),
+    *(pytest.param(kinds, 5, marks=pytest.mark.slow) for kinds in LIE_KINDS)],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else f"n{v}")
+def test_exact_f_alpha_are_constant_along_the_spray(kinds, n):
+    # Theorem 1.1 itself, with no integrator: X f_alpha = 0 for the spray
+    # X = y^i d/dx^i - 2 G^i d/dy^i of the base. The central difference's
+    # truncation and rounding lie near 1e-50 relative.
+    assert np.all(relative_lie_derivatives(kinds, n) <= 1e-30)
+
+
+@pytest.mark.parametrize("n", [2, 3, pytest.param(5, marks=pytest.mark.slow)])
+def test_lie_derivative_fails_the_negative_control(n):
+    # euclidean against curved_x1 shares no geodesics: its f_alpha change
+    # along the euclidean straight lines
+    assert relative_lie_derivatives(("euclidean", "curved"), n).max() >= 1e-4
+
+
 class TestPairAlgebra:
     """Identities between the H of a pair and of the swapped pair, both from
     the same two jets at each point; they hold for any two metrics, related

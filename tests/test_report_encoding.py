@@ -104,7 +104,7 @@ def test_command_reports_match_json_dumps(tmp_path, name, command):
     path.write_text(json.dumps(CONFIGS[name]))
     # numpy's warnings are off inside the commands, as main runs them
     with np.errstate(all="ignore"):
-        report, _ = COMMANDS[command](load_config(str(path)))
+        report, _ = COMMANDS[command].run(load_config(str(path)))
     assert _encode(report, "") == dumps(report)
 
 
