@@ -17,9 +17,10 @@ lane layouts:
 * **N points:** ``val`` has shape (N, 1, 1), ``grad`` (N, 1, m) and ``hess``
   (N, r, m), one lane per point (seeds keep lane-free ones, which broadcast).
 
-Every outer product of two gradients is formed over the kept rows only, by
-``_kept_outer``: a product adds grad_i other.grad_j and other.grad_i grad_j,
-``sqrt`` and ``reciprocal`` take grad_i grad_j. So each kept entry takes the
+Every outer product of two gradients is formed over the kept rows only,
+by indexing the kept gradient entries once, ``a[..., 0, -r:, None] * b``:
+a product adds grad_i other.grad_j and other.grad_i grad_j, ``sqrt`` and
+``reciprocal`` take grad_i grad_j. So each kept entry takes the
 floating-point operations of a full Hessian in the same order, and lane k
 of a stacked pass those of a one-point pass at point k: the two agree
 bitwise. Evaluating N points at once, the structure-of-arrays form of
@@ -29,30 +30,39 @@ Derivatives*, 2nd ed., ch. 13), replaces N interpreted passes by one.
 Seeds are plain hyper-duals that share cached read-only unit gradients and
 zero Hessians, and every product of two hyper-duals takes the one rule
 above. :func:`_seeds` returns a seed vector: a list that also keeps the
-float array it was seeded from, its first index, r and m. A velocity-only
-pass hands the field x as :func:`lane_scalars`, Python floats or lanes.
-:func:`gdot` of a seed vector u, or of all floats or all lanes a, against
-a seed vector v of its layout (|x|^2, |y|^2 and <x, y> in the klein, funk
-and euclidean fields, a Randers metric's beta . y) takes one array pass,
-:func:`_dot`, in place of the 2n - 1 hyper-dual operations of its generic
-loop. The value is the loop's left-to-right sum. The gradient sums the
-loop's terms a_k e_{v+k}, plus b_k e_{u+k} for seeds, in one
-``np.add.reduce`` that starts from -0.0, the identity of IEEE addition
-(numpy's default start, +0.0, turns a sum of -0.0 into +0.0). A column of
-the terms holds at most two entries that are not signed zeros, and such a
-sum has the same bits in any order (but for the sign of a NaN), so the
-reduction gives the loop's bytes, signed zeros included. For seeds the
-Hessian rows are the kept rows of E_u^T E_v + E_v^T E_u, with E_u and E_v
-the unit gradients of the two vectors as rows, cached read-only per
-(u, v, n, r, m): integers (+0, 1 or 2), exact in any order. For finite
-values they are the loop's bytes: its terms value times zero Hessian add up
-to +-0, and +-0 plus a cross entry of two unit gradients, +0 or 1, is that
-entry. For scalars every Hessian entry is the loop's sum of the a_k times a
-zero Hessian, which the same reduction gives in a zero column appended to
-E_v. Any other operand, a slice or a sum of seed vectors or a mix of floats
-and lanes included, takes the generic loop; operands of unequal or no
-length are refused. ``HyperDual.__array_ufunc__`` is None, so a lane array
-times a hyper-dual defers to the hyper-dual, as a float does.
+float values it was seeded from, the lanes last, its first index, r and m.
+A velocity-only pass hands the field x as :func:`lane_scalars`, Python
+floats or lanes.
+
+:func:`gdots` forms several inner products at once (the klein and funk
+fields take |x|^2, |y|^2 and <x, y> from one call), and :func:`gdot` is
+:func:`gdots` of one pair. Every pair whose u is a seed vector, or all
+floats or all lanes, against a seed vector v of its layout (a Randers
+metric's beta . y too) joins one array pass, :func:`_dots`, with the other
+such pairs of the call, in place of the 2n - 1 hyper-dual operations of
+the generic loop each. The pass stacks the entries a and b of its K pairs
+in one array. The values are the loop's left-to-right sums. The gradients
+sum the loop's terms a_k e_{v+k}, plus b_k e_{u+k} for seeds, in one
+``np.add.reduce`` over all K pairs that starts from -0.0, the identity of
+IEEE addition (numpy's default start, +0.0, turns a sum of -0.0 into
++0.0); against scalars the b rows are set to -0.0 against zero unit rows,
+terms that leave every sum as it is. A column of one pair's terms holds at
+most two entries that are not signed zeros, and such a sum has the same
+bits in any order (but for the sign of a NaN), so the reduction gives the
+loop's bytes, signed zeros included. For seeds the Hessian rows are the
+kept rows of E_u^T E_v + E_v^T E_u, with E_u and E_v the unit gradients
+of the two vectors as rows, cached read-only per pass and lane-free:
+integers (+0, 1 or 2), exact in any order. For finite values they are the
+loop's bytes: its terms value times zero Hessian add up to +-0, and +-0
+plus a cross entry of two unit gradients, +0 or 1, is that entry. For
+scalars every Hessian entry is the loop's sum of the a_k times a zero
+Hessian, which the same reduction gives in a zero column of the unit
+rows. Any other operand, a slice or a sum of seed vectors or a mix of
+floats and lanes included, takes the generic loop, as does a pair against
+a seed vector of another layout than the call's first pass pair; operands
+of unequal or no length are refused.
+``HyperDual.__array_ufunc__`` is None, so a lane array times a hyper-dual
+defers to the hyper-dual, as a float does.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). Without x-seeds its jet has the bytes of the velocity
@@ -95,11 +105,6 @@ def _seed_arrays(rows: int, m: int):
             np.broadcast_to(0.0, (rows, m)))
 
 
-def _kept_outer(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
-    """a_i * b_j over the last ``rows`` rows i, in either lane layout."""
-    return a[..., a.shape[-1] - rows:].swapaxes(-1, -2) * b
-
-
 # -- lanes --------------------------------------------------------------------
 
 
@@ -136,17 +141,21 @@ def _item(v):
     return v.item() if isinstance(v, np.generic) else v
 
 
-def check_lanes(ok, error) -> None:
-    """Raise ``error(i)`` unless ``ok`` holds in every lane.
+def check_lanes(ok, error, *args) -> None:
+    """Raise ``error(i, *args)`` unless ``ok`` holds in every lane.
 
     ``ok`` is a bool for one point (``i`` is then None) or a mask over the
     lanes of a stack (``i`` is then the index of the first failing lane).
+    ``args`` carry what the message reads, so that a caller builds no
+    closure for a check that passes.
     """
+    if ok is True:
+        return
     if isinstance(ok, np.ndarray) and ok.ndim:
         if not ok.all():
-            raise error(int(np.argmin(ok)))
+            raise error(int(np.argmin(ok)), *args)
     elif not ok:
-        raise error(None)
+        raise error(None, *args)
 
 
 def floor_error(what: str, value, point: int | None,
@@ -208,12 +217,12 @@ class HyperDual:
     def __mul__(self, other):
         if isinstance(other, HyperDual):
             a, b, h = self.grad, other.grad, self.hess
-            rows = h.shape[-2]
+            rows = -h.shape[-2]
             return HyperDual(self.val * other.val,
                              self.val * b + other.val * a,
                              self.val * other.hess + other.val * h
-                             + _kept_outer(a, b, rows)
-                             + _kept_outer(b, a, rows))
+                             + a[..., 0, rows:, None] * b
+                             + b[..., 0, rows:, None] * a)
         return HyperDual(self.val * other, other * self.grad, other * self.hess)
 
     __rmul__ = __mul__
@@ -223,7 +232,7 @@ class HyperDual:
         inv2 = inv * inv
         g, h = self.grad, self.hess
         return HyperDual(inv, -inv2 * g, (2.0 * inv2 * inv)
-                         * _kept_outer(g, g, h.shape[-2]) - inv2 * h)
+                         * (g[..., 0, -h.shape[-2]:, None] * g) - inv2 * h)
 
     def __truediv__(self, other):
         if isinstance(other, HyperDual):
@@ -240,7 +249,7 @@ class HyperDual:
         d2 = -0.25 / (v * s)
         g, h = self.grad, self.hess
         return HyperDual(s, d1 * g,
-                         d1 * h + d2 * _kept_outer(g, g, h.shape[-2]))
+                         d1 * h + d2 * (g[..., 0, -h.shape[-2]:, None] * g))
 
 
 def lane_scalars(a: np.ndarray) -> list:
@@ -253,9 +262,10 @@ def lane_scalars(a: np.ndarray) -> list:
 
 class _SeedVector(list):
     """The seeds that :func:`_seeds` makes, as a list that also keeps the
-    float array they were seeded from, (n,) or (N, n), the index of the
-    first, and the ``rows`` and ``m`` of their hyper-duals. A slice or a sum
-    of such lists is a plain list."""
+    float values they were seeded from with the lanes last, (n,) at one
+    point or (n, N) over a stack, the index of the first, and the ``rows``
+    and ``m`` of their hyper-duals. A slice or a sum of such lists is a
+    plain list."""
 
     __slots__ = ("values", "offset", "rows", "m")
 
@@ -265,91 +275,121 @@ def _seeds(values: np.ndarray, m: int, offset: int,
     """Seeds ``offset``.. of the float values of shape (n,), or of the
     lanes of a stack of shape (N, n)."""
     grads, hess = _seed_arrays(rows, m)
-    seeds = _SeedVector(HyperDual(v, grads[offset + i], hess)
-                        for i, v in enumerate(lane_scalars(values)))
-    seeds.values, seeds.offset, seeds.rows, seeds.m = values, offset, rows, m
+    seeds = _SeedVector([HyperDual(v, g, hess) for v, g
+                         in zip(lane_scalars(values), grads[offset:])])
+    seeds.values, seeds.offset, seeds.rows, seeds.m = values.T, offset, rows, m
     return seeds
 
 
-def _coefficients(u, v: _SeedVector) -> np.ndarray | None:
-    """The entries a_k of ``u`` as an array in the layout of v's values,
-    (n,) at one point and (N, n), or (1, n) for floats, over a stack of N:
-    when ``u`` is a seed vector of v's layout, or all Python floats, or all
-    lanes (N, 1, 1) of v's stack; None for any other operand, which takes
-    the generic loop."""
-    b = v.values
-    if isinstance(u, _SeedVector):
-        return u.values if u.values.shape == b.shape else None
+def _coefficients(u, b: np.ndarray) -> np.ndarray | None:
+    """The entries a_k of ``u`` in the layout of a seed vector's values
+    ``b``, (n,) at one point and (n, N) over a stack of N, when ``u`` is
+    all Python floats, or all lanes (N, 1, 1) of the stack; None for any
+    other operand, which takes the generic loop."""
     if all(type(t) is float for t in u):
-        return np.array(u, ndmin=b.ndim)
-    lanes = (len(b), 1, 1)
+        if b.ndim == 1:
+            return np.array(u)
+        # the same floats in every lane
+        a = np.empty(b.shape)
+        a[...] = np.array(u)[:, None]
+        return a
+    lanes = (b.shape[-1], 1, 1)
     if b.ndim == 2 and all(type(t) is np.ndarray and t.shape == lanes
                            for t in u):
-        return np.array(u).reshape(len(u), -1).T
+        return np.array(u).reshape(b.shape)
     return None
 
 
 @functools.cache
-def _dot_arrays(u: int | None, v: int, n: int, rows: int, m: int):
-    """What :func:`_dot` of seeds u.. against seeds v.. (n each) over ``m``
-    variables with ``rows`` Hessian rows needs, read-only and lane-free:
-    the unit gradients e_{u+k} and e_{v+k} as the rows of (n, m) arrays
-    E_u and E_v, and the kept rows of the Hessian E_u^T E_v + E_v^T E_u.
-    Against scalars (u None), E_v alone, with a zero last column."""
-    eye = np.eye(m if u is not None else m + 1)
-    eye.flags.writeable = False
-    e_v = eye[v:v + n]
-    if u is None:
-        return None, e_v, None
-    e_u = eye[u:u + n]
-    hess = (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
-    hess.flags.writeable = False
-    return e_u, e_v, hess
+def _dots_arrays(offsets: tuple, n: int, stacked: bool, rows: int, m: int):
+    """What :func:`_dots` of the pairs at ``offsets``, ((u, v), ...) with u
+    None against scalars, of seed vectors of length ``n`` at one point or
+    over a stack, over ``m`` variables with ``rows`` Hessian rows needs,
+    read-only and lane-free.
+
+    The unit gradients of each pair as the rows of one array, e_{v+k} and
+    then e_{u+k}, zeros against scalars: (K, 2n, m) with a last unit axis
+    for the lanes of a stack, and a zero last column, m + 1 in all, when
+    scalars take part, whose sum is their Hessian. The kept rows of each
+    seed pair's Hessian E_u^T E_v + E_v^T E_u, None against scalars. The
+    rows of the scalars' b among the pairs' a and b, or None."""
+    b_rows = [2 * k + 1 for k, (u, _) in enumerate(offsets) if u is None]
+    eye = np.eye(m + bool(b_rows))
+    zeros = np.zeros((n, eye.shape[1]))
+    units = np.array([np.concatenate((eye[v:v + n], zeros if u is None
+                                      else eye[u:u + n]))
+                      for u, v in offsets])
+    units = units.reshape(units.shape + (1,) * stacked)
+    units.flags.writeable = False
+    hessians = []
+    for u, v in offsets:
+        hess = None
+        if u is not None:
+            e_u, e_v = eye[u:u + n, :m], eye[v:v + n, :m]
+            hess = (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
+            hess.flags.writeable = False
+        hessians.append(hess)
+    return units, tuple(hessians), np.array(b_rows) if b_rows else None
 
 
-def _dot(u, a: np.ndarray, v: _SeedVector) -> HyperDual:
-    """:func:`gdot` of ``u``, with the entries ``a`` of
-    :func:`_coefficients`, against a seed vector in one array pass, with
-    the bytes of the generic loop (see the module docstring)."""
-    b = v.values
-    seeded = isinstance(u, _SeedVector)
-    e_u, e_v, hess = _dot_arrays(u.offset if seeded else None, v.offset,
-                                 len(v), v.rows, v.m)
-    if b.ndim == 1:
-        # a sum from -0.0, the identity of IEEE addition, is one from the
-        # first term
-        val = -0.0
-        for s, t in zip(a.tolist(), b.tolist()):
-            val += s * t
-    else:
+def _dots(arrays: list, offsets: tuple, shape: tuple, rows: int,
+          m: int) -> list:
+    """The products of one :func:`gdots` group in one array pass, with the
+    bytes of the generic loop (see the module docstring): ``arrays`` holds
+    a and b of each pair, the entries of :func:`_coefficients` and a seed
+    vector's values, both of ``shape``, (n,) or (n, N); ``offsets`` the
+    pairs' first seed indices (u, v), u None against scalars."""
+    stacked = len(shape) == 2
+    units, hessians, scalars = _dots_arrays(offsets, shape[0], stacked,
+                                            rows, m)
+    # (2K, n) at one point, (2K, n, N) over a stack
+    ab = np.array(arrays)
+    if stacked:
         # accumulate, not reduce: a sum in order, as the loop's
-        val = np.add.accumulate(a * b, axis=1)[:, -1, None, None]
-        # the lanes last, where the reduction below runs fastest
-        a, b, e_v = a.T, b.T, e_v[..., None]
-        if seeded:
-            e_u = e_u[..., None]
-    # the loop's gradient terms a_k e_{v+k}, plus b_k e_{u+k} for seeds:
-    # (n, m) at one point, (n, m, N) over a stack
-    terms = a[:, None] * e_v
-    if seeded:
-        terms += b[:, None] * e_u
-    grad = np.add.reduce(terms, axis=0, initial=-0.0)
-    if not seeded:
-        # every Hessian entry is the loop's sum of the a_k times a zero
-        # Hessian: the zero column's
-        hess = np.empty(v.values.shape[:-1] + (v.rows, v.m))
-        hess[...] = grad[-1, ..., None, None]
-        grad = grad[:-1]
-    return HyperDual(val, grad.T[..., None, :], hess)
+        vals = np.add.accumulate(ab[0::2] * ab[1::2],
+                                 axis=1)[:, -1, :, None, None]
+    else:
+        vals = []
+        entries = ab.tolist()
+        for a, b in zip(entries[0::2], entries[1::2]):
+            # a sum from -0.0, the identity of IEEE addition, is one from
+            # the first term
+            val = -0.0
+            for s, t in zip(a, b):
+                val += s * t
+            vals.append(val)
+    if scalars is not None:
+        # the b of scalars takes no part in their gradient: as -0.0 terms
+        # it leaves every sum as it is
+        ab[scalars] = -0.0
+    # the loop's gradient terms a_k e_{v+k}, plus b_k e_{u+k} for seeds,
+    # summed over k from -0.0: (K, m) at one point, (K, m, N) over a stack,
+    # the lanes last, where the product and the reduction run fastest
+    count, lanes = len(offsets), shape[1:]
+    grad = np.add.reduce(ab.reshape((count, 2 * shape[0], 1) + lanes)
+                         * units, axis=1, initial=-0.0)
+    if scalars is not None:
+        # every Hessian entry of scalars is the loop's sum of the a_k times
+        # a zero Hessian: the zero column's
+        filled = np.empty((count,) + lanes + (rows, m))
+        filled[...] = grad[:, m, ..., None, None]
+        hessians = [f if h is None else h for h, f in zip(hessians, filled)]
+        grad = grad[:, :m]
+    # each pair's gradient in its hyper-dual layout, (1, m) or (N, 1, m)
+    grads = grad.swapaxes(1, -1)[..., None, :]
+    return list(map(HyperDual, vals, grads, hessians))
 
 
 def _sqrt(v):
     """The square root of a float, or of lanes, above ``SQRT_FLOOR``."""
     # NaN fails too, as it cannot be certified above the floor, and is
     # reported as a non-finite result
-    check_lanes(v > SQRT_FLOOR, lambda i: floor_error(
-        "square root argument {:.3e}", np.ravel(v)[i or 0], i))
+    check_lanes(v > SQRT_FLOOR, _below_sqrt_floor, v)
     return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _below_sqrt_floor(i: int | None, v) -> FinvarError:
+    return floor_error("square root argument {:.3e}", np.ravel(v)[i or 0], i)
 
 
 def gsqrt(z):
@@ -357,32 +397,64 @@ def gsqrt(z):
     return z.sqrt() if isinstance(z, HyperDual) else _sqrt(z)
 
 
+def gdots(*pairs) -> list:
+    """The inner products of pairs ``(u, v)`` of sequences of generic
+    scalars, each pair of one nonzero length, as separate :func:`gdot`
+    calls give them. The pairs whose u is a seed vector, or all Python
+    floats, or all lanes, against a seed vector v of the layout of the
+    first such pair take one array pass, :func:`_dots`; any other pair
+    takes the generic loop."""
+    out = []
+    # the layout of the first pair that takes the pass
+    layout = None
+    for u, v in pairs:
+        n = len(v)
+        if len(u) != n or not n:
+            raise ConfigError(f"gdot needs two sequences of one nonzero "
+                              f"length, got lengths {len(u)} and {n}")
+        if type(v) is _SeedVector and (
+                layout is None or layout == (v.values.shape, v.rows, v.m)):
+            b = v.values
+            if type(u) is _SeedVector:
+                a = u.values if u.values.shape == b.shape else None
+                first = u.offset
+            else:
+                a = _coefficients(u, b)
+                first = None
+            if a is not None:
+                if layout is None:
+                    layout = (b.shape, v.rows, v.m)
+                    # the places in ``out``, offsets, a and b of its pairs
+                    places, offsets, arrays = [], [], []
+                places.append(len(out))
+                offsets.append((first, v.offset))
+                arrays += a, b
+                out.append(None)
+                continue
+        acc = u[0] * v[0]
+        for s, t in zip(u[1:], v[1:]):
+            acc = acc + s * t
+        out.append(acc)
+    if layout is not None:
+        for i, res in zip(places, _dots(arrays, tuple(offsets), *layout)):
+            out[i] = res
+    return out
+
+
 def gdot(u, v):
-    """Inner product of two sequences of generic scalars of one nonzero
-    length: in one array pass for a seed vector, or floats or lanes,
-    against a seed vector of its layout, else by the generic loop."""
-    n = len(v)
-    if len(u) != n or not n:
-        raise ConfigError(f"gdot needs two sequences of one nonzero length, "
-                          f"got lengths {len(u)} and {n}")
-    if isinstance(v, _SeedVector):
-        a = _coefficients(u, v)
-        if a is not None:
-            return _dot(u, a, v)
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    """The inner product of two sequences of generic scalars of one nonzero
+    length: :func:`gdots` of the one pair."""
+    return gdots((u, v))[0]
 
 
 # -- field evaluation -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Jet2:
     """Value, gradient, and Hessian rows of a scalar field in the seeded
     variables: a float, (m,) and (r, m) at one point; (N,), (N, m) and
-    (N, r, m) over N points."""
+    (N, r, m) over N points. Jets compare by identity."""
 
     value: float | np.ndarray
     grad: np.ndarray
@@ -398,13 +470,16 @@ def check_shapes(x: np.ndarray, y: np.ndarray) -> None:
             f"equal shape, got {x.shape} and {y.shape}")
 
 
+def _zero_velocity(i: int | None) -> DegenerateVelocity:
+    return DegenerateVelocity("velocity is exactly zero", point=i)
+
+
 def check_velocity(y: np.ndarray) -> None:
     """Refuse a velocity (n,), or a row of a stack (N, n), of all zeros."""
     # one point in floats, 0.13 us against 1.7 us as a one-row stack; a NaN
     # is nonzero and -0.0 zero, as in numpy
-    ok = any(y.tolist()) if y.ndim == 1 else (y != 0.0).any(axis=-1)
-    check_lanes(ok, lambda i: DegenerateVelocity(
-        "velocity is exactly zero", point=i))
+    check_lanes(any(y.tolist()) if y.ndim == 1 else (y != 0.0).any(axis=-1),
+                _zero_velocity)
 
 
 def xy_jet2(f, x, y, *, seed_x: bool = True) -> Jet2:
@@ -427,22 +502,8 @@ def xy_jet2(f, x, y, *, seed_x: bool = True) -> Jet2:
     check_velocity(y)
     n = y.shape[-1]
     m = 2 * n if seed_x else n
-
-    def field(x, y):
-        if seed_x:
-            return f(_seeds(x, m, 0, n), _seeds(y, m, n, n))
-        res = f(lane_scalars(x), _seeds(y, m, 0, n))
-        if isinstance(res, HyperDual) and not (res.grad.all()
-                                               and res.hess.all()):
-            # x-seeds add signed zeros to every velocity entry, and
-            # -0.0 + 0.0 is +0.0: a zero entry takes its sign from a pass
-            # with them
-            full = f(_seeds(x, 2 * n, 0, n), _seeds(y, 2 * n, n, n))
-            res = HyperDual(full.val, full.grad[..., n:], full.hess[..., n:])
-        return res
-
     if y.ndim == 1:
-        res = field(x, y)
+        res = _field_pass(f, x, y, n, seed_x)
         if isinstance(res, HyperDual):
             return Jet2(res.val, res.grad[0], res.hess)
         return Jet2(float(res), np.zeros(m), np.zeros((n, m)))
@@ -453,7 +514,7 @@ def xy_jet2(f, x, y, *, seed_x: bool = True) -> Jet2:
     for start in range(0, count, LANES):
         chunk = slice(start, start + LANES)
         try:
-            res = field(x[chunk], y[chunk])
+            res = _field_pass(f, x[chunk], y[chunk], n, seed_x)
         except FinvarError as exc:
             if exc.point is not None:
                 exc.point += start
@@ -462,3 +523,19 @@ def xy_jet2(f, x, y, *, seed_x: bool = True) -> Jet2:
             res = HyperDual(res, 0.0, 0.0)
         value[chunk], grad[chunk], hess[chunk] = res.val, res.grad, res.hess
     return Jet2(value[:, 0, 0], grad[:, 0], hess)
+
+
+def _field_pass(f, x: np.ndarray, y: np.ndarray, n: int, seed_x: bool):
+    """The field ``f`` on the seeds of one point or of one chunk of a
+    stack: x-seeded, or over the velocity alone with x as lane scalars."""
+    if seed_x:
+        return f(_seeds(x, 2 * n, 0, n), _seeds(y, 2 * n, n, n))
+    res = f(lane_scalars(x), _seeds(y, n, 0, n))
+    if isinstance(res, HyperDual) and not (res.grad.all()
+                                           and res.hess.all()):
+        # x-seeds add signed zeros to every velocity entry, and
+        # -0.0 + 0.0 is +0.0: a zero entry takes its sign from a pass
+        # with them
+        full = f(_seeds(x, 2 * n, 0, n), _seeds(y, 2 * n, n, n))
+        res = HyperDual(full.val, full.grad[..., n:], full.hess[..., n:])
+    return res

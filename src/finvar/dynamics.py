@@ -163,7 +163,8 @@ def _stage_flow(metric: FinslerMetric, z: np.ndarray) -> np.ndarray:
     is not kept: the bits of ``_flow`` of :func:`_state_jet`, from the
     spray alone."""
     n = metric.dim
-    return _flow(z[n:], _spray_at(metric, z[:n], z[n:]))
+    y = z[n:]
+    return _flow(y, _spray_at(metric, z[:n], y))
 
 
 # Fehlberg 4(5) tableau.

@@ -119,8 +119,13 @@ def charpoly_coefficients(M: np.ndarray) -> np.ndarray:
     one matrix (n, n) or each of a stack (N, n, n).
 
     Faddeev-LeVerrier recursion applied to -M; exact rational structure, no
-    complex arithmetic, adequate for the package's working range n <= 8.
-    The leading coefficient is exactly 1.
+    complex arithmetic. The leading coefficient is exactly 1. Its trace
+    recursion cancels as n grows: against 60-digit eigenvalue references,
+    the worst relative error in f_alpha on euclidean against klein read
+    9e-16 at n = 8, 1.3e-13 at n = 12 and 1.6e-7 at n = 16, where
+    ``evaluate`` on that related pair (20 samples, seed 1) exits 1 with
+    f1_rel_err 1.7e-7 and q0_abs 2.9 (it passes at n = 12, f1_rel_err
+    4.1e-12), although configs take n up to ``metrics.MAX_DIM`` (64).
     """
     M = square_matrices(M)
     n = M.shape[-1]

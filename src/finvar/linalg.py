@@ -61,15 +61,22 @@ def inverse(a: np.ndarray):
     NaN]`` raises the finiteness error at point 1.
     """
     a = np.asarray(a)
-    # a failed factor is NaN-filled (an invalid flag) and the product of
-    # the pivots may overflow; both are certified, not warned about
-    with np.errstate(invalid="ignore", over="ignore"):
-        L = _umath_linalg.cholesky_lo(a, signature="d->d")
-        det = (_certify_one if a.ndim == 2 else _certify_stack)(a, L)
-        L_inv = _umath_linalg.inv(L, signature="d->d")
+    L_inv, det = _factor(a)
     # numpy forms X^T X as a symmetric rank-k update, matrix by matrix, so
     # g^{-1} comes out exactly symmetric
     return L_inv.swapaxes(-1, -2) @ L_inv, det
+
+
+# a failed factor is NaN-filled (an invalid flag) and the product of the
+# pivots may overflow; both are certified, not warned about. As a
+# decorator, errstate builds no context object per call.
+@np.errstate(invalid="ignore", over="ignore")
+def _factor(a: np.ndarray):
+    """L^-1, with L the Cholesky factor of ``a``, and the determinant, once
+    every matrix of ``a`` meets every certificate."""
+    L = _umath_linalg.cholesky_lo(a, signature="d->d")
+    det = (_certify_one if a.ndim == 2 else _certify_stack)(a, L)
+    return _umath_linalg.inv(L, signature="d->d"), det
 
 
 def _certify_one(a: np.ndarray, L: np.ndarray) -> float:

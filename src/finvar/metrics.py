@@ -49,7 +49,8 @@ import numpy as np
 
 from . import linalg
 from .autodiff import (Jet2, Lanes, check_lanes, check_shapes, check_velocity,
-                       floor_error, gdot, gsqrt, lane, lane_scalars, xy_jet2)
+                       floor_error, gdot, gdots, gsqrt, lane, lane_scalars,
+                       xy_jet2)
 from .errors import ConfigError, DomainError, FinvarError
 
 # Points closer to a domain boundary than this margin are rejected to avoid
@@ -156,7 +157,10 @@ class FinslerMetric:
             return self.region(lane_scalars(x))
         with np.errstate(all="ignore"):
             ok = self.region(lane_scalars(x))
-        return np.full((len(x), 1, 1), ok)[:, 0, 0]
+        # a lane mask (N, 1, 1), or a bare bool for every lane
+        if isinstance(ok, np.ndarray):
+            return ok[:, 0, 0]
+        return np.full(len(x), ok)
 
     def jet2(self, x, y, *, seed_x: bool = True) -> Jet2:
         """:func:`xy_jet2` of the field at x, y of shape (n,), or at the
@@ -167,8 +171,7 @@ class FinslerMetric:
         point."""
         x = np.asarray(x, dtype=float)
         try:
-            check_lanes(self.domain(x), lambda i: DomainError(
-                f"base point {lane(x, i)} outside domain", point=i))
+            check_lanes(self.domain(x), _outside_domain, x)
             return xy_jet2(self.evaluator, x, y, seed_x=seed_x)
         except FinvarError as exc:
             if exc.metric is None:
@@ -298,10 +301,9 @@ def _jet_pass(metric: FinslerMetric, x: np.ndarray, y: np.ndarray, *,
         jet: Jet2 = metric.jet2(x, y, seed_x=spray)
         F = jet.value
         # NaN and +-inf fail too, in either layout
-        check_lanes((F >= F_FLOOR) & (F < math.inf), lambda i: floor_error(
-            "value {}", lane(F, i), i, "below the positivity floor"))
-        # F against matrices, in either layout
-        FH = np.asarray(F)[..., None, None] * jet.hess
+        check_lanes((F >= F_FLOOR) & (F < math.inf), _below_floor, F)
+        # F against matrices in either layout, with the lanes last
+        FH = (jet.hess.T * F).T
         S = _outer(jet.grad[..., -n:], jet.grad) + FH
         g_inv, det_g = linalg.inverse(S[..., -n:])
     except FinvarError as exc:
@@ -309,6 +311,14 @@ def _jet_pass(metric: FinslerMetric, x: np.ndarray, y: np.ndarray, *,
             exc.metric = metric.name
         raise
     return F, jet.grad, FH, S, g_inv, det_g
+
+
+def _outside_domain(i: int | None, x: np.ndarray) -> DomainError:
+    return DomainError(f"base point {lane(x, i)} outside domain", point=i)
+
+
+def _below_floor(i: int | None, F) -> FinvarError:
+    return floor_error("value {}", lane(F, i), i, "below the positivity floor")
 
 
 def _spray(y: np.ndarray, F, grad: np.ndarray, S: np.ndarray,
@@ -320,7 +330,7 @@ def _spray(y: np.ndarray, F, grad: np.ndarray, S: np.ndarray,
     """
     n = y.shape[-1]
     F2_yx = 2.0 * S[..., :n]
-    F2_x = 2.0 * np.asarray(F)[..., None] * grad[..., :n]
+    F2_x = (grad[..., :n].T * (2.0 * F)).T
     return 0.25 * _matvec(g_inv, _matvec(F2_yx, y) - F2_x)
 
 
@@ -340,17 +350,13 @@ def _euclidean_field(xs, ys):
 
 
 def _klein_field(xs, ys):
-    xx = gdot(xs, xs)
-    yy = gdot(ys, ys)
-    xy = gdot(xs, ys)
+    xx, yy, xy = gdots((xs, xs), (ys, ys), (xs, ys))
     w = 1.0 - xx
     return gsqrt(yy * w + xy * xy) / w
 
 
 def _funk_field(xs, ys):
-    xx = gdot(xs, xs)
-    yy = gdot(ys, ys)
-    xy = gdot(xs, ys)
+    xx, yy, xy = gdots((xs, xs), (ys, ys), (xs, ys))
     w = 1.0 - xx
     return (gsqrt(yy * w + xy * xy) + xy) / w
 

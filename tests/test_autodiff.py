@@ -13,7 +13,7 @@ from finvar import (ConfigError, DegenerateVelocity, DomainError,
                     catalog_metric, metric_jet, rapcsak_residual)
 from finvar import autodiff
 from finvar.autodiff import (LANES, HyperDual, Jet2, _SeedVector,
-                             _dot_arrays, _seeds, gdot, gsqrt,
+                             _dots_arrays, _seeds, gdot, gdots, gsqrt,
                              lane_power, lane_scalars, xy_jet2)
 
 import symbolic_oracle
@@ -380,7 +380,8 @@ def test_seed_vector_dot_equals_the_generic_loop_bytewise(case, operands):
         assert isinstance(u, _SeedVector) and isinstance(v, _SeedVector)
         res = gdot(u, v)
         # the one-pass product: its Hessian rows are the cached block
-        assert res.hess is _dot_arrays(u.offset, v.offset, n, n, 2 * n)[2]
+        assert res.hess is _dots_arrays(((u.offset, v.offset),), n,
+                                        v.values.ndim == 2, n, 2 * n)[1][0]
         return res
 
     jet = xy_jet2(field, x, y)
@@ -396,9 +397,9 @@ def test_seed_vector_dot_equals_the_generic_loop_bytewise(case, operands):
 @pytest.mark.parametrize("count", [0, 2])
 def test_other_operands_of_gdot_take_the_generic_loop(monkeypatch, count):
     calls = []
-    one_pass = autodiff._dot
-    monkeypatch.setattr(autodiff, "_dot",
-                        lambda u, a, v: calls.append(1) or one_pass(u, a, v))
+    one_pass = autodiff._dots
+    monkeypatch.setattr(autodiff, "_dots", lambda arrays, offsets, *layout: (
+        calls.append(len(offsets)) or one_pass(arrays, offsets, *layout)))
     x = np.array([0.3, -0.0, 0.2])
     y = np.array([-0.5, -0.0, 1.0])
     if count:
@@ -415,6 +416,12 @@ def test_other_operands_of_gdot_take_the_generic_loop(monkeypatch, count):
     gdot(xs, ys)
     gdot(floats, ys)
     assert calls == [1, 1]
+    # one pass for the seed vectors and the floats against them, the loop
+    # for the rest
+    calls.clear()
+    gdots((xs, xs), (floats, floats), (ys, ys), (floats, ys), (xs, ys),
+          (list(xs), ys))
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("count", [0, 2])

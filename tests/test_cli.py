@@ -437,7 +437,7 @@ class TestCliContract:
                             "comparison": {"kind": "funk", "dim": 3}},
             samples={"count": 4, "trajectories": 1},
             integrator={"t_end": 0.2}, seed=7)
-        assert {"_seed_arrays", "_dot_arrays", "_permutation_pairs",
+        assert {"_seed_arrays", "_dots_arrays", "_permutation_pairs",
                 "_array_template"} <= clear_caches()
         argv = (command, "--config", cfg, "--format", fmt)
         first = run(capsys, *argv)

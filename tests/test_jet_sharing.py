@@ -16,7 +16,7 @@ from finvar import (FinslerMetric, HyperDual, TangentPoint,
                     pair_jets)
 from finvar.cli import main
 
-from conftest import make_pair, sample_points
+from conftest import make_metric, make_pair, sample_points
 
 POINTS = 5
 
@@ -179,3 +179,41 @@ def test_integrals_along_equals_fresh_jets_bitwise(method, kinds, along):
     fresh = np.array([first_integrals(pair_jets(pair, TangentPoint(x, y))).f
                       for x, y in zip(traj.jets.x, traj.jets.y)])
     assert np.array_equal(integrals_along(pair, traj), fresh)
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Calls of autodiff.xy_jet2 and linalg.inverse, the two entries every
+    jet pass goes through, counted from every finvar module holding them,
+    as the benchmark's tracer counts them."""
+    counts = {}
+    for owner, name in (("finvar.autodiff", "xy_jet2"),
+                        ("finvar.linalg", "inverse")):
+        original = getattr(sys.modules[owner], name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "finvar" or module_name.startswith("finvar."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+# one pass for the initial jet, then 6 per accepted rkf45 step (5 stages
+# and the kept jet) and 4 per rk4 step (3 stages and the kept jet)
+@pytest.mark.parametrize("settings, steps, passes", [
+    ({}, 92, 1 + 6 * 92),
+    ({"method": "rk4", "step": 0.02}, 150, 1 + 4 * 150),
+], ids=["rkf45", "rk4"])
+def test_passes_per_geodesic(pass_counts, settings, steps, passes):
+    klein = make_metric("klein", 2)
+    p0 = TangentPoint(np.array([0.1, 0.2]), np.array([0.6, -0.8]))
+    traj = integrate_geodesic(klein, p0, 3.0, **settings)
+    assert (traj.n_accepted, traj.n_rejected) == (steps, 0)
+    assert traj.t_final == pytest.approx(3.0) and not traj.domain_exit
+    assert pass_counts == {"xy_jet2": passes, "inverse": passes}

@@ -1,13 +1,14 @@
-"""Hyper-dual products, the metric-jet assembly, the oracle's pair sum and
-the verdicts' relative errors, byte for byte against the formulas they
-replaced.
+"""Hyper-dual products, inner products of seed vectors, the metric-jet
+assembly, the oracle's pair sum and the verdicts' relative errors, byte for
+byte against the formulas they replaced.
 
 Each reference below is the earlier form of the same arithmetic: the full
-(m, m) outer product of two gradients sliced to the kept rows, the second-
-derivative blocks of a metric jet from four products, the permutation-
-pair sum added term by term in a Python loop, and the three relative
-errors each command normalised itself before ``cli._check`` took the
-scale. The inputs carry +-0.0, +-inf and NaN. The NaNs share one payload:
+(m, m) outer product of two gradients sliced to the kept rows, the
+one-pair array pass of ``gdot`` (``old_gdot``), the second-derivative
+blocks of a metric jet from four products, the permutation-pair sum added
+term by term in a Python loop, and the three relative errors each command
+normalised itself before ``cli._check`` took the scale. The inputs carry
++-0.0, +-inf and NaN. The NaNs share one payload:
 IEEE 754 leaves the payload of a product of two NaNs to the hardware, and
 on x86 it is the first operand's, so only for NaNs of two payloads could
 a commuted product differ in bytes (no report shows a NaN's sign). The
@@ -25,9 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from finvar import NonFiniteResult, SingularMetric, cli, linalg, metrics
-from finvar.autodiff import (HyperDual, Jet2, _dot_arrays, _seed_arrays,
-                             lane_power)
+from finvar import (ConfigError, NonFiniteResult, SingularMetric, cli, linalg,
+                    metrics)
+from finvar.autodiff import (HyperDual, Jet2, _dots_arrays, _seed_arrays,
+                             _SeedVector, _seeds, gdots, lane_power)
 from finvar.oracle import _perm_sign, delta_alpha_combinatorial
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -94,6 +96,75 @@ def old_seed_pair_hessian(i, j, rows, m):
     unit = _seed_arrays(rows, m)[0]
     cross = unit[i].swapaxes(-1, -2) * unit[j]
     return (cross + cross.swapaxes(-1, -2))[m - rows:]
+
+
+def old_coefficients(u, v):
+    """The entries a_k of u in the layout of v's values, (n,) or (N, n),
+    or (1, n) for floats over a stack; None for the generic loop."""
+    b = v.values.T
+    if isinstance(u, _SeedVector):
+        return u.values.T if u.values.shape == v.values.shape else None
+    if all(type(t) is float for t in u):
+        return np.array(u, ndmin=b.ndim)
+    lanes = (len(b), 1, 1)
+    if b.ndim == 2 and all(type(t) is np.ndarray and t.shape == lanes
+                           for t in u):
+        return np.array(u).reshape(len(u), -1).T
+    return None
+
+
+def old_dot_arrays(u, v, n, rows, m):
+    """E_u, E_v (with a zero last column against scalars) and the kept
+    Hessian rows of one pair."""
+    eye = np.eye(m if u is not None else m + 1)
+    e_v = eye[v:v + n]
+    if u is None:
+        return None, e_v, None
+    e_u = eye[u:u + n]
+    return e_u, e_v, (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
+
+
+def old_dot(u, a, v):
+    """The one-pair array pass: the value in order, the gradient terms
+    summed in one reduction from -0.0."""
+    b = v.values.T
+    seeded = isinstance(u, _SeedVector)
+    e_u, e_v, hess = old_dot_arrays(u.offset if seeded else None, v.offset,
+                                    len(v), v.rows, v.m)
+    if b.ndim == 1:
+        val = -0.0
+        for s, t in zip(a.tolist(), b.tolist()):
+            val += s * t
+    else:
+        val = np.add.accumulate(a * b, axis=1)[:, -1, None, None]
+        a, b, e_v = a.T, b.T, e_v[..., None]
+        if seeded:
+            e_u = e_u[..., None]
+    terms = a[:, None] * e_v
+    if seeded:
+        terms += b[:, None] * e_u
+    grad = np.add.reduce(terms, axis=0, initial=-0.0)
+    if not seeded:
+        hess = np.empty(b.T.shape[:-1] + (v.rows, v.m))
+        hess[...] = grad[-1, ..., None, None]
+        grad = grad[:-1]
+    return HyperDual(val, grad.T[..., None, :], hess)
+
+
+def old_gdot(u, v):
+    """One inner product, by the one-pair pass or the generic loop."""
+    n = len(v)
+    if len(u) != n or not n:
+        raise ConfigError(f"gdot needs two sequences of one nonzero length, "
+                          f"got lengths {len(u)} and {n}")
+    if isinstance(v, _SeedVector):
+        a = old_coefficients(u, v)
+        if a is not None:
+            return old_dot(u, a, v)
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
 
 
 def old_blocks(F, grad, hess, n):
@@ -164,12 +235,131 @@ def test_seed_dot_hessian_takes_the_bytes_of_the_seed_pair_blocks(n):
     # |x|^2, |y|^2, <x, y> and <y, x>: the n blocks summed in loop order
     m = 2 * n
     for u, v in itertools.product((0, n), repeat=2):
-        hess = _dot_arrays(u, v, n, n, m)[2]
+        hess = _dots_arrays(((u, v),), n, False, n, m)[1][0]
         assert not hess.flags.writeable
         ref = old_seed_pair_hessian(u, v, n, m)
         for k in range(1, n):
             ref = ref + old_seed_pair_hessian(u + k, v + k, n, m)
         assert_same_bytes(hess, ref)
+
+
+# -- several inner products in one pass ---------------------------------------
+
+# signed zeros, infinities, NaN and subnormals among ordinary values
+DOT_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.5e-310, -1.0e-308]))
+
+
+def nan_bits(a, shape):
+    """The bytes of ``a`` broadcast to ``shape``, every NaN as np.nan: the
+    terms of one gradient entry are summed in another order than before,
+    and which NaN a sum keeps depends on it (no report shows a NaN's
+    sign)."""
+    a = np.array(np.broadcast_to(a, shape), dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def assert_same_product(got, ref):
+    if not isinstance(ref, HyperDual):
+        assert type(got) is type(ref) and nan_bits(got, ()) == nan_bits(ref,
+                                                                      ())
+        return
+    assert type(got.val) is type(ref.val)
+    for name in ("val", "grad", "hess"):
+        # floats against a stack once gave a lane-free gradient, which
+        # broadcasts as the stacked one does
+        a, b = (np.asarray(getattr(h, name)) for h in (got, ref))
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        assert shape == a.shape, name
+        assert nan_bits(a, shape) == nan_bits(b, shape), name
+
+
+@st.composite
+def dots_pairs(draw):
+    """1 to 3 pairs against seed vectors of one point or of a stack of 1, 3
+    or 65 points (two chunks' worth), x-seeded or over the velocity
+    alone: seeds against seeds, Python floats or lanes."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    count = draw(st.sampled_from([0, 1, 3, 65]))
+    shape = (n,) if not count else (count, n)
+    # signed zeros and halves alone, where a sum of -0.0 terms shows the
+    # start of every sum
+    entries = draw(st.sampled_from(
+        [DOT_ENTRIES, st.sampled_from([0.0, -0.0, 0.5, -0.5])]))
+
+    def array():
+        return np.array(draw(st.lists(entries, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))
+                        ).reshape(shape)
+
+    x, y = array(), array()
+    x_seeded = draw(st.booleans())
+    if x_seeded:
+        vectors = [_seeds(x, 2 * n, 0, n), _seeds(y, 2 * n, n, n)]
+    else:
+        vectors = [_seeds(y, n, 0, n)]
+    floats = draw(st.lists(entries, min_size=n, max_size=n))
+    operands = vectors + [floats]
+    if count:
+        operands.append([col[:, None, None] for col in array().T])
+    picks = draw(st.lists(st.tuples(st.sampled_from(range(len(operands))),
+                                    st.sampled_from(range(len(vectors)))),
+                          min_size=1, max_size=3))
+    return [(operands[i], vectors[j]) for i, j in picks]
+
+
+@given(pairs=dots_pairs())
+@settings(max_examples=200, deadline=None)
+def test_gdots_takes_the_bytes_of_separate_one_pair_passes(pairs):
+    with np.errstate(all="ignore"):
+        got = gdots(*pairs)
+        refs = [old_gdot(u, v) for u, v in pairs]
+    assert len(got) == len(refs)
+    for res, ref in zip(got, refs):
+        assert_same_product(res, ref)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_gdots_keeps_the_sign_of_a_sum_of_negative_zeros(count):
+    # every product -0.0: the value, and each gradient entry of floats
+    # -0.0 times a unit gradient, is -0.0 only in a sum that starts from
+    # -0.0 or from its first term
+    x, y = np.array([-0.0, 0.0]), np.array([0.5, -0.5])
+    if count:
+        x, y = np.tile(x, (count, 1)), np.tile(y, (count, 1))
+    xs, ys = _seeds(x, 4, 0, 2), _seeds(y, 4, 2, 2)
+    pairs = [(xs, ys), (ys, xs), ([-0.0, 0.0], ys)]
+    for res, (u, v) in zip(gdots(*pairs), pairs):
+        assert_same_product(res, old_gdot(u, v))
+        assert math.copysign(1.0, np.ravel(res.val)[0]) == -1.0
+
+
+def test_gdots_falls_back_or_raises_as_one_pair_gdot_does():
+    x = np.array([0.3, -0.0, 0.2])
+    y = np.array([-0.5, 1.0, -0.0])
+    xs, ys = _seeds(x, 6, 0, 3), _seeds(y, 6, 3, 3)
+    stack = _seeds(np.tile(y, (2, 1)), 6, 3, 3)
+    one_stack = _seeds(y[None], 6, 3, 3)
+    # seed vectors of a point and of a stack, either way round: the
+    # generic loop, as gdot gives it, beside a pair that takes the pass;
+    # and pairs of a second layout, which take the generic loop too
+    for pairs in (((xs, stack), (xs, ys)), ((stack, ys),),
+                  ((one_stack, xs), (ys, ys)), ((xs, one_stack),),
+                  ((xs, ys), (stack, stack), (ys, ys))):
+        for res, (u, v) in zip(gdots(*pairs), pairs):
+            assert_same_product(res, old_gdot(u, v))
+    # operands of unequal or no length: gdot's error, also after a pair
+    # that is fine
+    for bad in ((xs, list(ys)[:2]), ([0.1, 0.2], ys), ([], []),
+                (ys[:0], ys[:0])):
+        with pytest.raises(ConfigError) as exc:
+            gdots((xs, ys), bad)
+        with pytest.raises(ConfigError) as ref:
+            old_gdot(*bad)
+        assert str(exc.value) == str(ref.value)
 
 
 # -- the metric-jet assembly ------------------------------------------------
