@@ -36,33 +36,32 @@ floats or lanes.
 
 :func:`gdots` forms several inner products at once (the klein and funk
 fields take |x|^2, |y|^2 and <x, y> from one call), and :func:`gdot` is
-:func:`gdots` of one pair. Every pair whose u is a seed vector, or all
-floats or all lanes, against a seed vector v of its layout (a Randers
-metric's beta . y too) joins one array pass, :func:`_dots`, with the other
-such pairs of the call, in place of the 2n - 1 hyper-dual operations of
-the generic loop each. The pass stacks the entries a and b of its K pairs
-in one array. The values are the loop's left-to-right sums. The gradients
-sum the loop's terms a_k e_{v+k}, plus b_k e_{u+k} for seeds, in one
-``np.add.reduce`` over all K pairs that starts from -0.0, the identity of
-IEEE addition (numpy's default start, +0.0, turns a sum of -0.0 into
-+0.0); against scalars the b rows are set to -0.0 against zero unit rows,
-terms that leave every sum as it is. A column of one pair's terms holds at
-most two entries that are not signed zeros, and such a sum has the same
-bits in any order (but for the sign of a NaN), so the reduction gives the
-loop's bytes, signed zeros included. For seeds the Hessian rows are the
-kept rows of E_u^T E_v + E_v^T E_u, with E_u and E_v the unit gradients
-of the two vectors as rows, cached read-only per pass and lane-free:
-integers (+0, 1 or 2), exact in any order. For finite values they are the
-loop's bytes: its terms value times zero Hessian add up to +-0, and +-0
-plus a cross entry of two unit gradients, +0 or 1, is that entry. For
-scalars every Hessian entry is the loop's sum of the a_k times a zero
-Hessian, which the same reduction gives in a zero column of the unit
-rows. Any other operand, a slice or a sum of seed vectors or a mix of
-floats and lanes included, takes the generic loop, as does a pair against
-a seed vector of another layout than the call's first pass pair; operands
-of unequal or no length are refused.
+:func:`gdots` of one pair. Every pair of two seed vectors of one layout,
+the layout of the call's first such pair, joins one array pass,
+:func:`_dots`, in place of the 2n - 1 hyper-dual operations of the generic
+loop each. The pass stacks the values a and b of its K pairs in one
+array. The values are the loop's left-to-right sums. The gradients sum
+the loop's terms a_k e_{v+k} + b_k e_{u+k} in one ``np.add.reduce`` over
+all K pairs that starts from -0.0, the identity of IEEE addition (numpy's
+default start, +0.0, turns a sum of -0.0 into +0.0). A column of one
+pair's terms holds at most two entries that are not signed zeros, and
+such a sum has the same bits in any order (but for the sign of a NaN), so
+the reduction gives the loop's bytes, signed zeros included. The Hessian
+rows are the kept rows of E_u^T E_v + E_v^T E_u, with E_u and E_v the
+unit gradients of the two vectors as rows, cached read-only per pass and
+lane-free: integers (+0, 1 or 2), exact in any order. For finite values
+they are the loop's bytes: its terms value times zero Hessian add up to
++-0, and +-0 plus a cross entry of two unit gradients, +0 or 1, is that
+entry. Any other pair takes the generic loop: floats or lanes against a
+seed vector (a velocity-only pass's <x, y>, a Randers metric's beta . y),
+a slice or a sum of seed vectors, and a pair of seed vectors of another
+layout than the call's first pass pair. Floats against the seeds of a
+stack keep the seeds' lane-free gradient and Hessian rows, which
+:func:`xy_jet2` broadcasts into its stacked jet. Operands of unequal or no
+length are refused.
 ``HyperDual.__array_ufunc__`` is None, so a lane array times a hyper-dual
-defers to the hyper-dual, as a float does.
+defers to the hyper-dual, as a float does: lanes against a seed vector
+take the generic loop as floats do.
 
 :func:`xy_jet2` takes a base point and a velocity of shape (n,), or stacks of
 them of shape (N, n). Without x-seeds its jet has the bytes of the velocity
@@ -71,8 +70,9 @@ that are signed zeros, which leave every other entry as it is, and a chunk
 whose F_y or F_yy holds a zero is evaluated again with them. A stack is
 evaluated ``LANES`` points at a time, so the memory of the intermediate
 hyper-duals does not grow with the number of points. Dense storage is
-deliberate: the working range is a handful of variables (m <= 16), where
-flat numpy arrays beat any sparsity bookkeeping.
+deliberate: the measured working range is a handful of variables (n <= 12,
+m <= 24; see :func:`~finvar.integrals.charpoly_coefficients`), where flat
+numpy arrays beat any sparsity bookkeeping.
 """
 
 from __future__ import annotations
@@ -281,67 +281,38 @@ def _seeds(values: np.ndarray, m: int, offset: int,
     return seeds
 
 
-def _coefficients(u, b: np.ndarray) -> np.ndarray | None:
-    """The entries a_k of ``u`` in the layout of a seed vector's values
-    ``b``, (n,) at one point and (n, N) over a stack of N, when ``u`` is
-    all Python floats, or all lanes (N, 1, 1) of the stack; None for any
-    other operand, which takes the generic loop."""
-    if all(type(t) is float for t in u):
-        if b.ndim == 1:
-            return np.array(u)
-        # the same floats in every lane
-        a = np.empty(b.shape)
-        a[...] = np.array(u)[:, None]
-        return a
-    lanes = (b.shape[-1], 1, 1)
-    if b.ndim == 2 and all(type(t) is np.ndarray and t.shape == lanes
-                           for t in u):
-        return np.array(u).reshape(b.shape)
-    return None
-
-
 @functools.cache
 def _dots_arrays(offsets: tuple, n: int, stacked: bool, rows: int, m: int):
-    """What :func:`_dots` of the pairs at ``offsets``, ((u, v), ...) with u
-    None against scalars, of seed vectors of length ``n`` at one point or
-    over a stack, over ``m`` variables with ``rows`` Hessian rows needs,
-    read-only and lane-free.
+    """What :func:`_dots` of the pairs of seed vectors at ``offsets``,
+    ((u, v), ...), of length ``n`` at one point or over a stack, over ``m``
+    variables with ``rows`` Hessian rows needs, read-only and lane-free.
 
     The unit gradients of each pair as the rows of one array, e_{v+k} and
-    then e_{u+k}, zeros against scalars: (K, 2n, m) with a last unit axis
-    for the lanes of a stack, and a zero last column, m + 1 in all, when
-    scalars take part, whose sum is their Hessian. The kept rows of each
-    seed pair's Hessian E_u^T E_v + E_v^T E_u, None against scalars. The
-    rows of the scalars' b among the pairs' a and b, or None."""
-    b_rows = [2 * k + 1 for k, (u, _) in enumerate(offsets) if u is None]
-    eye = np.eye(m + bool(b_rows))
-    zeros = np.zeros((n, eye.shape[1]))
-    units = np.array([np.concatenate((eye[v:v + n], zeros if u is None
-                                      else eye[u:u + n]))
+    then e_{u+k}: (K, 2n, m) with a last unit axis for the lanes of a stack.
+    The kept rows of each pair's Hessian E_u^T E_v + E_v^T E_u."""
+    eye = np.eye(m)
+    units = np.array([np.concatenate((eye[v:v + n], eye[u:u + n]))
                       for u, v in offsets])
     units = units.reshape(units.shape + (1,) * stacked)
     units.flags.writeable = False
     hessians = []
     for u, v in offsets:
-        hess = None
-        if u is not None:
-            e_u, e_v = eye[u:u + n, :m], eye[v:v + n, :m]
-            hess = (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
-            hess.flags.writeable = False
+        e_u, e_v = eye[u:u + n], eye[v:v + n]
+        hess = (e_u.T @ e_v + e_v.T @ e_u)[m - rows:]
+        hess.flags.writeable = False
         hessians.append(hess)
-    return units, tuple(hessians), np.array(b_rows) if b_rows else None
+    return units, tuple(hessians)
 
 
 def _dots(arrays: list, offsets: tuple, shape: tuple, rows: int,
           m: int) -> list:
-    """The products of one :func:`gdots` group in one array pass, with the
-    bytes of the generic loop (see the module docstring): ``arrays`` holds
-    a and b of each pair, the entries of :func:`_coefficients` and a seed
-    vector's values, both of ``shape``, (n,) or (n, N); ``offsets`` the
-    pairs' first seed indices (u, v), u None against scalars."""
+    """The products of the seed-vector pairs of one :func:`gdots` call in
+    one array pass, with the bytes of the generic loop (see the module
+    docstring): ``arrays`` holds the values a and b of each pair, of
+    ``shape``, (n,) or (n, N); ``offsets`` the pairs' first seed indices
+    (u, v)."""
     stacked = len(shape) == 2
-    units, hessians, scalars = _dots_arrays(offsets, shape[0], stacked,
-                                            rows, m)
+    units, hessians = _dots_arrays(offsets, shape[0], stacked, rows, m)
     # (2K, n) at one point, (2K, n, N) over a stack
     ab = np.array(arrays)
     if stacked:
@@ -358,23 +329,12 @@ def _dots(arrays: list, offsets: tuple, shape: tuple, rows: int,
             for s, t in zip(a, b):
                 val += s * t
             vals.append(val)
-    if scalars is not None:
-        # the b of scalars takes no part in their gradient: as -0.0 terms
-        # it leaves every sum as it is
-        ab[scalars] = -0.0
-    # the loop's gradient terms a_k e_{v+k}, plus b_k e_{u+k} for seeds,
-    # summed over k from -0.0: (K, m) at one point, (K, m, N) over a stack,
-    # the lanes last, where the product and the reduction run fastest
+    # the loop's gradient terms a_k e_{v+k} + b_k e_{u+k}, summed over k
+    # from -0.0: (K, m) at one point, (K, m, N) over a stack, the lanes
+    # last, where the product and the reduction run fastest
     count, lanes = len(offsets), shape[1:]
     grad = np.add.reduce(ab.reshape((count, 2 * shape[0], 1) + lanes)
                          * units, axis=1, initial=-0.0)
-    if scalars is not None:
-        # every Hessian entry of scalars is the loop's sum of the a_k times
-        # a zero Hessian: the zero column's
-        filled = np.empty((count,) + lanes + (rows, m))
-        filled[...] = grad[:, m, ..., None, None]
-        hessians = [f if h is None else h for h, f in zip(hessians, filled)]
-        grad = grad[:, :m]
     # each pair's gradient in its hyper-dual layout, (1, m) or (N, 1, m)
     grads = grad.swapaxes(1, -1)[..., None, :]
     return list(map(HyperDual, vals, grads, hessians))
@@ -400,8 +360,7 @@ def gsqrt(z):
 def gdots(*pairs) -> list:
     """The inner products of pairs ``(u, v)`` of sequences of generic
     scalars, each pair of one nonzero length, as separate :func:`gdot`
-    calls give them. The pairs whose u is a seed vector, or all Python
-    floats, or all lanes, against a seed vector v of the layout of the
+    calls give them. The pairs of two seed vectors of the layout of the
     first such pair take one array pass, :func:`_dots`; any other pair
     takes the generic loop."""
     out = []
@@ -412,25 +371,18 @@ def gdots(*pairs) -> list:
         if len(u) != n or not n:
             raise ConfigError(f"gdot needs two sequences of one nonzero "
                               f"length, got lengths {len(u)} and {n}")
-        if type(v) is _SeedVector and (
-                layout is None or layout == (v.values.shape, v.rows, v.m)):
-            b = v.values
-            if type(u) is _SeedVector:
-                a = u.values if u.values.shape == b.shape else None
-                first = u.offset
-            else:
-                a = _coefficients(u, b)
-                first = None
-            if a is not None:
-                if layout is None:
-                    layout = (b.shape, v.rows, v.m)
-                    # the places in ``out``, offsets, a and b of its pairs
-                    places, offsets, arrays = [], [], []
-                places.append(len(out))
-                offsets.append((first, v.offset))
-                arrays += a, b
-                out.append(None)
-                continue
+        if (type(u) is type(v) is _SeedVector
+                and u.values.shape == v.values.shape
+                and layout in (None, (v.values.shape, v.rows, v.m))):
+            if layout is None:
+                layout = (v.values.shape, v.rows, v.m)
+                # the places in ``out``, offsets, a and b of its pairs
+                places, offsets, arrays = [], [], []
+            places.append(len(out))
+            offsets.append((u.offset, v.offset))
+            arrays += u.values, v.values
+            out.append(None)
+            continue
         acc = u[0] * v[0]
         for s, t in zip(u[1:], v[1:]):
             acc = acc + s * t

@@ -57,7 +57,8 @@ from .errors import ConfigError, DomainError, FinvarError
 # catastrophic cancellation in terms like 1 - |x|^2.
 EPS_DOM = 1e-9
 
-# Far above the working range (n <= 8); bounds what a descriptor can make
+# Far above the measured working range (n <= 12; see
+# ``integrals.charpoly_coefficients``); bounds what a descriptor can make
 # the catalog allocate before anything else is checked.
 MAX_DIM = 64
 

@@ -144,80 +144,51 @@ def test_pair_jets_at_signed_zeros_equal_the_full_jets(kinds, n, x, y):
                     == np.asarray(getattr(full, name)).tobytes()), name
 
 
-# -- the one-pass inner product of scalars and seeds -------------------------
+# -- which inner products take the array pass -----------------------------
 
 
-def loop_dot(u, v):
-    """gdot's generic loop."""
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def bits(a, shape):
-    """The bytes of ``a`` broadcast to ``shape``, every NaN as np.nan: inf
-    times 0.0 gives a NaN of another sign than np.nan's, and which of two
-    NaNs a sum keeps depends on the order of numpy's loops (no report shows
-    a NaN's sign)."""
-    a = np.array(np.broadcast_to(a, shape), dtype=float)
-    a[np.isnan(a)] = np.nan
-    return a.tobytes()
-
-
-def assert_same_hyperdual(a, b):
-    for name in ("val", "grad", "hess"):
-        va, vb = (np.asarray(getattr(h, name)) for h in (a, b))
-        shape = np.broadcast_shapes(va.shape, vb.shape)
-        assert bits(va, shape) == bits(vb, shape), name
-    assert type(a.val) is type(b.val)
-
-
-@given(n=st.integers(1, 12), lanes=st.integers(0, 5),
-       seeding=st.sampled_from(["velocity", "x", "y"]),
-       mix=st.sampled_from(["floats", "lanes"]), data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_scalars_dot_seeds_takes_the_bytes_of_the_loop(n, lanes, seeding,
-                                                      mix, data):
-    # lanes 0 is one point; seeds over m = n (the velocity-only pass) or
-    # m = 2n at offset 0 or n (the x-seeded pass), with n kept rows
-    values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL))
-    m, offset = {"velocity": (n, 0), "x": (2 * n, 0),
-                 "y": (2 * n, n)}[seeding]
-    shape = (n,) if not lanes else (lanes, n)
-    b = np.array(data.draw(st.lists(values, min_size=math.prod(shape),
-                                    max_size=math.prod(shape)))).reshape(shape)
-    seeds = _seeds(b, m, offset, n)
-    if mix == "lanes" and lanes:
-        a = np.array(data.draw(st.lists(values, min_size=lanes * n,
-                                        max_size=lanes * n)))
-        u = [col[:, None, None] for col in a.reshape(lanes, n).T]
-    else:
-        u = data.draw(st.lists(values, min_size=n, max_size=n))
-    with np.errstate(all="ignore"):
-        assert_same_hyperdual(gdot(u, seeds), loop_dot(u, list(seeds)))
-
-
-def test_scalars_dot_seeds_takes_one_array_pass(monkeypatch):
-    # floats, or lanes of the seeds' stack, against seeds: no hyper-dual
-    # product; a mix of floats and lanes takes the generic loop
+def counted_dots(monkeypatch):
+    """The number of pairs of each ``autodiff._dots`` pass from now on."""
     calls = []
-    mul = HyperDual.__mul__
+    one_pass = finvar.autodiff._dots
 
-    def counted(self, other):
-        calls.append(other)
-        return mul(self, other)
+    def counted(arrays, offsets, *layout):
+        calls.append(len(offsets))
+        return one_pass(arrays, offsets, *layout)
 
-    monkeypatch.setattr(HyperDual, "__mul__", counted)
-    monkeypatch.setattr(HyperDual, "__rmul__", counted)
+    monkeypatch.setattr(finvar.autodiff, "_dots", counted)
+    return calls
+
+
+def test_scalars_dot_seeds_take_the_generic_loop(monkeypatch):
+    # floats, lanes of the seeds' stack, and a mix of the two against
+    # seeds: no array pass, only the loop's hyper-dual products
+    calls = counted_dots(monkeypatch)
     y = np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
     seeds = _seeds(y, 2, 0, 2)
-    gdot([0.1, -0.2], seeds)
-    gdot([np.full((3, 1, 1), 0.1), np.full((3, 1, 1), 0.3)], seeds)
-    gdot([0.3, -0.0], _seeds(y[0], 4, 2, 2))
+    lanes = [np.full((3, 1, 1), 0.1), np.full((3, 1, 1), 0.3)]
+    for u, v in (([0.1, -0.2], seeds), (lanes, seeds),
+                 ([0.3, -0.0], _seeds(y[0], 4, 2, 2)),
+                 ([lanes[0], 0.0], seeds)):
+        assert isinstance(gdot(u, v), HyperDual)
     assert calls == []
-    gdot([np.full((3, 1, 1), 0.1), 0.0], seeds)
-    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["klein", "funk"])
+@pytest.mark.parametrize("count", [0, 3])
+def test_ball_fields_take_one_pass_of_three_pairs(monkeypatch, kind, count):
+    # |x|^2, |y|^2 and <x, y> of the x-seeded pass, at one point and on a
+    # stack; without x-seeds only |y|^2 is a pair of seed vectors
+    x, y = np.array([0.1, -0.2, 0.3]), np.array([0.6, 0.5, -0.8])
+    if count:
+        x, y = np.tile(x, (count, 1)), np.tile(y, (count, 1))
+    field = make_metric(kind, 3).evaluator
+    calls = counted_dots(monkeypatch)
+    xy_jet2(field, x, y)
+    assert calls == [3]
+    calls.clear()
+    xy_jet2(field, x, y, seed_x=False)
+    assert calls == [1]
 
 
 # -- the layout and the callers ----------------------------------------------
