@@ -18,25 +18,10 @@ a Randers metric with closed beta (here: beta = df for a named potential) is
 projectively related to its underlying Riemannian alpha. Both facts are used
 by the verification suites and are themselves re-checked dynamically.
 
-Named matrix fields for ``riemannian``/``randers``, both diagonal, so a
-field is its diagonal a_1(x)..a_n(x) and ||beta||_alpha^2 = sum beta_i^2 / a_i:
-
-* ``const_diag``  params [a_1..a_n], constant diag(a_1..a_n), a_i > 0
-* ``curved_x1``   diag(1, 1 + (x^1)^2, 1, ...) - curved, not projectively
-  flat; the standard negative control
-
-Named 1-form choices for ``randers``:
-
-* potential ``linear``    params c, f(x) = c . x, beta = c (closed)
-* potential ``quadratic`` params c, f(x) = sum c_i (x^i)^2 / 2, beta_i = c_i x^i
-* covector ``x2_dx1``     beta = (x^2, 0, ..., 0) - not closed; negative control
-
-A descriptor takes only the keys of its kind: ``kind`` and ``dim`` for
-euclidean, klein and funk; also ``field`` and ``params`` for riemannian, and
-``alpha_field``, ``alpha_params`` and ``beta`` for randers; ``kind``,
-``factor`` and ``base`` for scaled. A beta object is ``potential`` with
-``params``, or ``covector`` alone. Without ``alpha_params`` a Randers alpha
-takes [1.0] * n for ``const_diag`` and no parameters for ``curved_x1``.
+Each kind's descriptor keys besides ``kind``, and its builder, are one row
+of ``_KINDS``. The named parts of a kind are rows of their own tables:
+diagonal matrix fields in ``_FIELDS``, and the 1-forms of ``randers`` in
+``_POTENTIALS`` (beta = df, closed) and ``_COVECTORS`` (beta itself).
 """
 
 from __future__ import annotations
@@ -362,18 +347,44 @@ def _funk_field(xs, ys):
     return (gsqrt(yy * w + xy * xy) + xy) / w
 
 
-def _diagonal_field(name: str, params, n: int) -> Callable:
-    """The diagonal a_1(x)..a_n(x) of a named matrix field."""
-    if name == "const_diag":
-        diag = finite_vector(params, "const_diag params", n)
-        if any(v <= 0.0 for v in diag):
-            raise ConfigError("const_diag entries must be positive")
-        return lambda xs: diag
-    if name == "curved_x1":
-        if params:
-            raise ConfigError("curved_x1 takes no parameters")
-        return lambda xs: [1.0, 1.0 + xs[0] * xs[0]] + [1.0] * (n - 2)
-    raise ConfigError(f"unknown matrix field '{name}'")
+def _lookup(table: dict, name, what: str):
+    """The entry of ``table`` for ``name``; :class:`ConfigError` unless
+    ``name`` is a string that ``table`` holds."""
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {what} '{name}'")
+    return table[name]
+
+
+def _const_diag(params, n: int) -> Callable:
+    """Constant diag(a_1..a_n) from params [a_1..a_n], a_i > 0."""
+    diag = finite_vector(params, "const_diag params", n)
+    if any(v <= 0.0 for v in diag):
+        raise ConfigError("const_diag entries must be positive")
+    return lambda xs: diag
+
+
+def _curved_x1(params, n: int) -> Callable:
+    """diag(1, 1 + (x^1)^2, 1, ...): curved, not projectively flat; the
+    standard negative control. Its params are absent (None, as is an
+    explicit null) or []."""
+    if params not in (None, []):
+        raise ConfigError("curved_x1 takes no parameters")
+    return lambda xs: [1.0, 1.0 + xs[0] * xs[0]] + [1.0] * (n - 2)
+
+
+# Named matrix fields of ``riemannian`` and ``randers``, both diagonal, so
+# a field is its diagonal a_1(x)..a_n(x) and ||beta||_alpha^2 is
+# sum beta_i^2 / a_i: each builds the diagonal from its params and n.
+_FIELDS = {"const_diag": _const_diag, "curved_x1": _curved_x1}
+
+# Named 1-forms of ``randers``. A potential f builds the closed beta = df
+# from its params c: f = c . x (linear) or sum c_i (x^i)^2 / 2 (quadratic).
+_POTENTIALS = {
+    "linear": lambda c, n: lambda xs: list(c),
+    "quadratic": lambda c, n: lambda xs: [c[i] * xs[i] for i in range(n)]}
+# A covector field is beta itself: (x^2, 0, ..., 0) is not closed, the
+# negative control.
+_COVECTORS = {"x2_dx1": lambda n: lambda xs: [xs[1]] + [0.0] * (n - 1)}
 
 
 def _alpha(diag_field: Callable) -> Callable:
@@ -385,27 +396,18 @@ def _alpha(diag_field: Callable) -> Callable:
 
 
 def _beta_field(beta_desc: dict, n: int) -> Callable:
-    """Covector field of a Randers metric."""
+    """Covector field of a Randers metric: a ``potential`` with ``params``,
+    or a ``covector`` alone."""
     if not isinstance(beta_desc, dict):
         raise ConfigError(f"randers beta must be an object, got {beta_desc!r}")
     if "potential" in beta_desc:
         check_keys(beta_desc, {"potential", "params"}, "randers beta")
         pot = beta_desc["potential"]
-        params = finite_vector(beta_desc.get("params", []),
-                               f"potential '{pot}' params", n)
-        if pot == "linear":
-            return lambda xs: list(params)
-        if pot == "quadratic":
-            return lambda xs: [params[i] * xs[i] for i in range(n)]
-        raise ConfigError(f"unknown potential '{pot}'")
+        return _lookup(_POTENTIALS, pot, "potential")(finite_vector(
+            beta_desc.get("params", []), f"potential '{pot}' params", n), n)
     if "covector" in beta_desc:
         check_keys(beta_desc, {"covector"}, "randers beta")
-        cov = beta_desc["covector"]
-        if cov == "x2_dx1":
-            if n < 2:
-                raise ConfigError("x2_dx1 needs dimension >= 2")
-            return lambda xs: [xs[1]] + [0.0] * (n - 1)
-        raise ConfigError(f"unknown covector field '{cov}'")
+        return _lookup(_COVECTORS, beta_desc["covector"], "covector field")(n)
     raise ConfigError("randers beta needs a 'potential' or 'covector' entry")
 
 
@@ -422,6 +424,94 @@ def _require_dim(desc: dict) -> int:
     return n
 
 
+def _plain(field: Callable, region: Callable, reversible: bool = True
+           ) -> Callable:
+    """The builder of a kind with no parameter but ``dim``, named by its
+    kind."""
+    return lambda desc, n: FinslerMetric(desc["kind"], n, field, region,
+                                         reversible=reversible)
+
+
+def _riemannian(desc: dict, n: int) -> FinslerMetric:
+    field = desc.get("field", "const_diag")
+    params = desc.get("params")
+    alpha = _alpha(_lookup(_FIELDS, field, "matrix field")(params, n))
+    return FinslerMetric(f"riemannian[{_field_name(field, params)}]", n,
+                         alpha, _all_space)
+
+
+def _randers(desc: dict, n: int) -> FinslerMetric:
+    """alpha + beta over a named field, whose ``alpha_params`` default to
+    [1.0] * n for ``const_diag`` and to none for ``curved_x1``; refused
+    unless ||beta||_alpha < 1 at the origin and at every +-0.5 e_i."""
+    a_name = desc.get("alpha_field", "const_diag")
+    a_params = desc.get("alpha_params",
+                        [] if a_name == "curved_x1" else [1.0] * n)
+    a_field = _lookup(_FIELDS, a_name, "matrix field")(a_params, n)
+    beta = _beta_field(desc.get("beta", {}), n)
+
+    def beta_norm2(xs):
+        # ||beta||_alpha^2, nan (outside) at some non-finite coordinates
+        b = beta(xs)
+        return gdot(b, [v / a for v, a in zip(b, a_field(xs))])
+
+    # the origin, then +-0.5 e_i for each i
+    probes = np.zeros((2 * n + 1, n))
+    probes[1::2] = 0.5 * np.eye(n)
+    probes[2::2] = -probes[1::2]
+    for probe in probes:
+        if beta_norm2(lane_scalars(probe)) >= 1.0:
+            raise ConfigError(f"randers: ||beta||_alpha >= 1 at probe "
+                              f"point {probe}")
+
+    alpha = _alpha(a_field)
+
+    def randers_region(xs):
+        return beta_norm2(xs) < (1.0 - EPS_DOM) ** 2
+
+    def randers_eval(xs, ys):
+        return alpha(xs, ys) + gdot(beta(xs), ys)
+
+    name = (f"randers[{_field_name(a_name, desc.get('alpha_params'))}, "
+            f"{desc.get('beta')}]")
+    return FinslerMetric(name, n, randers_eval, randers_region,
+                         reversible=False)
+
+
+def _scaled(desc: dict, n: None) -> FinslerMetric:
+    """c * F_base for a finite c > 0, at most ``MAX_NESTING`` deep."""
+    factor = desc.get("factor")
+    if not (finite_number(factor) and factor > 0):
+        raise ConfigError(f"scaled needs a finite factor > 0, got {factor!r}")
+    inner, depth = desc, 0
+    while isinstance(inner, dict) and inner.get("kind") == "scaled":
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ConfigError(f"scaled descriptors nest more than "
+                              f"{MAX_NESTING} deep")
+        inner = inner.get("base")
+    base = catalog_metric(desc.get("base", {}))
+    c = float(factor)
+
+    def scaled_eval(xs, ys, _base=base.evaluator, _c=c):
+        return _c * _base(xs, ys)
+
+    return FinslerMetric(f"scaled[{c}]{base.name}", base.dim, scaled_eval,
+                         base.region, reversible=base.reversible)
+
+
+# Each kind: the descriptor keys it takes besides ``kind``, and its builder
+# of (descriptor, n), with n None for a kind that takes no ``dim``.
+_KINDS = {
+    "euclidean": ({"dim"}, _plain(_euclidean_field, _all_space)),
+    "klein": ({"dim"}, _plain(_klein_field, _unit_ball)),
+    "funk": ({"dim"}, _plain(_funk_field, _unit_ball, reversible=False)),
+    "riemannian": ({"dim", "field", "params"}, _riemannian),
+    "randers": ({"dim", "alpha_field", "alpha_params", "beta"}, _randers),
+    "scaled": ({"factor", "base"}, _scaled),
+}
+
+
 def catalog_metric(desc: dict) -> FinslerMetric:
     """Build a catalog metric from a descriptor dictionary.
 
@@ -430,86 +520,7 @@ def catalog_metric(desc: dict) -> FinslerMetric:
     """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"metric descriptor needs a 'kind': {desc!r}")
-    kind = desc["kind"]
-    where = f"metric descriptor of kind {kind!r}"
-    plain = {"kind", "dim"}
-
-    if kind == "euclidean":
-        check_keys(desc, plain, where)
-        n = _require_dim(desc)
-        return FinslerMetric("euclidean", n, _euclidean_field, _all_space)
-    if kind == "klein":
-        check_keys(desc, plain, where)
-        n = _require_dim(desc)
-        return FinslerMetric("klein", n, _klein_field, _unit_ball)
-    if kind == "funk":
-        check_keys(desc, plain, where)
-        n = _require_dim(desc)
-        return FinslerMetric("funk", n, _funk_field, _unit_ball,
-                             reversible=False)
-    if kind == "riemannian":
-        check_keys(desc, plain | {"field", "params"}, where)
-        n = _require_dim(desc)
-        field = desc.get("field", "const_diag")
-        params = desc.get("params")
-        alpha = _alpha(_diagonal_field(field, params, n))
-        return FinslerMetric(f"riemannian[{_field_name(field, params)}]", n,
-                             alpha, _all_space)
-    if kind == "randers":
-        check_keys(desc, plain | {"alpha_field", "alpha_params", "beta"},
-                   where)
-        n = _require_dim(desc)
-        a_name = desc.get("alpha_field", "const_diag")
-        a_params = desc.get("alpha_params",
-                            [] if a_name == "curved_x1" else [1.0] * n)
-        a_field = _diagonal_field(a_name, a_params, n)
-        beta = _beta_field(desc.get("beta", {}), n)
-
-        def beta_norm2(xs):
-            # ||beta||_alpha^2, nan (outside) at some non-finite coordinates
-            b = beta(xs)
-            return gdot(b, [v / a for v, a in zip(b, a_field(xs))])
-
-        # the origin, then +-0.5 e_i for each i
-        probes = np.zeros((2 * n + 1, n))
-        probes[1::2] = 0.5 * np.eye(n)
-        probes[2::2] = -probes[1::2]
-        for probe in probes:
-            if beta_norm2(lane_scalars(probe)) >= 1.0:
-                raise ConfigError(f"randers: ||beta||_alpha >= 1 at probe "
-                                  f"point {probe}")
-
-        alpha = _alpha(a_field)
-
-        def randers_region(xs):
-            return beta_norm2(xs) < (1.0 - EPS_DOM) ** 2
-
-        def randers_eval(xs, ys):
-            return alpha(xs, ys) + gdot(beta(xs), ys)
-
-        name = (f"randers[{_field_name(a_name, desc.get('alpha_params'))}, "
-                f"{desc.get('beta')}]")
-        return FinslerMetric(name, n, randers_eval, randers_region,
-                             reversible=False)
-    if kind == "scaled":
-        check_keys(desc, {"kind", "factor", "base"}, where)
-        factor = desc.get("factor")
-        if not (finite_number(factor) and factor > 0):
-            raise ConfigError(
-                f"scaled needs a finite factor > 0, got {factor!r}")
-        inner, depth = desc, 0
-        while isinstance(inner, dict) and inner.get("kind") == "scaled":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ConfigError(f"scaled descriptors nest more than "
-                                  f"{MAX_NESTING} deep")
-            inner = inner.get("base")
-        base = catalog_metric(desc.get("base", {}))
-        c = float(factor)
-
-        def scaled_eval(xs, ys, _base=base.evaluator, _c=c):
-            return _c * _base(xs, ys)
-
-        return FinslerMetric(f"scaled[{c}]{base.name}", base.dim, scaled_eval,
-                             base.region, reversible=base.reversible)
-    raise ConfigError(f"unknown metric kind '{kind}'")
+    keys, build = _lookup(_KINDS, desc["kind"], "metric kind")
+    check_keys(desc, keys | {"kind"},
+               f"metric descriptor of kind {desc['kind']!r}")
+    return build(desc, _require_dim(desc) if "dim" in keys else None)

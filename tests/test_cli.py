@@ -68,6 +68,29 @@ DESCRIPTOR_TYPOS = {
 }
 
 
+def _named(slot, name):
+    """A descriptor whose ``slot`` names a catalog part by ``name``."""
+    return {
+        "kind": {"kind": name, "dim": 2},
+        "field": {"kind": "riemannian", "dim": 2, "field": name},
+        "alpha_field": {"kind": "randers", "dim": 2, "alpha_field": name,
+                        "beta": {"covector": "x2_dx1"}},
+        "potential": {"kind": "randers", "dim": 2,
+                      "beta": {"potential": name, "params": [0.1, 0.0]}},
+        "covector": {"kind": "randers", "dim": 2,
+                     "beta": {"covector": name}},
+    }[slot]
+
+
+# descriptors that name a kind or a part by a list, an object or a number,
+# which a catalog table must refuse before it is asked for them
+NAMES_NOT_STRINGS = {
+    f"{slot}_{what}": _named(slot, name)
+    for slot in ("kind", "field", "alpha_field", "potential", "covector")
+    for what, name in (("list", ["klein"]), ("object", {"kind": "klein"}),
+                       ("number", 3))}
+
+
 def scaled_chain(depth):
     """``depth`` scaled descriptors nested over klein."""
     desc = {"kind": "klein", "dim": 2}
@@ -539,6 +562,9 @@ class TestCliContract:
         *(("verify", {"pair": {"base": {"kind": "euclidean", "dim": 2},
                                "comparison": desc}})
           for desc in DESCRIPTOR_TYPOS.values()),
+        *(("verify", {"pair": {"base": {"kind": "euclidean", "dim": 2},
+                               "comparison": desc}})
+          for desc in NAMES_NOT_STRINGS.values()),
         ("evaluate", {"schema_version": True}),
         ("evaluate", {"schema_version": 1.0}),
         ("evaluate", {"points": [{"x": [0.1, 0.2], "y": [1.0, 0.0],
@@ -560,7 +586,7 @@ class TestCliContract:
             "rk4_steps_tiny_step",
             *(f"{box}_{command}" for box in WIDE_BOXES
               for command in COMMANDS),
-            *DESCRIPTOR_TYPOS, "schema_version_true",
+            *DESCRIPTOR_TYPOS, *NAMES_NOT_STRINGS, "schema_version_true",
             "schema_version_float", "point_unknown_key",
             *(f"scaled_depth_{depth}_{command}"
               for depth in (MAX_NESTING + 1, 300) for command in COMMANDS)])

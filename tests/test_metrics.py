@@ -97,6 +97,27 @@ class TestCatalogValues:
                 assert (np.asarray(getattr(a, name)).tobytes()
                         == np.asarray(getattr(b, name)).tobytes()), name
 
+    @pytest.mark.parametrize("params", [0, False, "", {}],
+                             ids=["zero", "false", "empty_string",
+                                  "empty_object"])
+    @pytest.mark.parametrize("desc", [
+        {"kind": "riemannian", "dim": 2, "field": "curved_x1"},
+        {"kind": "randers", "dim": 2, "alpha_field": "curved_x1",
+         "beta": {"potential": "linear", "params": [0.1, 0.0]}},
+    ], ids=["params", "alpha_params"])
+    def test_curved_x1_refuses_falsy_params(self, desc, params):
+        # only an absent key or [] gives curved_x1 no parameters
+        key = "params" if desc["kind"] == "riemannian" else "alpha_params"
+        with pytest.raises(ConfigError) as info:
+            catalog_metric({**desc, key: params})
+        assert str(info.value) == "curved_x1 takes no parameters"
+
+    def test_unknown_potential_is_named_before_its_params(self):
+        with pytest.raises(ConfigError) as info:
+            catalog_metric({"kind": "randers", "dim": 2,
+                            "beta": {"potential": "cubic"}})
+        assert str(info.value) == "unknown potential 'cubic'"
+
     def test_riemannian_is_named_by_the_field_it_uses(self):
         m = catalog_metric({"kind": "riemannian", "dim": 2,
                             "params": [1.0, 2.0]})
